@@ -55,6 +55,11 @@ def _load_config(path: str | None, seed: int) -> tuple[Config, dict]:
     cfg = DEFAULT
     if path:
         overrides = json.loads(Path(path).read_text())
+        if not isinstance(overrides, dict):
+            raise ParseError("config overrides must be a JSON object")
+        unknown = sorted(set(overrides) - set(cfg.as_dict()))
+        if unknown:
+            raise ParseError(f"unknown config keys: {unknown}")
         cfg = cfg.replace(**overrides)
     echo = {"config": cfg.as_dict(), "seed": seed}
     return cfg, echo
@@ -152,8 +157,8 @@ def parse_recognition_log(text: str) -> list[Recognition]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = dict(item.split("=", 1) for item in line.split())
         try:
+            fields = dict(item.split("=", 1) for item in line.split())
             log.append(Recognition(fields["subj"], float(fields["score"]),
                                    int(fields["t"])))
         except (KeyError, ValueError) as exc:

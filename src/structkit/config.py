@@ -16,7 +16,6 @@ class Config:
     straightness_dev_px: float = 1.5      # max chord deviation mapping to score 0
     orientation_bins: int = 16            # 22.5 degrees each
     joint_angle_bins: int = 12            # 30 degrees each
-    length_log_base: float = 2.0          # log2 length bins
     corner_angle_deg: float = 35.0        # direction break that splits a chain
     corner_window: int = 3                # pixels on each side of a corner probe
     joint_radius_px: float = 2.5          # endpoint proximity that makes a joint

@@ -24,6 +24,7 @@ from .structure import (
     canonical_form,
     induced,
     require_valid,
+    _is_connected,
     _key_map,
 )
 
@@ -109,27 +110,10 @@ def portion(s: Structure, members: Iterable[str],
     if unknown:
         raise StructureError(f"portion members not in parent: {sorted(unknown)}")
     sub = induced(s, members)
-    if not allow_disconnected and not _connected(sub):
+    if not allow_disconnected and not _is_connected(sub):
         raise StructureError("portion members are not connected "
                              "(pass allow_disconnected to permit)")
     return Portion(s, members, sub)
-
-
-def _connected(s: Structure) -> bool:
-    if s.n <= 1:
-        return True
-    adj = {p: set() for p in s.parts}
-    for r in s.relations:
-        adj[r.a].add(r.b)
-        adj[r.b].add(r.a)
-    seen = {s.parts[0]}
-    stack = [s.parts[0]]
-    while stack:
-        for q in adj[stack.pop()]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == s.n
 
 
 def partition(s: Structure, member_sets: Iterable[Iterable[str]],
@@ -161,7 +145,7 @@ def quotient(s: Structure, k: Partition,
     its attributes record the crossing count and the base-label multiset.
     """
     require_valid(s)
-    if k.parent is not s and not _same_parent(k.parent, s):
+    if k.parent != s:
         raise StructureError("partition does not belong to this structure")
     catalog = catalog if catalog is not None else TypeCatalog()
     owner: dict[str, int] = {}
@@ -185,10 +169,6 @@ def quotient(s: Structure, k: Partition,
             attrs[f"label:{lab}"] = attrs.get(f"label:{lab}", 0) + 1
         rels.append(Relation(f"b{i}", f"b{j}", "adj", tuple(sorted(attrs.items()))))
     return Structure(parts, types, tuple(rels), s.oriented)
-
-
-def _same_parent(a: Structure, b: Structure) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +277,7 @@ def _blocks_key(blocks: list[list[str]]) -> tuple:
 def _grown_partition(s: Structure, keys: dict[str, str],
                      by_type: bool, by_label: bool) -> list[list[str]]:
     index = {p: i for i, p in enumerate(s.parts)}
-    adj: dict[str, list[tuple[str, str]]] = {p: [] for p in s.parts}
-    for r in s.relations:
-        adj[r.a].append((r.b, r.label))
-        adj[r.b].append((r.a, r.label))
+    inc = s.incidence
     assigned: dict[str, int] = {}
     blocks: list[list[str]] = []
     for seed in s.parts:
@@ -313,7 +290,7 @@ def _grown_partition(s: Structure, keys: dict[str, str],
         queue = deque([seed])
         while queue:
             p = queue.popleft()
-            for q, lab in sorted(adj[p], key=lambda x: (index[x[0]], x[1])):
+            for _, lab, _, q in sorted(inc[p], key=lambda e: (index[e[3]], e[1])):
                 if q in assigned:
                     continue
                 if by_type and keys[q] != keys[seed]:

@@ -16,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT, Config
 from .derivation import MorphismMask, Partition, Portion
-from .structure import Relation, Structure, StructureError, TypeCatalog
+from .structure import (Relation, Structure, StructureError, TypeCatalog,
+                        _is_connected)
 
 
 class RasterError(StructureError):
@@ -99,7 +100,10 @@ def load_raster(data: bytes | str) -> RasterStructure:
     else:
         if not tokens:
             raise RasterError("missing maxval")
-        maxval = int(tokens.pop(0))
+        try:
+            maxval = int(tokens.pop(0))
+        except ValueError:
+            raise RasterError("maxval must be an integer")
         if maxval <= 0:
             raise RasterError("maxval must be positive")
         if len(tokens) < width * height:
@@ -701,12 +705,9 @@ def polygon_quotient(r: RasterStructure, catalog: Optional[TypeCatalog] = None,
                     ("pair", f"s{i}", f"s{j}"), "parallel-to", True))
 
     # whole-structure assertions
-    deg = {p: 0 for p in parts}
-    for r_ in rels:
-        deg[r_.a] += 1
-        deg[r_.b] += 1
     closed = (len(parts) >= 3 and len(rels) == len(parts)
-              and all(d == 2 for d in deg.values()) and _joint_cycle(parts, rels))
+              and all(len(ends) == 2 for ends in quotient.incidence.values())
+              and _is_connected(quotient))
     assertions.append(PropertyAssertion(("structure",), "is-closed-cycle", closed))
     assertions.append(PropertyAssertion(("structure",), "side-count", len(parts)))
     lbins = [per_part[p]["length-bin"] for p in parts]
@@ -715,21 +716,6 @@ def polygon_quotient(r: RasterStructure, catalog: Optional[TypeCatalog] = None,
     assertions.append(PropertyAssertion(("structure",), "all-angles-equal",
                                         len(set(angle_bins)) <= 1 and bool(angle_bins)))
     return PolygonAnalysis(quotient, assertions, chains, problems)
-
-
-def _joint_cycle(parts: list[str], rels: list[Relation]) -> bool:
-    adj = {p: [] for p in parts}
-    for r in rels:
-        adj[r.a].append(r.b)
-        adj[r.b].append(r.a)
-    seen = {parts[0]}
-    stack = [parts[0]]
-    while stack:
-        for q in adj[stack.pop()]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +727,6 @@ class SignatureAtom:
     feature: str
     value: object = None       # None accepts any value, scored by match
     target: tuple = ("*",)     # ("*",) or an exact assertion target
-    min_score: float = 0.5
 
     def match_score(self, a: PropertyAssertion) -> float:
         if a.feature != self.feature:
@@ -802,7 +787,7 @@ def build_signature_candidates(examples: Sequence[Iterable[PropertyAssertion]],
     common = set.intersection(*atom_sets)
     if not common:
         return []
-    atoms = tuple(SignatureAtom(f, v, min_score=cfg.signature_threshold)
+    atoms = tuple(SignatureAtom(f, v)
                   for f, v in sorted(common, key=lambda t: (t[0], str(t[1]))))
     candidates = [Signature(subject, atoms, threshold=cfg.signature_threshold)]
     whole = tuple(a for a in atoms if a.feature in

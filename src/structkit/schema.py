@@ -20,7 +20,7 @@ from .structure import (
     Structure,
     StructureError,
     canonical_form,
-    isomorphic,
+    _witness,
 )
 
 PRIMITIVE_OPS = ("MEM_STORE", "MEM_LOAD", "COMPARE", "MOVE", "COPY", "BIND")
@@ -337,26 +337,27 @@ def operations_coincide(op1: Schema, op2: Schema,
     return True
 
 
-def _slot_compatible(b1: Binding, b2: Binding, slot_map: dict) -> Optional[dict]:
-    if b1.op != b2.op or b1.fresh != b2.fresh:
-        return None
-    if b1.op == "MOVE":
-        return slot_map if b1.literal == b2.literal else None
-    if b1.op == "BIND" and b1.literal != b2.literal:
-        return None
-    if (b1.slot is None) != (b2.slot is None):
-        return None
-    if b1.slot is not None:
-        mapped = slot_map.get(b1.slot)
-        if mapped is None:
-            if b2.slot in slot_map.values():
-                return None
-            out = dict(slot_map)
-            out[b1.slot] = b2.slot
-            return out
-        if mapped != b2.slot:
-            return None
-    return slot_map
+def _wiring(sch: Schema) -> tuple[Structure, dict[str, str]]:
+    """A base schema's body plus one part per memory slot, and its part keys.
+
+    Each slot use gets a `slot` relation to its slot part, so a one-to-one
+    renaming of slots is an isomorphism.  Keys carry what must coincide:
+    operation, freshness, the MOVE/BIND literal and being the entry.
+    """
+    parts = ["p" + p for p in sch.body.parts]
+    keys = {}
+    rels = [Relation("p" + r.a, "p" + r.b, r.label, r.attrs)
+            for r in sch.body.relations]
+    for part, b in sch.bindings:
+        literal = b.literal if b.op in ("MOVE", "BIND") else None
+        keys["p" + part] = repr((b.op, b.fresh, literal, part == sch.entry))
+        if b.slot is not None and b.op != "MOVE":
+            if "s" + b.slot not in keys:
+                parts.append("s" + b.slot)
+                keys["s" + b.slot] = "slot"
+            rels.append(Relation("p" + part, "s" + b.slot, "slot"))
+    return Structure(tuple(parts), tuple(keys[p] for p in parts),
+                     tuple(rels), oriented=True), keys
 
 
 def schemas_coincide(a: Schema, b: Schema,
@@ -367,51 +368,9 @@ def schemas_coincide(a: Schema, b: Schema,
     counts as the same operation.
     """
     fa, fb = flatten(a), flatten(b)
-    if fa.body.n != fb.body.n:
-        return False
-    if sorted(fa.body.part_types) != sorted(fb.body.part_types):
-        return False
-    rels_b = {}
-    for r in fb.body.relations:
-        rels_b[r.key(True)] = rels_b.get(r.key(True), 0) + 1
-
-    parts_a = list(fa.body.parts)
-    by_type_b: dict[str, list[str]] = {}
-    for p, t in zip(fb.body.parts, fb.body.part_types):
-        by_type_b.setdefault(t, []).append(p)
-
-    def feasible(mapping, slot_map):
-        remaining = dict(rels_b)
-        for r in fa.body.relations:
-            if r.a in mapping and r.b in mapping:
-                k = ((mapping[r.a], mapping[r.b]), r.label, r.attrs)
-                n = remaining.get(k, 0)
-                if n <= 0:
-                    return False
-                remaining[k] = n - 1
-        return True
-
-    def rec(i, mapping, slot_map, used):
-        if i == len(parts_a):
-            if mapping[fa.entry] != fb.entry:
-                return False
-            return feasible(mapping, slot_map)
-        p = parts_a[i]
-        for q in by_type_b.get(fa.body.types[p], []):
-            if q in used:
-                continue
-            sm = _slot_compatible(fa.binding_of[p], fb.binding_of[q], slot_map)
-            if sm is None:
-                continue
-            mapping[p] = q
-            used.add(q)
-            if feasible(mapping, sm) and rec(i + 1, mapping, sm, used):
-                return True
-            del mapping[p]
-            used.discard(q)
-        return False
-
-    if not rec(0, {}, {}, set()):
+    wa, keys_a = _wiring(fa)
+    wb, keys_b = _wiring(fb)
+    if _witness(wa, wb, keys_a, keys_b) is None:
         return False
     return operations_coincide(fa, fb, battery)
 

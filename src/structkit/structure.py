@@ -86,7 +86,26 @@ class Structure:
             object.__setattr__(self, "_types", d)
         return d
 
+    @property
+    def incidence(self) -> dict[str, list[tuple]]:
+        """part -> [(dir, label, attrs, other)], one entry per relation end.
+
+        dir is ">"/"<" (out/in) on oriented structures and "-" otherwise.
+        Built on first use and cached, like `types`.
+        """
+        inc = self.__dict__.get("_incidence")
+        if inc is None:
+            inc = {p: [] for p in self.parts}
+            out_dir, in_dir = (">", "<") if self.oriented else ("-", "-")
+            for r in self.relations:
+                inc[r.a].append((out_dir, r.label, r.attrs, r.b))
+                inc[r.b].append((in_dir, r.label, r.attrs, r.a))
+            object.__setattr__(self, "_incidence", inc)
+        return inc
+
     def neighbors(self, part: str) -> list[str]:
+        # a plain relation scan, kept off the incidence index: the test
+        # oracles call it and must not share code with the matcher they check
         out = []
         for r in self.relations:
             if r.a == part:
@@ -299,37 +318,24 @@ def _attr_enc(attrs: Attrs) -> str:
     return ",".join(f"{k}={v}" for k, v in attrs)
 
 
-def _refine(s: Structure, colors: dict[str, str]) -> dict[str, str]:
-    """Iterate (color, incident-relation multiset) signatures until stable."""
-    inc: dict[str, list[tuple]] = {p: [] for p in s.parts}
-    for r in s.relations:
-        if s.oriented:
-            inc[r.a].append((">", r.label, r.attrs, r.b))
-            inc[r.b].append(("<", r.label, r.attrs, r.a))
-        else:
-            inc[r.a].append(("-", r.label, r.attrs, r.b))
-            inc[r.b].append(("-", r.label, r.attrs, r.a))
+def _refine(s: Structure, colors: dict[str, int]) -> dict[str, int]:
+    """Iterate (color, incident-relation multiset) signatures until stable.
+
+    Each round renames every part to the rank of its signature among the
+    distinct signatures.  Signatures embed the previous color, so a round can
+    only split classes; the partition is stable once the count stops growing.
+    """
+    inc = s.incidence
+    count = len(set(colors.values()))
     while True:
-        sigs = {}
-        for p in s.parts:
-            around = sorted(
-                f"{d}{lab}{{{_attr_enc(at)}}}{colors[q]}" for d, lab, at, q in inc[p]
-            )
-            sigs[p] = colors[p] + "||" + "|".join(around)
-        # signatures embed the previous color, so the palette renaming is
-        # injective on classes and the partition can only refine
-        palette = {sig: f"c{i}" for i, sig in enumerate(sorted(set(sigs.values())))}
-        new = {p: palette[sigs[p]] for p in s.parts}
-        if _classes_of(new) == _classes_of(colors):
+        sigs = {p: (colors[p], tuple(sorted((d, lab, at, colors[q])
+                                            for d, lab, at, q in inc[p])))
+                for p in s.parts}
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        colors = {p: rank[sig] for p, sig in sigs.items()}
+        if len(rank) == count:
             return colors
-        colors = new
-
-
-def _classes_of(colors: dict[str, str]) -> tuple:
-    groups: dict[str, list[str]] = {}
-    for p, c in colors.items():
-        groups.setdefault(c, []).append(p)
-    return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
+        count = len(rank)
 
 
 def _encode(s: Structure, order: list[str], keys: dict[str, str]) -> str:
@@ -352,16 +358,17 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
         keys = _key_map(s, catalog)
     if not s.parts:
         return []
-    colors = _refine(s, dict(keys))
+    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    colors = _refine(s, {p: rank[keys[p]] for p in s.parts})
     best: list[tuple[str, list[str]]] = []
 
-    def rec(colors: dict[str, str]):
-        groups: dict[str, list[str]] = {}
+    def rec(colors: dict[str, int]):
+        groups: dict[int, list[str]] = {}
         for p, c in colors.items():
             groups.setdefault(c, []).append(p)
         multi = sorted((c for c, g in groups.items() if len(g) > 1))
         if not multi:
-            order = sorted(s.parts, key=lambda p: (colors[p], p))
+            order = sorted(s.parts, key=colors.__getitem__)
             enc = _encode(s, order, keys)
             if not best or enc < best[0][0]:
                 if best:
@@ -371,8 +378,9 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
             return
         target = multi[0]
         for p in sorted(groups[target]):
+            # refined colors are ranks >= 0, so -1 is fresh and sorts first
             forked = dict(colors)
-            forked[p] = "!" + forked[p]
+            forked[p] = -1
             rec(_refine(s, forked))
 
     rec(colors)
@@ -426,12 +434,21 @@ def isomorphic(a: Structure, b: Structure,
     """
     require_valid(a)
     require_valid(b)
-    if a.n != b.n or a.oriented != b.oriented:
-        return None
     if keys_a is None:
         keys_a = _key_map(a, catalog)
     if keys_b is None:
         keys_b = _key_map(b, catalog_b if catalog_b is not None else catalog)
+    return _witness(a, b, keys_a, keys_b)
+
+
+def _witness(a: Structure, b: Structure, keys_a: dict[str, str],
+             keys_b: dict[str, str]) -> Optional[dict[str, str]]:
+    """Verified part bijection a -> b preserving keys and relations, or None.
+
+    No validity check: schema bodies may carry self-loops.
+    """
+    if a.n != b.n or a.oriented != b.oriented:
+        return None
     order_a = canonical_order(a, keys=keys_a)
     order_b = canonical_order(b, keys=keys_b)
     if _encode(a, order_a, keys_a) != _encode(b, order_b, keys_b):
@@ -485,8 +502,10 @@ def swap_indistinguishable(a: Structure, b: Structure,
     deeply through each side's own catalog, so shells that look alike may
     still be distinguishable once their parts' contents travel.
     """
+    require_valid(a)
+    require_valid(b)
     if witness is None:
-        witness = isomorphic(a, b)
+        witness = _witness(a, b, _key_map(a, None), _key_map(b, None))
         if witness is None:
             raise StructureError("swap test requires isomorphic structures")
     deep_a = _key_map(a, catalog_a)
@@ -494,8 +513,8 @@ def swap_indistinguishable(a: Structure, b: Structure,
     # a' carries b's payloads at corresponding parts, and vice versa
     keys_a_swapped = {p: deep_b[witness[p]] for p in a.parts}
     keys_b_swapped = {q: deep_a[p] for p, q in witness.items()}
-    ok_a = isomorphic(a, a, keys_a=keys_a_swapped, keys_b=deep_a) is not None
-    ok_b = isomorphic(b, b, keys_a=keys_b_swapped, keys_b=deep_b) is not None
+    ok_a = _witness(a, a, keys_a_swapped, deep_a) is not None
+    ok_b = _witness(b, b, keys_b_swapped, deep_b) is not None
     return ok_a and ok_b
 
 
@@ -545,10 +564,7 @@ def compose(a: Structure, b: Structure,
 
 def _connected_subsets(s: Structure, size: int) -> Iterable[frozenset]:
     """All connected part subsets of the given size (canonical enumeration)."""
-    adj: dict[str, set[str]] = {p: set() for p in s.parts}
-    for r in s.relations:
-        adj[r.a].add(r.b)
-        adj[r.b].add(r.a)
+    adj = {p: {q for *_, q in around} for p, around in s.incidence.items()}
     index = {p: i for i, p in enumerate(s.parts)}
     seen = set()
 
@@ -602,14 +618,11 @@ def occurrences(a: Structure, b: Structure,
 def _is_connected(s: Structure) -> bool:
     if s.n <= 1:
         return True
-    adj: dict[str, set[str]] = {p: set() for p in s.parts}
-    for r in s.relations:
-        adj[r.a].add(r.b)
-        adj[r.b].add(r.a)
+    inc = s.incidence
     seen = {s.parts[0]}
     stack = [s.parts[0]]
     while stack:
-        for q in adj[stack.pop()]:
+        for *_, q in inc[stack.pop()]:
             if q not in seen:
                 seen.add(q)
                 stack.append(q)

@@ -239,3 +239,24 @@ def test_config_override_echoed(tmp_path):
 
 def test_unknown_subcommand_exit_two():
     assert main(["frobnicate"]) == 2
+
+
+def test_unknown_config_key_exit_two(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"no_such_knob": 1}))
+    a = write_struct(tmp_path, "a.struct", path3(["a", "b", "c"]))
+    assert main(["--config", str(cfgfile), "iso", a, a]) == 2
+    cfgfile.write_text("[1]")
+    assert main(["--config", str(cfgfile), "iso", a, a]) == 2
+
+
+def test_mine_log_token_without_equals_exit_two(tmp_path):
+    log_file = tmp_path / "events.log"
+    log_file.write_text("t=0 subj=A score=1.0\nt=1 subjA score=1.0\n")
+    assert main(["mine", str(log_file)]) == 2
+
+
+def test_pgm_non_integer_maxval_exit_two(tmp_path):
+    img = tmp_path / "bad.pgm"
+    img.write_text("P2\n2 2\nwhite\n0 1\n1 0\n")
+    assert main(["analyze", str(img)]) == 2

@@ -256,7 +256,11 @@ def test_schemas_coincide_is_equivalence_on_population():
                    ("b", Binding("COPY", slot="q"))], [("a", "b", "next")]),
            compare_emit_schema(),
            nested_append(),
-           schema([("m", Binding("MOVE", literal="first"))])]
+           schema([("m", Binding("MOVE", literal="first"))]),
+           # APPEND_X plus an `else` edge back: a superset of its flow
+           schema([("b1", Binding("BIND", slot="t", literal="X")),
+                   ("c1", Binding("COPY", slot="t"))],
+                  [("b1", "c1", "next"), ("c1", "b1", "else")])]
     rel = {(i, j): schemas_coincide(pop[i], pop[j])
            for i in range(len(pop)) for j in range(len(pop))}
     for i in range(len(pop)):

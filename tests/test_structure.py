@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from structkit.structure import (
     EMPTY,
+    Relation,
     Structure,
     StructureError,
     TypeCatalog,
@@ -123,6 +124,51 @@ def test_iso_witness_preserves_relations():
             ends = {w[r.a], w[r.b]}
             assert any({x.a, x.b} == ends and x.label == r.label
                        for x in b.relations)
+
+
+def complete(n):
+    ids = [f"p{i}" for i in range(n)]
+    return structure({p: "T" for p in ids},
+                     [(ids[i], ids[j], "L") for i in range(n) for j in range(i + 1, n)])
+
+
+def disjoint_cycles(*sizes):
+    ids = [f"c{k}_{i}" for k, n in enumerate(sizes) for i in range(n)]
+    rels = [(f"c{k}_{i}", f"c{k}_{(i + 1) % n}", "L")
+            for k, n in enumerate(sizes) for i in range(n)]
+    return structure({p: "T" for p in ids}, rels)
+
+
+def _symmetric_pairs():
+    rng = random.Random(2014)
+    families = [(f"K{n}", complete(n)) for n in range(2, 7)]
+    families += [(f"C{n}", cycle(n)) for n in (3, 5, 7, 16, 30)]
+    families += [(f"grid{w}x{w}", convolution(path(w), path(w))) for w in (2, 3, 4)]
+    families.append(("C3*C3", convolution(cycle(3), cycle(3))))
+    # one refinement class whose parts are not all alike: the canonical
+    # search must try every part of it, not just the first by name
+    families.append(("C6+2C3", disjoint_cycles(6, 3, 3)))
+    pairs = [pytest.param(s, relabeled_copy(rng, s), True, id=name)
+             for name, s in families]
+    # refinement leaves every part of both sides in one class; only the
+    # individualisation search can tell them apart
+    pairs += [pytest.param(cycle(2 * n), disjoint_cycles(n, n), False,
+                           id=f"C{2 * n}-vs-2C{n}")
+              for n in (3, 4, 6)]
+    return pairs
+
+
+@pytest.mark.parametrize("a, b, iso", _symmetric_pairs())
+def test_symmetric_families(a, b, iso):
+    w = isomorphic(a, b)
+    assert (w is not None) == iso
+    assert (canonical_form(a) == canonical_form(b)) == iso
+    if iso:
+        mapped = sorted(Relation(w[r.a], w[r.b], r.label, r.attrs).key(a.oriented)
+                        for r in a.relations)
+        assert mapped == sorted(r.key(b.oriented) for r in b.relations)
+    if a.n <= 7:
+        assert iso_oracle(a, b) == iso
 
 
 @settings(max_examples=60, deadline=None)
