@@ -27,6 +27,7 @@ from .structure import (
     isomorphic,
     _connected_subsets,
     _key_map,
+    _witness,
 )
 
 
@@ -348,13 +349,16 @@ def edit_distance(a: Structure, b: Structure,
                   catalog: Optional[TypeCatalog] = None
                   ) -> Optional[tuple[int, list[str]]]:
     """Exact minimal edit script over part-type substitutions and relation
-    insert/delete/relabel, found by search over all part bijections.
+    insert/delete/relabel: empty when the matcher finds an isomorphism,
+    otherwise found by search over all part bijections.
 
     None when the part counts differ (parts are never added or removed)."""
     if a.n != b.n or a.oriented != b.oriented:
         return None
     keys_a = _key_map(a, catalog)
     keys_b = _key_map(b, catalog)
+    if _witness(a, b, keys_a, keys_b) is not None:
+        return (0, [])
     parts_b = list(b.parts)
     best: Optional[tuple[int, list[str]]] = None
     for perm in itertools.permutations(parts_b):

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 from .config import DEFAULT, Config
 from .derivation import MorphismMask, apply_morphism
 from .rules import MicroSituation, Recognition, eval_micro_situation
-from .schema import Schema, execute
+from .schema import OutOfFuel, Schema, execute
 from .structure import (
     Structure,
     StructureError,
@@ -99,7 +99,8 @@ class SearchResult:
 # state inspection
 # ---------------------------------------------------------------------------
 
-def state_recognitions(state: State, spec: ProblemSpec) -> list[Recognition]:
+def state_recognitions(state: State, spec: ProblemSpec,
+                       cfg: Config = DEFAULT) -> list[Recognition]:
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
     recs = []
@@ -107,45 +108,39 @@ def state_recognitions(state: State, spec: ProblemSpec) -> list[Recognition]:
         target = state
         if rec.mask is not None:
             target = apply_morphism(state, rec.mask, spec.catalog)
-        hit = bool(occurrences(target, rec.pattern, spec.catalog))
-        if hit:
+        if occurrences(target, rec.pattern, spec.catalog, cfg):
             recs.append(Recognition(rec.subject, 1.0, 0))
     return recs
 
 
-def goal_satisfied(state: State, goal: MicroSituation,
-                   spec: ProblemSpec) -> bool:
+def _fires(ms, recs: list[Recognition], spec: ProblemSpec) -> bool:
+    return eval_micro_situation(ms, recs, 0) >= spec.threshold
+
+
+def goal_satisfied(state: State, goal: MicroSituation, spec: ProblemSpec,
+                   cfg: Config = DEFAULT) -> bool:
     """Abstract goals match every concrete state carrying the subjects."""
-    recs = state_recognitions(state, spec)
-    return eval_micro_situation(goal, recs, 0) >= spec.threshold
+    return _fires(goal, state_recognitions(state, spec, cfg), spec)
 
 
-def _matches_any(state: State, situations, spec: ProblemSpec) -> bool:
-    if not situations:
-        return False
-    recs = state_recognitions(state, spec)
-    return any(eval_micro_situation(ms, recs, 0) >= spec.threshold
-               for ms in situations)
-
-
-def _guard_holds(state: State, prod: Production, spec: ProblemSpec) -> bool:
+def _guard_holds(state: State, prod: Production, spec: ProblemSpec,
+                 recs: Optional[list[Recognition]], cfg: Config) -> bool:
     if isinstance(prod.guard, MicroSituation):
-        recs = state_recognitions(state, spec)
-        return eval_micro_situation(prod.guard, recs, 0) >= spec.threshold
+        return _fires(prod.guard, recs, spec)
     if isinstance(prod.guard, Structure):
         if not isinstance(state, Structure):
             return False
-        return bool(occurrences(state, prod.guard, spec.catalog))
+        return bool(occurrences(state, prod.guard, spec.catalog, cfg))
     raise SolverError(f"unsupported guard on production {prod.name}")
 
 
-def _apply_effect(state: State, prod: Production) -> State:
+def _apply_effect(state: State, prod: Production, cfg: Config) -> State:
     eff = prod.effect
     if isinstance(eff, Schema):
         if not isinstance(state, Structure):
             raise SolverError(f"schema effect of {prod.name} needs a "
                               "structure state")
-        return execute(eff, state)
+        return execute(eff, state, cfg=cfg)
     if isinstance(eff, SetEffect):
         if not isinstance(state, RecognitionState):
             raise SolverError(f"set effect of {prod.name} needs a "
@@ -161,21 +156,25 @@ def _apply_effect(state: State, prod: Production) -> State:
     raise SolverError(f"unsupported effect on production {prod.name}")
 
 
-def expand(state: State, spec: ProblemSpec
+def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
+           recs: Optional[list[Recognition]] = None
            ) -> tuple[list[tuple[str, State]], list[tuple[str, str]]]:
     """Successors for every production whose guard holds.
 
-    An effect failure poisons only its own production; it lands in the
-    error list and the others go through.
+    Recognitions not passed in are computed once, for the first
+    micro-situation guard.  A guard or effect failure (out of fuel included)
+    poisons only its own production; the others go through.
     """
     successors = []
     errors = []
     for prod in spec.productions:
         try:
-            if not _guard_holds(state, prod, spec):
+            if recs is None and isinstance(prod.guard, MicroSituation):
+                recs = state_recognitions(state, spec, cfg)
+            if not _guard_holds(state, prod, spec, recs, cfg):
                 continue
-            successors.append((prod.name, _apply_effect(state, prod)))
-        except StructureError as exc:
+            successors.append((prod.name, _apply_effect(state, prod, cfg)))
+        except (StructureError, OutOfFuel) as exc:
             errors.append((prod.name, str(exc)))
     return successors, errors
 
@@ -202,51 +201,52 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
     if budget <= 0:
         raise SolverError("budget must be positive")
     h = spec.heuristic or (lambda state: 0.0)
-    if _matches_any(spec.start, spec.undesired, spec):
-        return SearchResult((), 0, 0, "unsolvable")
     counter = itertools.count()
     start_key = _state_key(spec.start, spec)
-    heap = [(h(spec.start), next(counter), spec.start, ())]
+    heap = [(h(spec.start), next(counter), start_key, spec.start, ())]
     best_cost = {start_key: 0}
     expanded = 0
     while heap:
-        f, _, state, plan = heapq.heappop(heap)
-        key = _state_key(state, spec)
-        if best_cost.get(key, len(plan)) < len(plan):
+        _, _, key, state, plan = heapq.heappop(heap)
+        if best_cost[key] < len(plan):
             continue
-        if goal_satisfied(state, spec.goal, spec):
+        recs = state_recognitions(state, spec, cfg)
+        if any(_fires(ms, recs, spec) for ms in spec.undesired):
+            continue    # every path to this key is undesired too
+        if _fires(spec.goal, recs, spec):
             return SearchResult(tuple(plan), expanded, len(plan), "solved")
         if expanded >= budget:
             return SearchResult((), expanded, len(plan), "budget-exhausted")
         expanded += 1
-        successors, _errors = expand(state, spec)
+        successors, _errors = expand(state, spec, cfg, recs)
+        cost = len(plan) + 1
         for name, succ in successors:
-            if _matches_any(succ, spec.undesired, spec):
-                continue
             skey = _state_key(succ, spec)
-            cost = len(plan) + 1
-            if skey in best_cost and best_cost[skey] <= cost:
+            if best_cost.get(skey, cost + 1) <= cost:
                 continue
             best_cost[skey] = cost
-            heapq.heappush(heap, (cost + h(succ), next(counter), succ,
+            heapq.heappush(heap, (cost + h(succ), next(counter), skey, succ,
                                   plan + (name,)))
     return SearchResult((), expanded, 0, "unsolvable")
 
 
-def replay(spec: ProblemSpec, plan: Sequence[str]) -> State:
+def replay(spec: ProblemSpec, plan: Sequence[str],
+           cfg: Config = DEFAULT) -> State:
     """Walk the plan from the start, enforcing guards; returns the end state."""
     by_name = {p.name: p for p in spec.productions}
     state = spec.start
+    recs = state_recognitions(state, spec, cfg)
     for name in plan:
         prod = by_name.get(name)
         if prod is None:
             raise SolverError(f"plan names unknown production {name}")
-        if not _guard_holds(state, prod, spec):
+        if not _guard_holds(state, prod, spec, recs, cfg):
             raise SolverError(f"guard of {name} does not hold during replay")
-        state = _apply_effect(state, prod)
-        if _matches_any(state, spec.undesired, spec):
+        state = _apply_effect(state, prod, cfg)
+        recs = state_recognitions(state, spec, cfg)
+        if any(_fires(ms, recs, spec) for ms in spec.undesired):
             raise SolverError(f"replay entered an undesired state after {name}")
-    if not goal_satisfied(state, spec.goal, spec):
+    if not _fires(spec.goal, recs, spec):
         raise SolverError("replay did not reach a goal state")
     return state
 
@@ -316,7 +316,7 @@ def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
     entry = cache.entries.get(key)
     if entry is not None:
         try:
-            replay(spec, entry.plan)
+            replay(spec, entry.plan, cfg)
         except SolverError:
             entry.misses += 1
         else:

@@ -201,6 +201,32 @@ def test_solve_unsolvable_exit_one(tmp_path):
     assert main(["solve", str(pfile)]) == 1
 
 
+def test_solve_out_of_fuel_effect_poisons_its_production(tmp_path):
+    # the effect loops MOVE first forever; the configured fuel stops it and
+    # the search reports no plan instead of an internal error
+    problem = {
+        "start": {"struct": "part u0 N\n"},
+        "goal": {"members": [{"subject": "grown"}]},
+        "recognizers": [
+            {"subject": "grown",
+             "pattern": "part a N\npart b N\nrel a b adj\n"},
+        ],
+        "productions": [{
+            "name": "spin",
+            "guard": {"pattern": "part a N\n"},
+            "effect": {"schema": (
+                "oriented\npart a MOVE\npart b MOVE\n"
+                "rel a b next\nrel b a next\nentry a\n"
+                "bind a MOVE first\nbind b MOVE first\n")},
+        }],
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"fuel_default": 100}))
+    assert main(["--config", str(cfgfile), "solve", str(pfile)]) == 1
+
+
 def test_demo_polygons_deterministic(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

@@ -376,6 +376,15 @@ def test_case2_distance_symmetric():
         assert (da is None) == (db is None)
         if da is not None:
             assert da[0] == db[0]
+    # relabelled copies of a 9-part structure: the matcher answers before
+    # the 9! bijection loop would
+    a = random_structure(rng, max_n=9)
+    while a.n < 9:
+        a = random_structure(rng, max_n=9)
+    ids = {p: f"q{k}" for k, p in enumerate(reversed(a.parts))}
+    b = structure({ids[p]: t for p, t in zip(a.parts, a.part_types)},
+                  [(ids[r.a], ids[r.b], r.label) for r in a.relations])
+    assert edit_distance(a, b) == edit_distance(b, a) == (0, [])
 
 
 def test_case2_eps_bounds():

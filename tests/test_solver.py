@@ -1,6 +1,9 @@
 import random
 from collections import deque
 
+import pytest
+
+from structkit.config import DEFAULT
 from structkit.derivation import MorphismMask
 from structkit.rules import MicroSituation, MsMember
 from structkit.solver import (
@@ -17,7 +20,13 @@ from structkit.solver import (
     solve,
     solve_with_cache,
 )
-from structkit.structure import Relation, Structure, TypeCatalog, structure
+from structkit.structure import (
+    Relation,
+    Structure,
+    StructureError,
+    TypeCatalog,
+    structure,
+)
 
 
 def ms(*members):
@@ -130,6 +139,35 @@ def test_guard_failure_poisons_only_its_production():
     succ, errors = expand(big, spec)
     assert succ == []
     assert errors and errors[0][0] == "sick" and "cap" in errors[0][1]
+
+
+def test_guard_failures_under_shared_recognitions_poison_each_production():
+    # the recognitions shared by the micro-situation guards trip the cap, and
+    # so does the pattern guard: every production reports its own error
+    big = structure({f"p{i}": "T" for i in range(70)},
+                    [(f"p{i}", f"p{i+1}", "L") for i in range(69)])
+    pattern = structure({"a": "T"})
+    prods = (Production("first", ms("hasT"), SetEffect()),
+             Production("pattern", pattern, SetEffect()),
+             Production("second", ms("!hasT"), SetEffect()))
+    spec = ProblemSpec(big, ms("done"), prods,
+                       recognizers=(StructRecognizer("hasT", pattern),))
+    succ, errors = expand(big, spec)
+    assert succ == []
+    assert [name for name, _ in errors] == ["first", "pattern", "second"]
+    assert all("occurrence cap" in msg for _, msg in errors)
+
+
+def test_config_occurrence_cap_reaches_recognizers():
+    three = structure({"a": "T", "b": "T", "c": "T"},
+                      [("a", "b", "L"), ("b", "c", "L")])
+    pair = structure({"u": "T", "v": "T"}, [("u", "v", "L")])
+    spec = ProblemSpec(three, ms("linked"),
+                       (Production("noop", ms("linked"), SetEffect()),),
+                       recognizers=(StructRecognizer("linked", pair),))
+    assert solve(spec, 10).status == "solved"
+    with pytest.raises(StructureError, match="cap of 2 parts"):
+        solve(spec, 10, DEFAULT.replace(occurrence_part_cap=2))
 
 
 def test_effect_failure_poisons_only_its_production():
