@@ -21,7 +21,7 @@ from .pixels import (
     evaluate_signature,
     load_raster,
     polygon_quotient,
-    segment_regions,
+    region_sizes,
     serialize_raster,
 )
 from .rules import (
@@ -118,17 +118,13 @@ def _signature_report(assertions, cfg: Config) -> list[dict]:
 
 def _analysis_payload(raster, cfg: Config) -> dict:
     catalog = TypeCatalog()
-    regions = segment_regions(raster)
+    sizes = region_sizes(raster)
     pa = polygon_quotient(raster, catalog, cfg)
-    block_info = sorted(
-        ({"value": int(b.induced.part_types[0][1:]), "size": b.induced.n}
-         for b in regions.blocks),
-        key=lambda d: (d["value"], d["size"]))
     return {
         "width": raster.width,
         "height": raster.height,
-        "regions": len(regions.blocks),
-        "blocks": block_info,
+        "regions": len(sizes),
+        "blocks": [{"value": v, "size": n} for v, n in sizes],
         "chains": [{
             "pixels": len(ch.pixels),
             "a": list(ch.a), "b": list(ch.b),

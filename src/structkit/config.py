@@ -25,7 +25,9 @@ class Config:
     signature_threshold: float = 0.5
 
     # --- structure operations ---
-    occurrence_part_cap: int = 64         # operand size cap for difference/convolution
+    # operand size cap of occurrences (so of difference and of the solver's
+    # recognizers) and of convolution
+    occurrence_part_cap: int = 64
     motif_size_cap: int = 5               # case-1 regularity motif cap
     edit_eps: float = 0.10                # case-2 "small change" fraction
     partition_cap: int = 8                # canonical partitions returned

@@ -1,10 +1,12 @@
 """Raster explicitation pipeline: pixels to referenced structural properties.
 
 A two-level raster becomes a base structure (one part per pixel, intensity
-types, 4-neighborhood relations).  Regions split at value ruptures, strokes
-are traced into chains broken at junctions and corners, straight chains are
-classified into quantized bins, and the segment quotient carries the explicit
-properties forward with their structural references.  Recognition happens by
+types, 4-neighborhood relations).  Regions split at value ruptures; they are
+labelled over row runs, and the per-pixel base structure is built only when a
+caller asks for the regions as a partition.  Strokes are traced into chains
+broken at junctions and corners, straight chains are classified into
+quantized bins, and the segment quotient carries the explicit properties
+forward with their structural references.  Recognition happens by
 converging the per-feature checks of a signature into one score.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT, Config
@@ -130,50 +133,102 @@ def serialize_raster(r: RasterStructure) -> str:
 # region segmentation
 # ---------------------------------------------------------------------------
 
+Run = tuple[int, int, int]   # (y, x0, x1): pixels x0 <= x < x1 of row y
+
+
+def _regions(r: RasterStructure) -> list[tuple[int, list[Run]]]:
+    """The 4-connected regions of equal value, as (value, runs).
+
+    Two-pass labelling over the equal-value runs of each row (Wu, Otoo &
+    Suzuki, PAA 2009).  Runs are labelled in row-major order; a run is
+    united with every same-value run of the previous row whose x-range
+    overlaps its own.  Union keeps the smaller label as root, so a region's
+    root is its first run: regions come out in row-major order of their
+    first pixel, each with its runs in row-major order.
+    """
+    runs: list[Run] = []
+    values: list[int] = []
+    parent: list[int] = []
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    prev: list[int] = []
+    for y, row in enumerate(r.values):
+        cur = []
+        x0 = 0
+        for v, group in groupby(row):
+            x1 = x0 + len(list(group))
+            label = len(runs)
+            cur.append(label)
+            parent.append(label)
+            runs.append((y, x0, x1))
+            values.append(v)
+            x0 = x1
+        # both rows tile [0, width), so one merge walk meets every
+        # overlapping pair of runs exactly once
+        i = j = 0
+        while i < len(prev) and j < len(cur):
+            a, b = prev[i], cur[j]
+            if values[a] == values[b]:
+                ra, rb = find(a), find(b)
+                if ra < rb:
+                    parent[rb] = ra
+                elif rb < ra:
+                    parent[ra] = rb
+            end_a, end_b = runs[a][2], runs[b][2]
+            if end_a <= end_b:
+                i += 1
+            if end_b <= end_a:
+                j += 1
+        prev = cur
+    regions: list[tuple[int, list[Run]]] = []
+    slot = [0] * len(runs)
+    for label, run in enumerate(runs):
+        root = find(label)
+        if root == label:
+            slot[label] = len(regions)
+            regions.append((values[label], []))
+        regions[slot[root]][1].append(run)
+    return regions
+
+
+def region_sizes(r: RasterStructure) -> list[tuple[int, int]]:
+    """Sorted (value, pixel count) of every 4-connected equal-value region."""
+    return sorted((v, sum(x1 - x0 for _, x0, x1 in runs))
+                  for v, runs in _regions(r))
+
+
 def segment_regions(r: RasterStructure) -> Partition:
-    """Blocks are the 4-connected components of equal intensity."""
+    """Blocks are the 4-connected components of equal intensity.
+
+    Blocks follow the row-major order of their first pixel.  This builds the
+    per-pixel base structure; callers that need only each region's value and
+    size use `region_sizes`.
+    """
     base = r.to_structure()
-    seen: set[Pixel] = set()
-    blocks: list[list[Pixel]] = []
-    for y in range(r.height):
-        for x in range(r.width):
-            if (x, y) in seen:
-                continue
-            v = r.values[y][x]
-            comp = []
-            stack = [(x, y)]
-            seen.add((x, y))
-            while stack:
-                cx, cy = stack.pop()
-                comp.append((cx, cy))
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-                    if 0 <= nx < r.width and 0 <= ny < r.height \
-                            and (nx, ny) not in seen and r.values[ny][nx] == v:
-                        seen.add((nx, ny))
-                        stack.append((nx, ny))
-            blocks.append(sorted(comp, key=lambda p: (p[1], p[0])))
-    # build portions directly; flood fill already guarantees validity
-    by_block: dict[Pixel, int] = {}
-    for i, comp in enumerate(blocks):
-        for p in comp:
-            by_block[p] = i
-    rels_of: dict[int, list[Relation]] = {i: [] for i in range(len(blocks))}
-    for rel in base.relations:
-        pa, pb = _coords(rel.a), _coords(rel.b)
-        if by_block[pa] == by_block[pb]:
-            rels_of[by_block[pa]].append(rel)
-    portions = []
-    for i, comp in enumerate(blocks):
-        ids = tuple(_pid(x, y) for x, y in comp)
-        tys = tuple(f"v{r.values[y][x]}" for x, y in comp)
-        sub = Structure(ids, tys, tuple(rels_of[i]))
-        portions.append(Portion(base, frozenset(ids), sub))
-    return Partition(base, tuple(portions))
-
-
-def _coords(pid: str) -> Pixel:
-    x, y = pid[1:].split("_")
-    return int(x), int(y)
+    pid = base.parts   # row-major: pixel (x, y) is pid[y * width + x]
+    w = r.width
+    blocks = []
+    for v, runs in _regions(r):
+        ids: list[str] = []
+        rels: list[Relation] = []
+        # parts and relations in the parent's order, as `induced` keeps them
+        for y, x0, x1 in runs:
+            below = r.values[y + 1] if y + 1 < r.height else None
+            for x in range(x0, x1):
+                p = pid[y * w + x]
+                ids.append(p)
+                if x + 1 < x1:
+                    rels.append(Relation(p, pid[y * w + x + 1], "adj"))
+                if below is not None and below[x] == v:
+                    rels.append(Relation(p, pid[(y + 1) * w + x], "adj"))
+        sub = Structure(tuple(ids), (f"v{v}",) * len(ids), tuple(rels))
+        blocks.append(Portion(base, frozenset(ids), sub))
+    return Partition(base, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

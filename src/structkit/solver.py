@@ -317,7 +317,7 @@ def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
     if entry is not None:
         try:
             replay(spec, entry.plan, cfg)
-        except SolverError:
+        except (StructureError, OutOfFuel):   # SolverError is a StructureError
             entry.misses += 1
         else:
             entry.hits += 1

@@ -20,10 +20,11 @@ from structkit.pixels import (
     load_raster,
     orientation_bin,
     polygon_quotient,
+    region_sizes,
     segment_regions,
     serialize_raster,
 )
-from structkit.structure import TypeCatalog, isomorphic, validate
+from structkit.structure import TypeCatalog, induced, isomorphic, validate
 
 from oracles import connected_components_oracle
 
@@ -125,6 +126,97 @@ def test_regions_match_union_find_oracle():
             tuple(map(int, p[1:].split("_"))) for p in b.members)
             for b in segment_regions(r).blocks)
         assert got == connected_components_oracle(w, h, rows)
+
+
+def pixel_of(pid):
+    x, y = pid[1:].split("_")
+    return int(x), int(y)
+
+
+def assert_labelling_matches_oracle(r):
+    oracle = connected_components_oracle(r.width, r.height, r.values)
+    got = sorted(frozenset(map(pixel_of, b.members))
+                 for b in segment_regions(r).blocks)
+    assert got == oracle
+    assert region_sizes(r) == sorted((r.value(*next(iter(c))), len(c))
+                                     for c in oracle)
+
+
+def test_regions_grey_levels_match_oracle():
+    rng = random.Random(77)
+    for _ in range(60):
+        w, h = rng.randint(1, 24), rng.randint(1, 24)
+        levels = rng.sample(range(256), rng.randint(3, 5))
+        pixels = " ".join(str(rng.choice(levels)) for _ in range(w * h))
+        r = load_raster(f"P2\n{w} {h}\n255\n{pixels}\n")
+        assert_labelling_matches_oracle(r)
+
+
+@pytest.mark.parametrize("w,h", [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1)])
+def test_regions_degenerate_shapes_match_oracle(w, h):
+    rng = random.Random(w * 100 + h)
+    for levels in (1, 2, 3):
+        rows = tuple(tuple(rng.randrange(levels) for _ in range(w))
+                     for _ in range(h))
+        assert_labelling_matches_oracle(RasterStructure(w, h, rows, 0))
+
+
+def comb_ink(teeth, length):
+    # teeth hang from a spine on the last row, so they join only there
+    spine = {(x, length) for x in range(2 * teeth - 1)}
+    return spine | {(2 * t, y) for t in range(teeth) for y in range(length)}
+
+
+def u_ink(width, height):
+    return ({(0, y) for y in range(height)}
+            | {(width - 1, y) for y in range(height)}
+            | {(x, height - 1) for x in range(width)})
+
+
+def spiral_ink(n):
+    # clockwise square spiral whose turns stay one pixel apart
+    x = y = 0
+    dx, dy = 1, 0
+    ink = {(x, y)}
+    lengths = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in range(2)]
+    for length in lengths:
+        for _ in range(length):
+            x, y = x + dx, y + dy
+            ink.add((x, y))
+        dx, dy = -dy, dx
+    return ink
+
+
+@pytest.mark.parametrize("ink,w,h", [
+    (comb_ink(6, 5), 11, 6),
+    (comb_ink(6, 5), 13, 8),
+    (u_ink(9, 7), 9, 7),
+    (u_ink(9, 7), 11, 9),
+    (spiral_ink(11), 11, 11),
+    (spiral_ink(12), 14, 14),
+])
+def test_regions_joined_on_a_later_row_match_oracle(ink, w, h):
+    r = raster_from_ink(ink, w, h)
+    assert_labelling_matches_oracle(r)
+    assert (1, len(ink)) in region_sizes(r)   # the ink is one region
+
+
+def test_segment_regions_blocks_are_induced_in_first_pixel_order():
+    rng = random.Random(11)
+    for _ in range(40):
+        w, h = rng.randint(1, 12), rng.randint(1, 12)
+        rows = tuple(tuple(rng.randrange(3) for _ in range(w))
+                     for _ in range(h))
+        r = RasterStructure(w, h, rows, 0)
+        regions = segment_regions(r)
+        base = r.to_structure()
+        assert regions.parent == base
+        firsts = []
+        for b in regions.blocks:
+            assert b.parent is regions.parent
+            assert b.induced == induced(base, b.members)
+            firsts.append(min((y, x) for x, y in map(pixel_of, b.members)))
+        assert firsts == sorted(firsts)
 
 
 # --- extract_strokes ----------------------------------------------------------

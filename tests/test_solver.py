@@ -413,6 +413,20 @@ def test_cache_miss_falls_back_to_search():
     assert via_cache == direct
 
 
+def test_cache_replay_cap_error_counts_miss_and_searches_afresh():
+    spec = block_spec({"A": "B", "B": "T", "C": "T"}, [("A", "C")])
+    cache = SolutionCache()
+    assert solve_with_cache(spec, cache).status == "solved"
+    entry = cache.entries[cache.key_for(spec)]
+    capped = DEFAULT.replace(occurrence_part_cap=2)
+    with pytest.raises(StructureError) as alone:
+        solve(spec, cfg=capped)
+    with pytest.raises(StructureError) as via_cache:
+        solve_with_cache(spec, cache, cfg=capped)
+    assert entry.misses == 1 and entry.hits == 0
+    assert str(via_cache.value) == str(alone.value)
+
+
 def test_cache_stale_entry_falls_back():
     spec = machine_spec(3, [(0, 1), (1, 2)], goal=2)
     cache = SolutionCache()
