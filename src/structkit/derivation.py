@@ -262,8 +262,7 @@ def canonical_partitions(s: Structure, catalog: Optional[TypeCatalog] = None,
     ]
     uniq: dict[tuple, list] = {}
     for blocks in candidates:
-        key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        uniq.setdefault(key, blocks)
+        uniq.setdefault(_blocks_key(blocks), blocks)
     ranked = sorted(uniq.values(), key=lambda bl: (-len(bl), _blocks_key(bl)))
     out = [partition(s, blocks, allow_disconnected=True)
            for blocks in ranked[:cfg.partition_cap]]
@@ -343,42 +342,22 @@ class DerivationStore:
             raise StructureError("derivation output equals an input; "
                                  "lineage must stay acyclic")
         for k in in_keys:
-            if self._reaches(out_key, k):
+            if self._path(out_key, k) is not None:
                 raise StructureError("derivation would create a lineage cycle")
         rec = DerivationRecord(op, in_keys, params, out_key)
         self._records.append(rec)
         return rec
 
-    def _reaches(self, src: str, dst: str) -> bool:
-        # True when dst is derivable from src via existing records
-        frontier = [src]
-        seen = set()
-        while frontier:
-            cur = frontier.pop()
-            if cur == dst:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for rec in self._records:
-                if cur in rec.inputs:
-                    frontier.append(rec.output)
-        return False
-
-    def derives_from(self, a: Structure, b: Structure
-                     ) -> Optional[list[DerivationRecord]]:
-        """Records leading from b down to a, or None when unrelated."""
-        ka, kb = self.key(a), self.key(b)
-        if ka not in self._known or kb not in self._known:
-            raise StructureError("structure not registered in this store")
+    def _path(self, src: str, dst: str) -> Optional[list[DerivationRecord]]:
+        # the fewest records leading from src down to dst, breadth first
         best: dict[str, tuple[str, DerivationRecord]] = {}
-        queue = deque([kb])
-        seen = {kb}
+        queue = deque([src])
+        seen = {src}
         while queue:
             cur = queue.popleft()
-            if cur == ka:
+            if cur == dst:
                 path = []
-                while cur != kb:
+                while cur != src:
                     prev, rec = best[cur]
                     path.append(rec)
                     cur = prev
@@ -390,3 +369,11 @@ class DerivationStore:
                     best[rec.output] = (cur, rec)
                     queue.append(rec.output)
         return None
+
+    def derives_from(self, a: Structure, b: Structure
+                     ) -> Optional[list[DerivationRecord]]:
+        """Records leading from b down to a, or None when unrelated."""
+        ka, kb = self.key(a), self.key(b)
+        if ka not in self._known or kb not in self._known:
+            raise StructureError("structure not registered in this store")
+        return self._path(kb, ka)

@@ -48,8 +48,9 @@ class RasterStructure:
         return len({v for row in self.values for v in row}) <= 2
 
     def ink_pixels(self) -> set[Pixel]:
-        return {(x, y) for y in range(self.height) for x in range(self.width)
-                if self.values[y][x] == self.ink}
+        ink = self.ink
+        return {(x, y) for y, row in enumerate(self.values)
+                for x, v in enumerate(row) if v == ink}
 
     def to_structure(self) -> Structure:
         parts = []
@@ -93,12 +94,12 @@ def load_raster(data: bytes | str) -> RasterStructure:
     if width <= 0 or height <= 0:
         raise RasterError("dimensions must be positive")
     if magic == "P1":
-        digits = "".join(tokens)
+        digits = "".join(tokens)[:width * height]
         if len(digits) < width * height:
             raise RasterError("truncated pixel data")
-        if any(c not in "01" for c in digits[:width * height]):
+        if not set(digits) <= {"0", "1"}:
             raise RasterError("P1 pixels must be 0 or 1")
-        flat = [int(c) for c in digits[:width * height]]
+        flat = list(map(int, digits))
         ink = 1
     else:
         if not tokens:

@@ -11,6 +11,7 @@ from a tick-stamped log, including purely negative conditions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -18,7 +19,6 @@ from .config import DEFAULT, Config
 from .derivation import MorphismMask, apply_morphism, canonical_partitions, quotient
 from .schema import Schema, execute
 from .structure import (
-    Relation,
     Structure,
     StructureError,
     TypeCatalog,
@@ -164,64 +164,57 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
         raise RuleError("window must be at least one tick")
     t0 = min(r.t for r in log)
     t1 = max(r.t for r in log)
-    ticks = range(t0, t1 + 1)
     subjects = sorted({r.subject for r in log})
-    strong = [r for r in log if r.score >= cfg.recognition_min_score]
 
-    at: dict[str, set[int]] = {s: set() for s in subjects}
-    in_window: dict[str, set[int]] = {s: set() for s in subjects}
-    future: dict[str, set[int]] = {s: set() for s in subjects}
-    for r in strong:
-        at[r.subject].add(r.t)
-        for t in range(r.t, min(r.t + window, t1 + 1)):
-            in_window[r.subject].add(t)
-        for t in range(max(r.t - window, t0), r.t):
-            future[r.subject].add(t)
+    # vertical layout: one int bitset per subject, bit i standing for tick t0+i
+    every = (1 << (t1 - t0 + 1)) - 1
+    at = dict.fromkeys(subjects, 0)
+    in_window = dict.fromkeys(subjects, 0)
+    future = dict.fromkeys(subjects, 0)
+    for r in log:
+        if r.score < cfg.recognition_min_score:
+            continue
+        i = r.t - t0
+        at[r.subject] |= 1 << i
+        in_window[r.subject] |= ((1 << window) - 1) << i & every
+        future[r.subject] |= (1 << i) - (1 << max(i - window, 0))
 
-    all_ticks = set(ticks)
-    literals = [(s, True) for s in subjects] + [(s, False) for s in subjects]
     found: list[tuple] = []
     max_k = min(cfg.mining_max_condition, len(subjects))
     for k in range(1, max_k + 1):
-        for combo in itertools.combinations(literals, k):
-            named = [s for s, _ in combo]
-            if len(set(named)) != k:
-                continue
-            pos = [s for s, sign in combo if sign]
-            neg = [s for s, sign in combo if not sign]
-            occur = set(all_ticks)
-            for s in pos:
-                occur &= in_window[s]
-            if pos:
-                anchors = set()
-                for s in pos:
-                    anchors |= at[s]
-                occur &= anchors
-            for s in neg:
-                occur -= in_window[s]
-            n_cond = len(occur)
-            if n_cond < min_support:
-                continue
-            for target in subjects:
-                if target in named:
-                    continue
-                n_hit = len(occur & future[target])
-                p = (n_hit + 1) / (n_cond + 2)
-                if p < min_p:
+        for named in itertools.combinations(subjects, k):
+            for signs in itertools.product((True, False), repeat=k):
+                occur = every
+                anchors = 0
+                for s, sign in zip(named, signs):
+                    if sign:
+                        occur &= in_window[s]
+                        anchors |= at[s]
+                    else:
+                        occur &= ~in_window[s]
+                if any(signs):
+                    occur &= anchors
+                n_cond = occur.bit_count()
+                if n_cond < min_support:
                     continue
                 members = tuple(
                     MsMember(s, sign, cfg.recognition_min_score,
                              (-(window - 1), 0))
-                    for s, sign in sorted(combo, key=lambda x: (x[0], not x[1])))
-                rule = AssociativeRule(
-                    MicroSituation(members),
-                    (Consequent(target, (1, window)),),
-                    n_cond=n_cond, n_hit=n_hit,
-                    threshold=cfg.rule_threshold)
-                sort_key = (-rule.p, -rule.support,
-                            tuple((m.subject, m.positive) for m in members),
-                            target)
-                found.append((sort_key, rule))
+                    for s, sign in zip(named, signs))
+                for target in subjects:
+                    if target in named:
+                        continue
+                    n_hit = (occur & future[target]).bit_count()
+                    if (n_hit + 1) / (n_cond + 2) < min_p:
+                        continue
+                    rule = AssociativeRule(
+                        MicroSituation(members),
+                        (Consequent(target, (1, window)),),
+                        n_cond=n_cond, n_hit=n_hit,
+                        threshold=cfg.rule_threshold)
+                    sort_key = (-rule.p, -rule.support,
+                                tuple(zip(named, signs)), target)
+                    found.append((sort_key, rule))
     found.sort(key=lambda kv: kv[0])
     return [rule for _, rule in found]
 
@@ -369,29 +362,22 @@ def edit_distance(a: Structure, b: Structure,
             if keys_a[p] != keys_b[mapping[p]]:
                 cost += 1
                 script.append(f"retype {p} -> type of {mapping[p]}")
-        pair_a: dict[tuple, list[Relation]] = {}
-        pair_b: dict[tuple, list[Relation]] = {}
+        pair_a: dict[tuple, Counter] = {}
+        pair_b: dict[tuple, Counter] = {}
         for r in a.relations:
             ends = (mapping[r.a], mapping[r.b])
             if not a.oriented:
                 ends = tuple(sorted(ends))
-            pair_a.setdefault(ends, []).append(r)
+            pair_a.setdefault(ends, Counter())[r.label, r.attrs] += 1
         for r in b.relations:
             ends = (r.a, r.b) if b.oriented else tuple(sorted((r.a, r.b)))
-            pair_b.setdefault(ends, []).append(r)
-        for ends in set(pair_a) | set(pair_b):
-            ra = pair_a.get(ends, [])
-            rb = pair_b.get(ends, [])
-            tags_a = sorted((r.label, r.attrs) for r in ra)
-            tags_b = sorted((r.label, r.attrs) for r in rb)
-            shared = 0
-            tb = list(tags_b)
-            for t in tags_a:
-                if t in tb:
-                    tb.remove(t)
-                    shared += 1
-            unmatched_a = len(tags_a) - shared
-            unmatched_b = len(tags_b) - shared
+            pair_b.setdefault(ends, Counter())[r.label, r.attrs] += 1
+        for ends in sorted(pair_a.keys() | pair_b.keys()):
+            tags_a = pair_a.get(ends, Counter())
+            tags_b = pair_b.get(ends, Counter())
+            shared = (tags_a & tags_b).total()
+            unmatched_a = tags_a.total() - shared
+            unmatched_b = tags_b.total() - shared
             relabels = min(unmatched_a, unmatched_b)
             cost += relabels + abs(unmatched_a - unmatched_b)
             for _ in range(relabels):

@@ -80,7 +80,6 @@ class ProblemSpec:
     heuristic: Optional[Callable[[State], float]] = None
     undesired: tuple[MicroSituation, ...] = ()
     catalog: Optional[TypeCatalog] = None
-    threshold: float = 0.5
 
     def __post_init__(self):
         if not self.productions:
@@ -113,20 +112,20 @@ def state_recognitions(state: State, spec: ProblemSpec,
     return recs
 
 
-def _fires(ms, recs: list[Recognition], spec: ProblemSpec) -> bool:
-    return eval_micro_situation(ms, recs, 0) >= spec.threshold
+def _fires(ms, recs: list[Recognition], cfg: Config) -> bool:
+    return eval_micro_situation(ms, recs, 0) >= cfg.rule_threshold
 
 
 def goal_satisfied(state: State, goal: MicroSituation, spec: ProblemSpec,
                    cfg: Config = DEFAULT) -> bool:
     """Abstract goals match every concrete state carrying the subjects."""
-    return _fires(goal, state_recognitions(state, spec, cfg), spec)
+    return _fires(goal, state_recognitions(state, spec, cfg), cfg)
 
 
 def _guard_holds(state: State, prod: Production, spec: ProblemSpec,
                  recs: Optional[list[Recognition]], cfg: Config) -> bool:
     if isinstance(prod.guard, MicroSituation):
-        return _fires(prod.guard, recs, spec)
+        return _fires(prod.guard, recs, cfg)
     if isinstance(prod.guard, Structure):
         if not isinstance(state, Structure):
             return False
@@ -211,9 +210,9 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
         if best_cost[key] < len(plan):
             continue
         recs = state_recognitions(state, spec, cfg)
-        if any(_fires(ms, recs, spec) for ms in spec.undesired):
+        if any(_fires(ms, recs, cfg) for ms in spec.undesired):
             continue    # every path to this key is undesired too
-        if _fires(spec.goal, recs, spec):
+        if _fires(spec.goal, recs, cfg):
             return SearchResult(tuple(plan), expanded, len(plan), "solved")
         if expanded >= budget:
             return SearchResult((), expanded, len(plan), "budget-exhausted")
@@ -244,9 +243,9 @@ def replay(spec: ProblemSpec, plan: Sequence[str],
             raise SolverError(f"guard of {name} does not hold during replay")
         state = _apply_effect(state, prod, cfg)
         recs = state_recognitions(state, spec, cfg)
-        if any(_fires(ms, recs, spec) for ms in spec.undesired):
+        if any(_fires(ms, recs, cfg) for ms in spec.undesired):
             raise SolverError(f"replay entered an undesired state after {name}")
-    if not _fires(spec.goal, recs, spec):
+    if not _fires(spec.goal, recs, cfg):
         raise SolverError("replay did not reach a goal state")
     return state
 

@@ -63,3 +63,15 @@ def independent_noise(seed: int, length: int = 1200, rate: float = 0.04,
                 log.append(Recognition(s, round(rng.uniform(0.6, 1.0), 3), t))
     log.sort(key=lambda r: (r.t, r.subject))
     return log
+
+
+def with_distractors(seed: int, log, k: int, rate: float = 0.04):
+    """The log plus k independent subjects Z00.. over its tick span, each
+    recognized on the same number of ticks, drawn by the seed."""
+    rng = random.Random(seed)
+    t0 = min(r.t for r in log)
+    t1 = max(r.t for r in log)
+    n = round(rate * (t1 - t0 + 1))
+    extra = [Recognition(f"Z{i:02d}", round(rng.uniform(0.6, 1.0), 3), t)
+             for i in range(k) for t in rng.sample(range(t0, t1 + 1), n)]
+    return sorted(log + extra, key=lambda r: (r.t, r.subject))

@@ -8,6 +8,8 @@ verifies.
 import itertools
 import random
 
+from structkit.config import DEFAULT, Config
+from structkit.rules import Recognition
 from structkit.structure import Relation, Structure
 
 
@@ -132,3 +134,67 @@ def connected_components_oracle(width, height, values):
         for x in range(width):
             groups.setdefault(find((x, y)), set()).add((x, y))
     return sorted(frozenset(g) for g in groups.values())
+
+
+def mining_oracle(log: list[Recognition], window: int = 5,
+                  min_support: int = 10, min_p: float = 0.7,
+                  cfg: Config = DEFAULT) -> list[tuple]:
+    """Exhaustive set-based rule miner: every one of the C(2S, k) literal
+    combinations, tick sets as Python sets filled one tick at a time.
+
+    Returns (((subject, positive), ...), target, n_cond, n_hit) per rule in
+    the order `rules.mine_rules` must emit them: by Laplace-smoothed p
+    descending, then support descending, then members, then target.
+    """
+    t0 = min(r.t for r in log)
+    t1 = max(r.t for r in log)
+    ticks = range(t0, t1 + 1)
+    subjects = sorted({r.subject for r in log})
+    strong = [r for r in log if r.score >= cfg.recognition_min_score]
+
+    at: dict[str, set[int]] = {s: set() for s in subjects}
+    in_window: dict[str, set[int]] = {s: set() for s in subjects}
+    future: dict[str, set[int]] = {s: set() for s in subjects}
+    for r in strong:
+        at[r.subject].add(r.t)
+        for t in range(r.t, min(r.t + window, t1 + 1)):
+            in_window[r.subject].add(t)
+        for t in range(max(r.t - window, t0), r.t):
+            future[r.subject].add(t)
+
+    all_ticks = set(ticks)
+    literals = [(s, True) for s in subjects] + [(s, False) for s in subjects]
+    found: list[tuple] = []
+    max_k = min(cfg.mining_max_condition, len(subjects))
+    for k in range(1, max_k + 1):
+        for combo in itertools.combinations(literals, k):
+            named = [s for s, _ in combo]
+            if len(set(named)) != k:
+                continue
+            pos = [s for s, sign in combo if sign]
+            neg = [s for s, sign in combo if not sign]
+            occur = set(all_ticks)
+            for s in pos:
+                occur &= in_window[s]
+            if pos:
+                anchors = set()
+                for s in pos:
+                    anchors |= at[s]
+                occur &= anchors
+            for s in neg:
+                occur -= in_window[s]
+            n_cond = len(occur)
+            if n_cond < min_support:
+                continue
+            for target in subjects:
+                if target in named:
+                    continue
+                n_hit = len(occur & future[target])
+                p = (n_hit + 1) / (n_cond + 2)
+                if p < min_p:
+                    continue
+                members = tuple(sorted(combo, key=lambda x: (x[0], not x[1])))
+                found.append(((-p, -n_cond, members, target),
+                              (members, target, n_cond, n_hit)))
+    found.sort(key=lambda kv: kv[0])
+    return [rule for _, rule in found]

@@ -82,12 +82,31 @@ def test_load_p2_and_roundtrip():
 def test_load_errors():
     with pytest.raises(RasterError):
         load_raster("P1\n3 3\n0000\n")          # truncated
+    with pytest.raises(RasterError, match="P1 pixels must be 0 or 1"):
+        load_raster("P1\n3 2\n1012 01\n")
     with pytest.raises(RasterError):
         load_raster("P5\n2 2\n0 0 0 0\n")       # binary format unsupported
     with pytest.raises(RasterError):
         load_raster("P1\n0 3\n")
     with pytest.raises(RasterError):
         load_raster("P2\n2 1\n255\n12 999\n")   # out of range
+
+
+def test_load_p1_digits_and_ink():
+    # digits may run together or stand apart, and only the first
+    # width * height of them are pixels
+    r = load_raster("P1\n3 2\n1 0 1\n011 # comment\n")
+    assert load_raster("P1\n3 2\n101011\n1\n") == r
+    assert r.values == ((1, 0, 1), (0, 1, 1)) and r.ink == 1
+    assert r.ink_pixels() == {(0, 0), (2, 0), (1, 1), (2, 1)}
+    rng = random.Random(4)
+    for _ in range(20):
+        w, h = rng.randint(1, 9), rng.randint(1, 9)
+        values = tuple(tuple(rng.randrange(3) for _ in range(w))
+                       for _ in range(h))
+        r = RasterStructure(w, h, values, rng.randrange(3))
+        assert r.ink_pixels() == {(x, y) for y in range(h) for x in range(w)
+                                  if values[y][x] == r.ink}
 
 
 # --- segment_regions ----------------------------------------------------------

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +29,13 @@ from structkit.rules import (
 from structkit.schema import Binding, schema
 from structkit.structure import TypeCatalog, isomorphic, structure
 
-from loggen import absence_rule_log, independent_noise, planted_implication
-from oracles import iso_oracle, random_structure
+from loggen import (
+    absence_rule_log,
+    independent_noise,
+    planted_implication,
+    with_distractors,
+)
+from oracles import iso_oracle, mining_oracle, random_structure
 
 
 def path(n, types=None, ids=None, label="L"):
@@ -183,6 +192,30 @@ def test_mined_condition_arity_capped():
     rules = mine_rules(log, window=4, min_support=10, min_p=0.5)
     assert all(len(r.condition.members) <= 3 for r in rules)
     assert all(c.window[0] >= 1 for r in rules for c in r.consequents)
+
+
+MINING_LOGS = {
+    "planted": planted_implication(seed=71, n_triggers=80),
+    "absence": absence_rule_log(seed=9, cycles=20, wet=4, dry=26),
+    "noise": independent_noise(seed=2033, length=600),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MINING_LOGS))
+@pytest.mark.parametrize("n_distractors", [0, 8])
+@pytest.mark.parametrize("window", [3, 5])
+@pytest.mark.parametrize("min_support", [5, 30])
+def test_mined_rules_match_exhaustive_oracle(kind, n_distractors, window,
+                                             min_support):
+    log = with_distractors(n_distractors, MINING_LOGS[kind], n_distractors)
+    rules = mine_rules(log, window=window, min_support=min_support, min_p=0.5)
+    got = [(tuple((m.subject, m.positive) for m in r.condition.members),
+            r.consequents[0].subject, r.n_cond, r.n_hit) for r in rules]
+    assert got == mining_oracle(log, window, min_support, 0.5)
+    for r in rules:
+        assert r.consequents == (Consequent(r.consequents[0].subject,
+                                            (1, window)),)
+        assert all(m.window == (-(window - 1), 0) for m in r.condition.members)
 
 
 # --- subject recognizers ----------------------------------------------------------
@@ -385,6 +418,32 @@ def test_case2_distance_symmetric():
     b = structure({ids[p]: t for p, t in zip(a.parts, a.part_types)},
                   [(ids[r.a], ids[r.b], r.label) for r in a.relations])
     assert edit_distance(a, b) == edit_distance(b, a) == (0, [])
+
+
+def test_case2_script_independent_of_hash_seed():
+    # the script lists relation edits in sorted order of their ends, so two
+    # interpreters with different string hashing print the same thing
+    code = (
+        "import random\n"
+        "from oracles import random_structure\n"
+        "from structkit.rules import edit_distance\n"
+        "rng = random.Random(5)\n"
+        "out = []\n"
+        "while len(out) < 5:\n"
+        "    a = random_structure(rng, max_n=6)\n"
+        "    b = random_structure(rng, max_n=6)\n"
+        "    if a.n == b.n:\n"
+        "        out.append(edit_distance(a, b))\n"
+        "print(out)\n")
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = [subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert "adjust relation" in runs[0] or "relabel relation" in runs[0]
+    assert runs[0] == runs[1]
 
 
 def test_case2_eps_bounds():

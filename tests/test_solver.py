@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from structkit.config import DEFAULT
+from structkit.config import DEFAULT, Config
 from structkit.derivation import MorphismMask
 from structkit.rules import MicroSituation, MsMember
 from structkit.solver import (
@@ -71,6 +71,20 @@ def test_start_satisfies_goal_empty_plan():
     spec = machine_spec(3, [(0, 1)], start=0, goal=0)
     result = solve(spec)
     assert result.status == "solved" and result.plan == ()
+
+
+def test_rule_threshold_decides_when_the_goal_fires():
+    # the goal subject is recognized at 0.9: enough under the default
+    # threshold, short of a 0.95 one, where a production must confirm it
+    confirm = Production("confirm", ms("s0"), SetEffect(add=(("g", 1.0),)))
+    spec = ProblemSpec(RecognitionState.of({"s0": 1.0, "g": 0.9}), ms("g"),
+                       (confirm,))
+    assert solve(spec).plan == ()
+    strict = Config(rule_threshold=0.95)
+    result = solve(spec, cfg=strict)
+    assert result.status == "solved" and result.plan == ("confirm",)
+    assert not goal_satisfied(spec.start, spec.goal, spec, strict)
+    assert replay(spec, result.plan, strict).scores()["g"] == 1.0
 
 
 def test_unreachable_goal_unsolvable():
