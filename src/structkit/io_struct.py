@@ -64,6 +64,10 @@ def parse_structure(text: str) -> Structure:
             rels.append(Relation(tok[1], tok[2], tok[3], tuple(sorted(attrs.items()))))
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
+    for r in rels:
+        for end in (r.a, r.b):
+            if end not in seen:
+                raise ParseError(f"rel {r.a} {r.b} {r.label}: unknown part {end}")
     return Structure(tuple(parts), tuple(types), tuple(rels), oriented)
 
 

@@ -318,7 +318,7 @@ def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3,
         for size in range(1, min(k_max, s.n) + 1):
             for members in _connected_subsets(s, size):
                 sub = induced(s, members)
-                key = canonical_form(sub, catalog)
+                key = canonical_form(sub, catalog, cfg=cfg)
                 hits.setdefault(key, {}).setdefault(idx, []).append(
                     tuple(sorted(members)))
     reports = []
@@ -460,7 +460,8 @@ def detect_regularity_case3(pop: Sequence[Structure],
                     derived = apply_morphism(derived, mask, catalog)
             except StructureError:
                 continue
-            forms.setdefault(canonical_form(derived, catalog), []).append(idx)
+            forms.setdefault(canonical_form(derived, catalog, cfg=cfg),
+                             []).append(idx)
         for key in sorted(forms):
             members = forms[key]
             if len(members) >= 2:

@@ -178,10 +178,10 @@ def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
     return successors, errors
 
 
-def _state_key(state: State, spec: ProblemSpec) -> str:
+def _state_key(state: State, spec: ProblemSpec, cfg: Config) -> str:
     if isinstance(state, RecognitionState):
         return "rec:" + repr(state.recognitions)
-    return "struct:" + canonical_form(state, spec.catalog)
+    return "struct:" + canonical_form(state, spec.catalog, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
         raise SolverError("budget must be positive")
     h = spec.heuristic or (lambda state: 0.0)
     counter = itertools.count()
-    start_key = _state_key(spec.start, spec)
+    start_key = _state_key(spec.start, spec, cfg)
     heap = [(h(spec.start), next(counter), start_key, spec.start, ())]
     best_cost = {start_key: 0}
     expanded = 0
@@ -220,7 +220,7 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
         successors, _errors = expand(state, spec, cfg, recs)
         cost = len(plan) + 1
         for name, succ in successors:
-            skey = _state_key(succ, spec)
+            skey = _state_key(succ, spec, cfg)
             if best_cost.get(skey, cost + 1) <= cost:
                 continue
             best_cost[skey] = cost

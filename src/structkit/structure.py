@@ -21,6 +21,10 @@ class StructureError(ValueError):
     """Raised on invalid inputs to structure operations."""
 
 
+class CanonicalBudgetError(StructureError):
+    """Raised when the canonical search exceeds `Config.canon_node_cap`."""
+
+
 # ---------------------------------------------------------------------------
 # data model
 # ---------------------------------------------------------------------------
@@ -351,18 +355,45 @@ def _encode(s: Structure, order: list[str], keys: dict[str, str]) -> str:
             + "|".join(keys[p] for p in order) + ";" + "|".join(rels))
 
 
+def _find(parent: dict[str, str], x: str) -> str:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
-                    keys: Optional[dict[str, str]] = None) -> list[str]:
-    """Deterministic part ordering; equal for isomorphic structures."""
+                    keys: Optional[dict[str, str]] = None,
+                    cfg: Config = DEFAULT) -> list[str]:
+    """Deterministic part ordering; equal for isomorphic structures.
+
+    Individualisation-refinement: each search node branches on the parts of
+    its first non-singleton colour class, by name, and the first leaf with
+    the least encoding wins.  Two leaves that encode equal give an
+    automorphism.  A child in the orbit of an explored sibling, under the
+    automorphisms found so far that fix the node's individualised parts,
+    roots an automorphic image of that sibling's subtree: each of its leaves
+    encodes like an earlier leaf, so skipping it leaves the result unchanged.
+    Raises CanonicalBudgetError past `cfg.canon_node_cap` search nodes.
+    """
     if keys is None:
         keys = _key_map(s, catalog)
     if not s.parts:
         return []
     rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
     colors = _refine(s, {p: rank[keys[p]] for p in s.parts})
-    best: list[tuple[str, list[str]]] = []
+    best_enc = None
+    best_order: list[str] = []
+    autos: list[dict[str, str]] = []
+    nodes = 0
+    cap = cfg.canon_node_cap
 
-    def rec(colors: dict[str, int]):
+    def rec(colors: dict[str, int], fixed: tuple[str, ...], more: bool):
+        nonlocal best_enc, best_order, nodes
+        nodes += 1
+        if nodes > cap:
+            raise CanonicalBudgetError(
+                f"canonical search exceeds node cap of {cap}")
         groups: dict[int, list[str]] = {}
         for p, c in colors.items():
             groups.setdefault(c, []).append(p)
@@ -370,28 +401,49 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
         if not multi:
             order = sorted(s.parts, key=colors.__getitem__)
             enc = _encode(s, order, keys)
-            if not best or enc < best[0][0]:
-                if best:
-                    best[0] = (enc, order)
-                else:
-                    best.append((enc, order))
+            if best_enc is None or enc < best_enc:
+                best_enc, best_order = enc, order
+            elif more and enc == best_enc:
+                # only a node with children still to try can use it; the
+                # check guards against keys or labels holding separators
+                g = dict(zip(best_order, order))
+                if _check_witness(s, s, g, keys, keys):
+                    autos.append(g)
             return
-        target = multi[0]
-        for p in sorted(groups[target]):
+        cell = sorted(groups[multi[0]])
+        orbit = None     # union-find over the cell, once needed
+        merged = 0
+        explored: list[str] = []
+        for p in cell:
+            if merged < len(autos):
+                # an automorphism fixing `fixed` preserves this node's
+                # colouring, so it maps the cell onto itself
+                if orbit is None:
+                    orbit = {q: q for q in cell}
+                for g in autos[merged:]:
+                    if all(g[v] == v for v in fixed):
+                        for q in cell:
+                            orbit[_find(orbit, q)] = _find(orbit, g[q])
+                merged = len(autos)
+            if orbit is not None and any(
+                    _find(orbit, p) == _find(orbit, e) for e in explored):
+                continue
+            explored.append(p)
             # refined colors are ranks >= 0, so -1 is fresh and sorts first
             forked = dict(colors)
             forked[p] = -1
-            rec(_refine(s, forked))
+            rec(_refine(s, forked), fixed + (p,), more or p != cell[-1])
 
-    rec(colors)
-    return best[0][1]
+    rec(colors, (), False)
+    return best_order
 
 
 def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None,
-                   keys: Optional[dict[str, str]] = None) -> str:
+                   keys: Optional[dict[str, str]] = None,
+                   cfg: Config = DEFAULT) -> str:
     if keys is None:
         keys = _key_map(s, catalog)
-    order = canonical_order(s, catalog, keys)
+    order = canonical_order(s, catalog, keys, cfg)
     return _encode(s, order, keys)
 
 
@@ -426,6 +478,7 @@ def isomorphic(a: Structure, b: Structure,
                catalog_b: Optional[TypeCatalog] = None,
                keys_a: Optional[dict[str, str]] = None,
                keys_b: Optional[dict[str, str]] = None,
+               cfg: Config = DEFAULT,
                ) -> Optional[dict[str, str]]:
     """Part bijection witness if the structures are isomorphic, else None.
 
@@ -438,19 +491,20 @@ def isomorphic(a: Structure, b: Structure,
         keys_a = _key_map(a, catalog)
     if keys_b is None:
         keys_b = _key_map(b, catalog_b if catalog_b is not None else catalog)
-    return _witness(a, b, keys_a, keys_b)
+    return _witness(a, b, keys_a, keys_b, cfg)
 
 
 def _witness(a: Structure, b: Structure, keys_a: dict[str, str],
-             keys_b: dict[str, str]) -> Optional[dict[str, str]]:
+             keys_b: dict[str, str],
+             cfg: Config = DEFAULT) -> Optional[dict[str, str]]:
     """Verified part bijection a -> b preserving keys and relations, or None.
 
     No validity check: schema bodies may carry self-loops.
     """
     if a.n != b.n or a.oriented != b.oriented:
         return None
-    order_a = canonical_order(a, keys=keys_a)
-    order_b = canonical_order(b, keys=keys_b)
+    order_a = canonical_order(a, keys=keys_a, cfg=cfg)
+    order_b = canonical_order(b, keys=keys_b, cfg=cfg)
     if _encode(a, order_a, keys_a) != _encode(b, order_b, keys_b):
         return None
     mapping = dict(zip(order_a, order_b))
@@ -603,13 +657,13 @@ def occurrences(a: Structure, b: Structure,
             f"operand exceeds occurrence cap of {cfg.occurrence_part_cap} parts")
     if b.n == 0 or b.n > a.n:
         return []
-    target = canonical_form(b, catalog)
+    target = canonical_form(b, catalog, cfg=cfg)
     found = []
     subsets = _connected_subsets(a, b.n) if _is_connected(b) else \
         map(frozenset, itertools.combinations(a.parts, b.n))
     for members in subsets:
         sub = induced(a, members)
-        if canonical_form(sub, catalog) == target:
+        if canonical_form(sub, catalog, cfg=cfg) == target:
             found.append(members)
     found.sort(key=lambda m: tuple(sorted(m)))
     return found

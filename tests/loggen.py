@@ -10,7 +10,7 @@ def planted_implication(seed: int, n_triggers: int = 250, p: float = 0.8,
     """A at spaced ticks; X follows within the window with probability p.
 
     Distractor subjects B and C fire independently and sparsely.  Triggers
-    are spaced beyond twice the window so hits never bleed across них.
+    are spaced beyond twice the window so hits never bleed across triggers.
     """
     rng = random.Random(seed)
     log = []

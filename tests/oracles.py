@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: permutation enumeration, union-find,
 exhaustive subset scans.  None of it shares code with the library paths it
-verifies.
+verifies, except `canonical_order_oracle`, which reuses the library's
+refinement and encoding because it checks only the search's pruning.
 """
 
 import itertools
@@ -10,7 +11,7 @@ import random
 
 from structkit.config import DEFAULT, Config
 from structkit.rules import Recognition
-from structkit.structure import Relation, Structure
+from structkit.structure import Relation, Structure, _encode, _key_map, _refine
 
 
 def iso_oracle(a: Structure, b: Structure) -> bool:
@@ -59,6 +60,39 @@ def _respects(a: Structure, mapping: dict, rels_b: dict) -> bool:
             return False
         remaining[k] = n - 1
     return all(v == 0 for v in remaining.values())
+
+
+def canonical_order_oracle(s: Structure, keys: dict | None = None) -> list:
+    """The individualisation-refinement search without automorphism pruning.
+
+    Every part of every node's first non-singleton colour class is tried, by
+    name; the first leaf with the least encoding wins.
+    """
+    if keys is None:
+        keys = _key_map(s, None)
+    if not s.parts:
+        return []
+    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    best: list[tuple[str, list]] = []
+
+    def rec(colors: dict):
+        groups: dict = {}
+        for p, c in colors.items():
+            groups.setdefault(c, []).append(p)
+        multi = sorted(c for c, g in groups.items() if len(g) > 1)
+        if not multi:
+            order = sorted(s.parts, key=colors.__getitem__)
+            enc = _encode(s, order, keys)
+            if not best or enc < best[0][0]:
+                best[:] = [(enc, order)]
+            return
+        for p in sorted(groups[multi[0]]):
+            forked = dict(colors)
+            forked[p] = -1
+            rec(_refine(s, forked))
+
+    rec(_refine(s, {p: rank[keys[p]] for p in s.parts}))
+    return best[0][1]
 
 
 def random_structure(rng: random.Random, max_n: int = 8, n_types: int = 3,

@@ -286,3 +286,45 @@ def test_pgm_non_integer_maxval_exit_two(tmp_path):
     img = tmp_path / "bad.pgm"
     img.write_text("P2\n2 2\nwhite\n0 1\n1 0\n")
     assert main(["analyze", str(img)]) == 2
+
+
+def test_iso_canonical_node_cap_exit_two(tmp_path, capsys):
+    ids = [f"v{i}" for i in range(10)]
+    c10 = structure({i: "T" for i in ids},
+                    [(ids[i], ids[(i + 1) % 10], "L") for i in range(10)])
+    a = write_struct(tmp_path, "a.struct", c10)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"canon_node_cap": 2}))
+    assert main(["--config", str(cfgfile), "iso", a, a]) == 2
+    assert "canonical search exceeds node cap of 2" in capsys.readouterr().err
+
+
+def test_solve_problem_missing_key_exit_two(tmp_path, capsys):
+    problem = {
+        "start": {"recognitions": [{"subject": "s0", "score": 1.0}]},
+        "productions": [],
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+    assert "missing key 'goal'" in capsys.readouterr().err
+
+
+def test_solve_struct_naming_undeclared_part_exit_two(tmp_path):
+    problem = {
+        "start": {"struct": "part a T\nrel a b L\n"},
+        "goal": {"members": [{"subject": "g"}]},
+        "productions": [],
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+
+
+def test_internal_key_error_exit_three(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("structkit.cli.isomorphic", broken)
+    a = write_struct(tmp_path, "a.struct", path3(["a", "b", "c"]))
+    assert main(["iso", a, a]) == 3

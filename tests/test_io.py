@@ -51,6 +51,8 @@ def test_parse_errors():
         parse_structure("frob a b\n")
     with pytest.raises(ParseError):
         parse_structure("part a T\npart b T\nrel a b L w=x\n")
+    with pytest.raises(ParseError, match="unknown part b"):
+        parse_structure("part a T\nrel a b L\n")
 
 
 def test_sidecar_round_trip():

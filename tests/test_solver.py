@@ -21,6 +21,7 @@ from structkit.solver import (
     solve_with_cache,
 )
 from structkit.structure import (
+    CanonicalBudgetError,
     Relation,
     Structure,
     StructureError,
@@ -182,6 +183,17 @@ def test_config_occurrence_cap_reaches_recognizers():
     assert solve(spec, 10).status == "solved"
     with pytest.raises(StructureError, match="cap of 2 parts"):
         solve(spec, 10, DEFAULT.replace(occurrence_part_cap=2))
+
+
+def test_config_canon_node_cap_reaches_state_keys():
+    # the path's two ends share a colour: its canonical search takes 3 nodes
+    three = structure({"a": "T", "b": "T", "c": "T"},
+                      [("a", "b", "L"), ("b", "c", "L")])
+    spec = ProblemSpec(three, ms("done"),
+                       (Production("noop", ms("done"), SetEffect()),))
+    assert solve(spec, 10).status != "solved"
+    with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
+        solve(spec, 10, DEFAULT.replace(canon_node_cap=2))
 
 
 def test_effect_failure_poisons_only_its_production():

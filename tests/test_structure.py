@@ -1,16 +1,20 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structkit.config import DEFAULT
 from structkit.structure import (
     EMPTY,
+    CanonicalBudgetError,
     Relation,
     Structure,
     StructureError,
     TypeCatalog,
     canonical_form,
+    canonical_order,
     compose,
     convolution,
     difference,
@@ -24,7 +28,12 @@ from structkit.structure import (
     validate,
 )
 
-from oracles import iso_oracle, random_structure, relabeled_copy
+from oracles import (
+    canonical_order_oracle,
+    iso_oracle,
+    random_structure,
+    relabeled_copy,
+)
 
 
 def path(n, t="T", ids=None):
@@ -139,22 +148,65 @@ def disjoint_cycles(*sizes):
     return structure({p: "T" for p in ids}, rels)
 
 
+def petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}", "L") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}", "L") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}", "L") for i in range(5)]
+    ids = [f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)]
+    return structure({p: "T" for p in ids}, outer + inner + spokes)
+
+
+def cfi(n, twisted):
+    """Cai-Fuerer-Immerman graph over K_n, one base edge twisted or none.
+
+    Base vertex v gets an end pair a{v}_{e}_0/1 per incident edge e and a
+    middle part per even subset S of those edges, joined to end 1 of the
+    edges in S and end 0 of the rest; the ends of each base edge are joined
+    0-0 and 1-1, or crosswise on the twisted edge.  Colour refinement cannot
+    tell the two graphs apart; they are not isomorphic.
+    """
+    edges = list(itertools.combinations(range(n), 2))
+    types, rels = {}, []
+    for v in range(n):
+        around = [e for e in edges if v in e]
+        types.update({f"a{v}_{u}{w}_{i}": "T" for u, w in around for i in (0, 1)})
+        for k in range(0, len(around) + 1, 2):
+            for subset in itertools.combinations(around, k):
+                mid = f"m{v}_" + "".join(f"{u}{w}" for u, w in subset)
+                types[mid] = "T"
+                rels += [(mid, f"a{v}_{u}{w}_{int((u, w) in subset)}", "L")
+                         for u, w in around]
+    for j, (u, w) in enumerate(edges):
+        for i in (0, 1):
+            rels.append((f"a{u}_{u}{w}_{i}",
+                         f"a{w}_{u}{w}_{1 - i if twisted and j == 0 else i}", "L"))
+    return structure(types, rels)
+
+
 def _symmetric_pairs():
     rng = random.Random(2014)
-    families = [(f"K{n}", complete(n)) for n in range(2, 7)]
-    families += [(f"C{n}", cycle(n)) for n in (3, 5, 7, 16, 30)]
+    families = [(f"K{n}", complete(n)) for n in range(2, 9)]
+    families += [(f"C{n}", cycle(n)) for n in (3, 5, 7, 16, 30, 100, 200)]
     families += [(f"grid{w}x{w}", convolution(path(w), path(w))) for w in (2, 3, 4)]
     families.append(("C3*C3", convolution(cycle(3), cycle(3))))
+    families.append(("Petersen", petersen()))
     # one refinement class whose parts are not all alike: the canonical
     # search must try every part of it, not just the first by name
     families.append(("C6+2C3", disjoint_cycles(6, 3, 3)))
+    # equal leaves turn up before the least one: a search that prunes
+    # children outside the orbits of explored siblings picks another order
+    families.append(("C4+C8", disjoint_cycles(4, 8)))
     pairs = [pytest.param(s, relabeled_copy(rng, s), True, id=name)
              for name, s in families]
     # refinement leaves every part of both sides in one class; only the
     # individualisation search can tell them apart
     pairs += [pytest.param(cycle(2 * n), disjoint_cycles(n, n), False,
                            id=f"C{2 * n}-vs-2C{n}")
-              for n in (3, 4, 6)]
+              for n in (3, 4, 6, 50)]
+    # over K3 the pair is 2C9 vs C18; over K4 both sides are 3-regular
+    pairs += [pytest.param(cfi(n, False), cfi(n, True), False,
+                           id=f"CFI(K{n})-vs-twisted")
+              for n in (3, 4)]
     return pairs
 
 
@@ -169,6 +221,52 @@ def test_symmetric_families(a, b, iso):
         assert mapped == sorted(r.key(b.oriented) for r in b.relations)
     if a.n <= 7:
         assert iso_oracle(a, b) == iso
+
+
+# the unpruned search takes 2.5-5 s on K8 and C100 and longer on the others
+_UNPRUNED_TOO_SLOW = {"K8", "C100", "C200", "C100-vs-2C50"}
+
+
+@pytest.mark.parametrize(
+    "a, b, iso",
+    [p for p in _symmetric_pairs() if p.id not in _UNPRUNED_TOO_SLOW])
+def test_pruned_canonical_order_matches_unpruned_on_symmetric_families(a, b, iso):
+    assert canonical_order(a) == canonical_order_oracle(a)
+    assert canonical_order(b) == canonical_order_oracle(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 3),
+       st.booleans())
+def test_pruned_canonical_order_matches_unpruned(seed, n_types, n_labels,
+                                                 oriented):
+    rng = random.Random(seed)
+    s = random_structure(rng, max_n=9, n_types=n_types, n_labels=n_labels,
+                         oriented=oriented)
+    for x in (s, relabeled_copy(rng, s)):
+        assert canonical_order(x) == canonical_order_oracle(x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(3, 6), min_size=2, max_size=3).filter(
+           lambda sizes: sum(sizes) <= 12),
+       st.integers(0, 2 ** 31 - 1))
+def test_pruned_canonical_order_matches_unpruned_on_cycle_unions(sizes, seed):
+    # one refinement class spread over unlike components: automorphisms are
+    # found long before the search is over
+    s = relabeled_copy(random.Random(seed), disjoint_cycles(*sizes))
+    assert canonical_order(s) == canonical_order_oracle(s)
+
+
+def test_canonical_node_cap():
+    tight = DEFAULT.replace(canon_node_cap=2)
+    with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
+        canonical_order(cycle(10), cfg=tight)
+    with pytest.raises(StructureError):
+        isomorphic(cycle(10), cycle(10), cfg=tight)
+    # refinement alone gives distinct colours: the root is the only node
+    typed = structure({"a": "A", "b": "B"}, [("a", "b", "L")])
+    assert canonical_order(typed, cfg=DEFAULT.replace(canon_node_cap=1)) == ["a", "b"]
 
 
 @settings(max_examples=60, deadline=None)
