@@ -73,7 +73,7 @@ def cmd_iso(args) -> int:
     cfg, echo = _load_config(args.config, args.seed)
     a = parse_structure(Path(args.a).read_text())
     b = parse_structure(Path(args.b).read_text())
-    witness = isomorphic(a, b, cfg=cfg)
+    witness = isomorphic(a, b)
     report = dict(echo)
     report["isomorphic"] = witness is not None
     report["witness"] = witness if witness is not None else None
@@ -190,42 +190,32 @@ def cmd_mine(args) -> int:
     return 0
 
 
-def _req(obj, key: str, where: str):
-    """obj[key] from problem JSON; a missing key is malformed input."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"{where}: missing key {key!r}")
-    return obj[key]
-
-
-def _micro_from_json(obj: dict, where: str) -> MicroSituation:
+def _micro_from_json(obj: dict) -> MicroSituation:
     members = tuple(MsMember(
-        _req(m, "subject", f"{where} member"), m.get("positive", True),
-        m.get("min_score", 0.5), tuple(m.get("window", (0, 0))))
-        for m in _req(obj, "members", where))
+        m["subject"], m.get("positive", True), m.get("min_score", 0.5),
+        tuple(m.get("window", (0, 0)))) for m in obj["members"])
     return MicroSituation(members)
 
 
 def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
-    start_obj = _req(obj, "start", "problem")
+    start_obj = obj["start"]
     if "recognitions" in start_obj:
-        start = RecognitionState.of({
-            _req(r, "subject", "start recognition"): r.get("score", 1.0)
-            for r in start_obj["recognitions"]})
+        start = RecognitionState.of({r["subject"]: r.get("score", 1.0)
+                                     for r in start_obj["recognitions"]})
     elif "struct" in start_obj:
         start = parse_structure(start_obj["struct"])
     else:
         raise ParseError("start needs 'recognitions' or 'struct'")
     productions = []
-    for p in _req(obj, "productions", "problem"):
-        name = _req(p, "name", "production")
-        guard_obj = _req(p, "guard", f"production {name}")
+    for p in obj["productions"]:
+        guard_obj = p["guard"]
         if "members" in guard_obj:
-            guard = _micro_from_json(guard_obj, f"production {name} guard")
+            guard = _micro_from_json(guard_obj)
         elif "pattern" in guard_obj:
             guard = parse_structure(guard_obj["pattern"])
         else:
-            raise ParseError(f"production {name} guard malformed")
-        eff_obj = _req(p, "effect", f"production {name}")
+            raise ParseError(f"production {p['name']} guard malformed")
+        eff_obj = p["effect"]
         if "schema" in eff_obj:
             effect = parse_schema(eff_obj["schema"])
         elif "add" in eff_obj or "remove" in eff_obj:
@@ -233,15 +223,13 @@ def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
                 tuple((s, float(v)) for s, v in eff_obj.get("add", [])),
                 tuple(eff_obj.get("remove", [])))
         else:
-            raise ParseError(f"production {name} effect malformed")
-        productions.append(Production(name, guard, effect))
+            raise ParseError(f"production {p['name']} effect malformed")
+        productions.append(Production(p["name"], guard, effect))
     recognizers = tuple(
-        StructRecognizer(_req(r, "subject", "recognizer"),
-                         parse_structure(_req(r, "pattern", "recognizer")))
+        StructRecognizer(r["subject"], parse_structure(r["pattern"]))
         for r in obj.get("recognizers", []))
-    goal = _micro_from_json(_req(obj, "goal", "problem"), "goal")
-    undesired = tuple(_micro_from_json(u, "undesired")
-                      for u in obj.get("undesired", []))
+    goal = _micro_from_json(obj["goal"])
+    undesired = tuple(_micro_from_json(u) for u in obj.get("undesired", []))
     heuristic = None
     if obj.get("heuristic") == "missing-goal-members":
         positives = [m for m in goal.members if m.positive]
@@ -261,7 +249,12 @@ def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
 def cmd_solve(args) -> int:
     cfg, echo = _load_config(args.config, args.seed)
     obj = json.loads(Path(args.problem).read_text())
-    spec, budget = _problem_from_json(obj, cfg)
+    try:
+        spec, budget = _problem_from_json(obj, cfg)
+    except KeyError as exc:
+        raise ParseError(f"problem: missing key {exc}")
+    except TypeError as exc:
+        raise ParseError(f"problem: malformed: {exc}")
     result = solve(spec, budget, cfg)
     report = dict(echo)
     report["status"] = result.status

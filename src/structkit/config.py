@@ -28,8 +28,6 @@ class Config:
     # operand size cap of occurrences (so of difference and of the solver's
     # recognizers) and of convolution
     occurrence_part_cap: int = 64
-    # search nodes one canonical labelling may visit (so one isomorphism test)
-    canon_node_cap: int = 100_000
     motif_size_cap: int = 5               # case-1 regularity motif cap
     edit_eps: float = 0.10                # case-2 "small change" fraction
     partition_cap: int = 8                # canonical partitions returned

@@ -35,6 +35,7 @@ def parse_structure(text: str) -> Structure:
     parts: list[str] = []
     types: list[str] = []
     rels: list[Relation] = []
+    rel_lines: list[int] = []
     oriented = False
     seen = set()
     for lineno, tok in _tokens(text):
@@ -62,12 +63,13 @@ def parse_structure(text: str) -> Structure:
                 except ValueError:
                     raise ParseError(f"line {lineno}: attribute {k} is not an int")
             rels.append(Relation(tok[1], tok[2], tok[3], tuple(sorted(attrs.items()))))
+            rel_lines.append(lineno)
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
-    for r in rels:
+    for lineno, r in zip(rel_lines, rels):
         for end in (r.a, r.b):
             if end not in seen:
-                raise ParseError(f"rel {r.a} {r.b} {r.label}: unknown part {end}")
+                raise ParseError(f"line {lineno}: unknown part {end}")
     return Structure(tuple(parts), tuple(types), tuple(rels), oriented)
 
 

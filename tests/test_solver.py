@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -28,6 +29,9 @@ from structkit.structure import (
     TypeCatalog,
     structure,
 )
+
+# the package re-exports the function `structure` under the module's name
+STRUCTURE_MODULE = sys.modules["structkit.structure"]
 
 
 def ms(*members):
@@ -185,15 +189,35 @@ def test_config_occurrence_cap_reaches_recognizers():
         solve(spec, 10, DEFAULT.replace(occurrence_part_cap=2))
 
 
-def test_config_canon_node_cap_reaches_state_keys():
+def test_canonical_budget_reaches_state_keys(monkeypatch):
     # the path's two ends share a colour: its canonical search takes 3 nodes
     three = structure({"a": "T", "b": "T", "c": "T"},
                       [("a", "b", "L"), ("b", "c", "L")])
     spec = ProblemSpec(three, ms("done"),
                        (Production("noop", ms("done"), SetEffect()),))
     assert solve(spec, 10).status != "solved"
+    monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", 2)
     with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
-        solve(spec, 10, DEFAULT.replace(canon_node_cap=2))
+        solve(spec, 10)
+
+
+def test_canonical_budget_in_a_guard_is_not_a_broken_production(monkeypatch):
+    # refinement tells every part of the state and of the pattern apart, but
+    # the induced path a-b-c that the guard also tries takes 3 search nodes
+    state = structure({"a": "T", "b": "T", "c": "T", "d": "U"},
+                      [("a", "b", "L"), ("b", "c", "L"), ("d", "a", "L")])
+    pattern = structure({"x": "U", "y": "T", "z": "T"},
+                        [("x", "y", "L"), ("y", "z", "L")])
+    spec = ProblemSpec(state, ms("done"),
+                       (Production("grow", pattern, SetEffect()),))
+    cache = SolutionCache()
+    cache.store(spec, ("grow",))
+    monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", 2)
+    with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
+        solve(spec, 10)
+    with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
+        solve_with_cache(spec, cache, 10)
+    assert cache.entries[cache.key_for(spec)].misses == 0
 
 
 def test_effect_failure_poisons_only_its_production():

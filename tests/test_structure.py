@@ -1,11 +1,11 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structkit.config import DEFAULT
 from structkit.structure import (
     EMPTY,
     CanonicalBudgetError,
@@ -34,6 +34,9 @@ from oracles import (
     random_structure,
     relabeled_copy,
 )
+
+# the package re-exports the function `structure` under the module's name
+STRUCTURE_MODULE = sys.modules["structkit.structure"]
 
 
 def path(n, t="T", ids=None):
@@ -258,15 +261,16 @@ def test_pruned_canonical_order_matches_unpruned_on_cycle_unions(sizes, seed):
     assert canonical_order(s) == canonical_order_oracle(s)
 
 
-def test_canonical_node_cap():
-    tight = DEFAULT.replace(canon_node_cap=2)
+def test_canonical_node_cap(monkeypatch):
+    monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", 2)
     with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
-        canonical_order(cycle(10), cfg=tight)
+        canonical_order(cycle(10))
     with pytest.raises(StructureError):
-        isomorphic(cycle(10), cycle(10), cfg=tight)
+        isomorphic(cycle(10), cycle(10))
     # refinement alone gives distinct colours: the root is the only node
+    monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", 1)
     typed = structure({"a": "A", "b": "B"}, [("a", "b", "L")])
-    assert canonical_order(typed, cfg=DEFAULT.replace(canon_node_cap=1)) == ["a", "b"]
+    assert canonical_order(typed) == ["a", "b"]
 
 
 @settings(max_examples=60, deadline=None)
