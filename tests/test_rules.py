@@ -27,7 +27,12 @@ from structkit.rules import (
     verify_regularity_case4,
 )
 from structkit.schema import Binding, schema
-from structkit.structure import TypeCatalog, isomorphic, structure
+from structkit.structure import (
+    CanonicalBudgetError,
+    TypeCatalog,
+    isomorphic,
+    structure,
+)
 
 from loggen import (
     absence_rule_log,
@@ -478,6 +483,15 @@ def test_case3_quotient_rank_recipe():
     reports = detect_regularity_case3([a, b], catalog=cat)
     assert any("quotient by canonical partition 0" == r.evidence["recipe"]
                and r.evidence["members"] == [0, 1] for r in reports)
+
+
+def test_case3_canonical_budget_is_not_a_skipped_member(monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise CanonicalBudgetError("canonical search exceeds node cap of 2")
+
+    monkeypatch.setattr("structkit.rules.canonical_partitions", over_budget)
+    with pytest.raises(CanonicalBudgetError):
+        detect_regularity_case3([path(3), path(3, ids=["x", "y", "z"])])
 
 
 # --- regularity case 4 -----------------------------------------------------------
