@@ -25,8 +25,8 @@ class Config:
     signature_threshold: float = 0.5
 
     # --- structure operations ---
-    # operand size cap of occurrences (so of difference and of the solver's
-    # recognizers) and of convolution
+    # operand size cap of occurrences (so of difference), of embeds (so of
+    # the solver's recognizers and pattern guards) and of convolution
     occurrence_part_cap: int = 64
     motif_size_cap: int = 5               # case-1 regularity motif cap
     edit_eps: float = 0.10                # case-2 "small change" fraction

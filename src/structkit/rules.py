@@ -19,11 +19,12 @@ from .config import DEFAULT, Config
 from .derivation import MorphismMask, apply_morphism, canonical_partitions, quotient
 from .schema import Schema, execute
 from .structure import (
-    CanonicalBudgetError,
+    SearchBudgetError,
     Structure,
     StructureError,
     TypeCatalog,
     canonical_form,
+    embeds,
     induced,
     isomorphic,
     _connected_subsets,
@@ -245,7 +246,6 @@ def recognize(subject: Subject, observation,
     the output carries a part typed "1".
     """
     from .pixels import Signature, evaluate_signature
-    from .structure import occurrences
     rec = subject.recognizer
     if rec is None:
         raise RuleError(f"subject {subject.id} carries no recognizer")
@@ -259,7 +259,7 @@ def recognize(subject: Subject, observation,
         target = observation
         if mask is not None:
             target = apply_morphism(observation, mask, catalog)
-        return 1.0 if occurrences(target, pattern, catalog) else 0.0
+        return 1.0 if embeds(target, pattern, catalog) else 0.0
     raise RuleError(f"subject {subject.id} has an unsupported recognizer")
 
 
@@ -459,7 +459,7 @@ def detect_regularity_case3(pop: Sequence[Structure],
                     mask = mask.union(masks[i])
                 if not mask.is_empty():
                     derived = apply_morphism(derived, mask, catalog)
-            except CanonicalBudgetError:
+            except SearchBudgetError:
                 raise
             except StructureError:
                 continue

@@ -20,12 +20,13 @@ from .derivation import MorphismMask, apply_morphism
 from .rules import MicroSituation, Recognition, eval_micro_situation
 from .schema import OutOfFuel, Schema, execute
 from .structure import (
-    CanonicalBudgetError,
+    SearchBudgetError,
     Structure,
     StructureError,
     TypeCatalog,
+    _key_map,
     canonical_form,
-    occurrences,
+    embeds,
 )
 
 
@@ -104,11 +105,16 @@ def state_recognitions(state: State, spec: ProblemSpec,
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
     recs = []
+    keys = None
     for rec in spec.recognizers:
-        target = state
-        if rec.mask is not None:
-            target = apply_morphism(state, rec.mask, spec.catalog)
-        if occurrences(target, rec.pattern, spec.catalog, cfg):
+        if rec.mask is None:
+            if keys is None:
+                keys = _key_map(state, spec.catalog)
+            hit = embeds(state, rec.pattern, spec.catalog, cfg, keys)
+        else:
+            hit = embeds(apply_morphism(state, rec.mask, spec.catalog),
+                         rec.pattern, spec.catalog, cfg)
+        if hit:
             recs.append(Recognition(rec.subject, 1.0, 0))
     return recs
 
@@ -130,7 +136,7 @@ def _guard_holds(state: State, prod: Production, spec: ProblemSpec,
     if isinstance(prod.guard, Structure):
         if not isinstance(state, Structure):
             return False
-        return bool(occurrences(state, prod.guard, spec.catalog, cfg))
+        return embeds(state, prod.guard, spec.catalog, cfg)
     raise SolverError(f"unsupported guard on production {prod.name}")
 
 
@@ -163,9 +169,9 @@ def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
 
     Recognitions not passed in are computed once, for the first
     micro-situation guard.  A guard or effect failure (out of fuel included)
-    poisons only its own production; the others go through.  A canonical
-    search over its node cap is not a property of one production: it
-    propagates.
+    poisons only its own production; the others go through.  A canonical or
+    embedding search over its node cap is not a property of one production:
+    it propagates.
     """
     successors = []
     errors = []
@@ -176,7 +182,7 @@ def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
             if not _guard_holds(state, prod, spec, recs, cfg):
                 continue
             successors.append((prod.name, _apply_effect(state, prod, cfg)))
-        except CanonicalBudgetError:
+        except SearchBudgetError:
             raise
         except (StructureError, OutOfFuel) as exc:
             errors.append((prod.name, str(exc)))
@@ -313,15 +319,15 @@ def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
     """Replay a cached skeleton when the abstracted problem is known.
 
     Replay re-grounds each step through the production guards; zero nodes are
-    expanded on success.  Any failure but CanonicalBudgetError falls back to a
-    fresh search, and the outcome statistics update either way.
+    expanded on success.  Any failure but a SearchBudgetError falls back to
+    a fresh search, and the outcome statistics update either way.
     """
     key = cache.key_for(spec)
     entry = cache.entries.get(key)
     if entry is not None:
         try:
             replay(spec, entry.plan, cfg)
-        except CanonicalBudgetError:
+        except SearchBudgetError:
             raise
         except (StructureError, OutOfFuel):   # SolverError is a StructureError
             entry.misses += 1

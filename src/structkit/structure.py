@@ -10,9 +10,8 @@ and the part-count morphism that turns structures into natural numbers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT, Config
 
@@ -21,8 +20,16 @@ class StructureError(ValueError):
     """Raised on invalid inputs to structure operations."""
 
 
-class CanonicalBudgetError(StructureError):
+class SearchBudgetError(StructureError):
+    """Raised when one exponential search exceeds its node cap."""
+
+
+class CanonicalBudgetError(SearchBudgetError):
     """Raised when one canonical search exceeds `_CANON_NODE_CAP` nodes."""
+
+
+class EmbeddingBudgetError(SearchBudgetError):
+    """Raised when one embedding search exceeds `_EMBED_NODE_CAP` steps."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +113,24 @@ class Structure:
                 inc[r.b].append((in_dir, r.label, r.attrs, r.a))
             object.__setattr__(self, "_incidence", inc)
         return inc
+
+    @property
+    def pairs(self) -> dict[str, dict[str, tuple]]:
+        """part -> {other: sorted (dir, label, attrs) between the two}.
+
+        Only related parts appear; a self-loop lists the part under itself.
+        Built from `incidence` on first use and cached, like `types`.
+        """
+        pairs = self.__dict__.get("_pairs")
+        if pairs is None:
+            pairs = {}
+            for p, around in self.incidence.items():
+                by_other: dict[str, list] = {}
+                for d, lab, at, q in around:
+                    by_other.setdefault(q, []).append((d, lab, at))
+                pairs[p] = {q: tuple(sorted(v)) for q, v in by_other.items()}
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs
 
     def neighbors(self, part: str) -> list[str]:
         # a plain relation scan, kept off the incidence index: the test
@@ -649,25 +674,109 @@ def induced(s: Structure, members: Iterable[str]) -> Structure:
     return Structure(parts, tuple(s.types[p] for p in parts), rels, s.oriented)
 
 
+# recursion steps each embedding search may take; the largest search seen
+# on the tests, the demo and the benchmark workloads takes 1,537 (2K2 in a
+# 4x4 grid), and listing every P7 in an 8x8 grid takes 19,793 (0.1 s)
+_EMBED_NODE_CAP = 100_000
+
+
+def _embeddings(a: Structure, b: Structure, keys_a: dict[str, str],
+                keys_b: dict[str, str]) -> Iterator[dict[str, str]]:
+    """Every induced embedding of b in a, as a part map b -> a.
+
+    Pattern parts are taken in breadth-first order over b's relations,
+    restarting at each component; a part with a mapped neighbour draws its
+    candidates from that neighbour's image's relations, any other from the
+    parts of a with its key.  A candidate must carry the part's key and the
+    same (dir, label, attrs) multiset as the part towards itself and towards
+    every part mapped so far, relations absent included.
+    Raises EmbeddingBudgetError past `_EMBED_NODE_CAP` recursion steps.
+    """
+    if a.oriented != b.oriented or not b.parts or b.n > a.n:
+        return
+    pairs_a, pairs_b = a.pairs, b.pairs
+    order: list[str] = []
+    anchor: list[int] = []      # position of a mapped neighbour, or -1
+    pos: dict[str, int] = {}
+    for root in b.parts:
+        if root in pos:
+            continue
+        pos[root] = len(order)
+        order.append(root)
+        anchor.append(-1)
+        i = pos[root]
+        while i < len(order):
+            for q in pairs_b[order[i]]:
+                if q not in pos:
+                    pos[q] = len(order)
+                    order.append(q)
+                    anchor.append(i)
+            i += 1
+    wants = [(keys_b[p], pairs_b[p].get(p, ()),
+              [pairs_b[p].get(q, ()) for q in order[:i]])
+             for i, p in enumerate(order)]
+    by_key: dict[str, list[str]] = {}
+    for p in a.parts:
+        by_key.setdefault(keys_a[p], []).append(p)
+    images: list[str] = []
+    nodes = 0
+    cap = _EMBED_NODE_CAP
+
+    def rec(i: int) -> Iterator[dict[str, str]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise EmbeddingBudgetError(
+                f"embedding search exceeds node cap of {cap}")
+        if i == len(order):
+            yield dict(zip(order, images))
+            return
+        key, self_pair, towards = wants[i]
+        pool = pairs_a[images[anchor[i]]] if anchor[i] >= 0 else \
+            by_key.get(key, ())
+        for c in pool:
+            if c in images or keys_a[c] != key:
+                continue
+            around = pairs_a[c]
+            if around.get(c, ()) != self_pair or any(
+                    around.get(x, ()) != t for x, t in zip(images, towards)):
+                continue
+            images.append(c)
+            yield from rec(i + 1)
+            images.pop()
+
+    yield from rec(0)
+
+
+def _check_part_cap(a: Structure, b: Structure, cfg: Config):
+    if a.n > cfg.occurrence_part_cap or b.n > cfg.occurrence_part_cap:
+        raise StructureError(
+            f"operand exceeds occurrence cap of {cfg.occurrence_part_cap} parts")
+
+
 def occurrences(a: Structure, b: Structure,
                 catalog: Optional[TypeCatalog] = None,
                 cfg: Config = DEFAULT) -> list[frozenset]:
     """Part subsets of a whose induced structure is isomorphic to b."""
-    if a.n > cfg.occurrence_part_cap or b.n > cfg.occurrence_part_cap:
-        raise StructureError(
-            f"operand exceeds occurrence cap of {cfg.occurrence_part_cap} parts")
-    if b.n == 0 or b.n > a.n:
-        return []
-    target = canonical_form(b, catalog)
-    found = []
-    subsets = _connected_subsets(a, b.n) if _is_connected(b) else \
-        map(frozenset, itertools.combinations(a.parts, b.n))
-    for members in subsets:
-        sub = induced(a, members)
-        if canonical_form(sub, catalog) == target:
-            found.append(members)
-    found.sort(key=lambda m: tuple(sorted(m)))
-    return found
+    _check_part_cap(a, b, cfg)
+    found = {frozenset(m.values()) for m in _embeddings(
+        a, b, _key_map(a, catalog), _key_map(b, catalog))}
+    return sorted(found, key=lambda m: tuple(sorted(m)))
+
+
+def embeds(a: Structure, b: Structure,
+           catalog: Optional[TypeCatalog] = None, cfg: Config = DEFAULT,
+           keys_a: Optional[dict[str, str]] = None) -> bool:
+    """Whether some part subset of a induces a structure isomorphic to b.
+
+    Stops at the first embedding; `keys_a` lets a caller asking about many
+    patterns in one structure build its key map once.
+    """
+    _check_part_cap(a, b, cfg)
+    if keys_a is None:
+        keys_a = _key_map(a, catalog)
+    return next(_embeddings(a, b, keys_a, _key_map(b, catalog)), None) \
+        is not None
 
 
 def _is_connected(s: Structure) -> bool:
@@ -706,9 +815,7 @@ def convolution(a: Structure, b: Structure, cfg: Config = DEFAULT) -> Structure:
     two copies (k-th part with k-th part), so the result inherits one glue
     relation per relation of b per part of a.  Part count multiplies.
     """
-    if a.n > cfg.occurrence_part_cap or b.n > cfg.occurrence_part_cap:
-        raise StructureError(
-            f"operand exceeds occurrence cap of {cfg.occurrence_part_cap} parts")
+    _check_part_cap(a, b, cfg)
     if a.oriented != b.oriented:
         raise StructureError("convolution operands must agree on orientation")
     if a.n == 0 or b.n == 0:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: permutation enumeration, union-find,
 exhaustive subset scans.  None of it shares code with the library paths it
 verifies, except `canonical_order_oracle`, which reuses the library's
-refinement and encoding because it checks only the search's pruning.
+refinement and encoding because it checks only the search's pruning, and
+`occurrences_oracle`, which compares canonical forms to check the
+embedding matcher.
 """
 
 import itertools
@@ -11,7 +13,17 @@ import random
 
 from structkit.config import DEFAULT, Config
 from structkit.rules import Recognition
-from structkit.structure import Relation, Structure, _encode, _key_map, _refine
+from structkit.structure import (
+    Relation,
+    Structure,
+    TypeCatalog,
+    _connected_subsets,
+    _encode,
+    _key_map,
+    _refine,
+    canonical_form,
+    induced,
+)
 
 
 def iso_oracle(a: Structure, b: Structure) -> bool:
@@ -93,6 +105,31 @@ def canonical_order_oracle(s: Structure, keys: dict | None = None) -> list:
 
     rec(_refine(s, {p: rank[keys[p]] for p in s.parts}))
     return best[0][1]
+
+
+def occurrences_oracle(a: Structure, b: Structure,
+                       catalog: TypeCatalog | None = None) -> list[frozenset]:
+    """Part subsets of a whose induced structure has b's canonical form.
+
+    Scans every connected subset of b's size when b is connected, else every
+    subset of that size; sorted as `occurrences` sorts.
+    """
+    if b.n == 0 or b.n > a.n:
+        return []
+    target = canonical_form(b, catalog)
+    seen = {b.parts[0]}
+    stack = [b.parts[0]]
+    while stack:
+        for q in b.neighbors(stack.pop()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    subsets = _connected_subsets(a, b.n) if len(seen) == b.n else \
+        map(frozenset, itertools.combinations(a.parts, b.n))
+    found = [m for m in subsets
+             if canonical_form(induced(a, m), catalog) == target]
+    found.sort(key=lambda m: tuple(sorted(m)))
+    return found
 
 
 def random_structure(rng: random.Random, max_n: int = 8, n_types: int = 3,

@@ -23,6 +23,7 @@ from structkit.solver import (
 )
 from structkit.structure import (
     CanonicalBudgetError,
+    EmbeddingBudgetError,
     Relation,
     Structure,
     StructureError,
@@ -201,9 +202,8 @@ def test_canonical_budget_reaches_state_keys(monkeypatch):
         solve(spec, 10)
 
 
-def test_canonical_budget_in_a_guard_is_not_a_broken_production(monkeypatch):
-    # refinement tells every part of the state and of the pattern apart, but
-    # the induced path a-b-c that the guard also tries takes 3 search nodes
+def test_embedding_budget_in_a_guard_is_not_a_broken_production(monkeypatch):
+    # the guard holds (d-a-b), but mapping its three parts takes 4 steps
     state = structure({"a": "T", "b": "T", "c": "T", "d": "U"},
                       [("a", "b", "L"), ("b", "c", "L"), ("d", "a", "L")])
     pattern = structure({"x": "U", "y": "T", "z": "T"},
@@ -212,10 +212,10 @@ def test_canonical_budget_in_a_guard_is_not_a_broken_production(monkeypatch):
                        (Production("grow", pattern, SetEffect()),))
     cache = SolutionCache()
     cache.store(spec, ("grow",))
-    monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", 2)
-    with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
+    monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 2)
+    with pytest.raises(EmbeddingBudgetError, match="node cap of 2"):
         solve(spec, 10)
-    with pytest.raises(CanonicalBudgetError, match="node cap of 2"):
+    with pytest.raises(EmbeddingBudgetError, match="node cap of 2"):
         solve_with_cache(spec, cache, 10)
     assert cache.entries[cache.key_for(spec)].misses == 0
 
@@ -293,13 +293,10 @@ def test_goal_with_forbidden_subject():
 
 # --- block world on structure states ----------------------------------------------
 
-BLOCKS = ("A", "B", "C")
-
-
 def block_state(supports: dict, catalog=None, sizes=None) -> Structure:
     """supports maps block -> what it stands on ('T' = table)."""
     types = {"t": "TBL"}
-    for b in BLOCKS:
+    for b in sorted(supports):
         if sizes and catalog is not None:
             types[b.lower()] = catalog.intern_attr(f"blk{b}", {"size": sizes[b]})
         else:
@@ -315,10 +312,10 @@ def on_subject(x, y):
     return f"on({x},{y})"
 
 
-def block_recognizers(catalog=None, sizes=None):
+def block_recognizers(blocks, catalog=None, sizes=None):
     recs = []
-    for x in BLOCKS:
-        for y in list(BLOCKS) + ["T"]:
+    for x in blocks:
+        for y in blocks + ["T"]:
             if x == y:
                 continue
             if sizes and catalog is not None:
@@ -334,9 +331,9 @@ def block_recognizers(catalog=None, sizes=None):
     return tuple(recs)
 
 
-def move_production(x, dest):
+def move_production(blocks, x, dest):
     guards = []
-    for z in BLOCKS:
+    for z in blocks:
         if z != x:
             guards.append(f"!{on_subject(z, x)}")        # x is clear
         if dest != "T" and z not in (x, dest):
@@ -354,18 +351,23 @@ def move_production(x, dest):
 
 
 def block_spec(start_supports, goal_on, catalog=None, sizes=None):
-    """goal_on = iterable of (x, y) pairs required in the goal state."""
-    productions = tuple(move_production(x, d)
-                        for x in BLOCKS for d in list(BLOCKS) + ["T"] if x != d)
+    """goal_on = iterable of (x, y) pairs required in the goal state.
+
+    The blocks are the keys of start_supports, taken in sorted order.
+    """
+    blocks = sorted(start_supports)
+    productions = tuple(move_production(blocks, x, d)
+                        for x in blocks for d in blocks + ["T"] if x != d)
     goal = ms(*[on_subject(x, y) for x, y in goal_on])
     return ProblemSpec(block_state(start_supports, catalog, sizes), goal,
                        productions,
-                       recognizers=block_recognizers(catalog, sizes),
+                       recognizers=block_recognizers(blocks, catalog, sizes),
                        catalog=catalog)
 
 
 def blocks_bfs_oracle(start_supports, goal_on):
     """Plain-tuple breadth-first search over the block world."""
+    blocks = sorted(start_supports)
     goal_set = set(goal_on)
 
     def frozen(supports):
@@ -382,10 +384,10 @@ def blocks_bfs_oracle(start_supports, goal_on):
         supports = dict(cur)
         if all(supports[x] == y for x, y in goal_set):
             return seen[cur]
-        for x in BLOCKS:
+        for x in blocks:
             if not clear(supports, x):
                 continue
-            for dest in list(BLOCKS) + ["T"]:
+            for dest in blocks + ["T"]:
                 if dest == x or supports[x] == dest:
                     continue
                 if dest != "T" and not clear(supports, dest):
@@ -424,6 +426,32 @@ def test_three_block_relocation_optimal():
         opt = blocks_bfs_oracle(start, goal)
         assert len(result.plan) == opt
         replay(spec, result.plan)
+
+
+def random_blocks(rng, names):
+    """Random supports: the blocks shuffled and cut into towers."""
+    order = list(names)
+    rng.shuffle(order)
+    supports = {}
+    for i, b in enumerate(order):
+        on_previous = i > 0 and rng.random() < 0.5
+        supports[b] = order[i - 1] if on_previous else "T"
+    return supports
+
+
+@pytest.mark.parametrize("n_blocks, seed", [(4, 1), (4, 7), (4, 8),
+                                            (5, 2), (5, 4)])
+def test_n_block_relocation_optimal(n_blocks, seed):
+    # five blocks are the most a move guard's micro-situation can hold
+    rng = random.Random(seed)
+    names = "ABCDE"[:n_blocks]
+    start = random_blocks(rng, names)
+    goal = sorted(random_blocks(rng, names).items())
+    spec = block_spec(start, goal)
+    result = solve(spec)
+    assert result.status == "solved"
+    assert len(result.plan) == blocks_bfs_oracle(start, goal)
+    replay(spec, result.plan)
 
 
 # --- solution cache ---------------------------------------------------------------

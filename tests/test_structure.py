@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from structkit.structure import (
     EMPTY,
     CanonicalBudgetError,
+    EmbeddingBudgetError,
     Relation,
+    SearchBudgetError,
     Structure,
     StructureError,
     TypeCatalog,
@@ -18,6 +20,8 @@ from structkit.structure import (
     compose,
     convolution,
     difference,
+    embeds,
+    induced,
     internal_classes,
     isomorphic,
     morphism_number,
@@ -31,6 +35,7 @@ from structkit.structure import (
 from oracles import (
     canonical_order_oracle,
     iso_oracle,
+    occurrences_oracle,
     random_structure,
     relabeled_copy,
 )
@@ -509,6 +514,106 @@ def test_occurrence_cap_enforced():
     big = path(70)
     with pytest.raises(StructureError):
         occurrences(big, path(2))
+
+
+# --- induced embeddings -----------------------------------------------------
+
+def assert_matches_oracle(a, b, catalog=None):
+    expected = occurrences_oracle(a, b, catalog)
+    assert occurrences(a, b, catalog) == expected
+    assert embeds(a, b, catalog) == bool(expected)
+    return expected
+
+
+def with_random_attrs(rng, s):
+    rels = tuple(Relation(r.a, r.b, r.label, rng.choice([(), (("w", 0),),
+                                                         (("w", 1),)]))
+                 for r in s.relations)
+    return Structure(s.parts, s.part_types, rels, s.oriented)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.booleans())
+def test_occurrences_match_oracle(seed, n_types, n_labels, oriented, attrs):
+    rng = random.Random(seed)
+    host = random_structure(rng, max_n=8, n_types=n_types,
+                            n_labels=n_labels, oriented=oriented)
+    if attrs:
+        host = with_random_attrs(rng, host)
+    # a part subset of the host, often disconnected, usually embeds; a
+    # fresh random pattern usually does not
+    k = rng.randint(1, min(4, host.n))
+    sub = relabeled_copy(rng, induced(host, rng.sample(host.parts, k)))
+    fresh = random_structure(rng, max_n=4, n_types=n_types,
+                             n_labels=n_labels, oriented=oriented)
+    if attrs:
+        fresh = with_random_attrs(rng, fresh)
+    for pattern in (sub, fresh):
+        assert_matches_oracle(host, pattern)
+        assert_matches_oracle(pattern, host)
+
+
+two_k2 = structure({"a": "T", "b": "T", "c": "T", "d": "T"},
+                   [("a", "b", "L"), ("c", "d", "L")])
+# schema bodies may carry self-loops; the matcher must match them too
+looped_c4 = structure({f"p{i}": "T" for i in range(4)},
+                      [("p0", "p1", "L"), ("p1", "p2", "L"), ("p2", "p3", "L"),
+                       ("p3", "p0", "L"), ("p0", "p0", "L"), ("p2", "p2", "L")])
+looped_p2 = structure({"x": "T", "y": "T"}, [("x", "y", "L"), ("x", "x", "L")])
+
+
+@pytest.mark.parametrize("host, pattern, hits", [
+    pytest.param(convolution(path(4), path(4)), path(3), 52, id="P3-in-4x4"),
+    pytest.param(convolution(path(4), path(4)), path(4), 80, id="P4-in-4x4"),
+    pytest.param(convolution(path(3), path(3)), cycle(4), 4, id="C4-in-3x3"),
+    pytest.param(cycle(6), path(3), 6, id="P3-in-C6"),
+    pytest.param(cycle(6), cycle(3), 0, id="C3-in-C6"),
+    pytest.param(cycle(7), cycle(7), 1, id="C7-in-C7"),
+    pytest.param(complete(5), complete(3), 10, id="K3-in-K5"),
+    pytest.param(complete(5), path(3), 0, id="P3-in-K5"),
+    pytest.param(convolution(path(4), path(4)), two_k2, 126, id="2K2-in-4x4"),
+    pytest.param(looped_c4, looped_p2, 4, id="looped-P2-in-looped-C4"),
+    pytest.param(looped_c4, path(2), 0, id="P2-in-looped-C4"),
+])
+def test_occurrences_match_oracle_on_symmetric_families(host, pattern, hits):
+    assert len(assert_matches_oracle(host, pattern)) == hits
+
+
+def test_occurrences_resolve_struct_payloads():
+    # two type ids bound to isomorphic payloads share one key
+    cat = TypeCatalog()
+    cat.add_struct("tri", cycle(3))
+    cat.add_struct("tri2", relabeled_copy(random.Random(3), cycle(3)))
+    cat.add_struct("bar", path(3))
+    host = structure({"a": "tri", "b": "bar", "c": "tri", "d": "bar"},
+                     [("a", "b", "L"), ("b", "c", "L"), ("c", "d", "L")])
+    pattern = structure({"x": "tri2", "y": "bar"}, [("x", "y", "L")])
+    assert len(assert_matches_oracle(host, pattern, cat)) == 3
+    assert assert_matches_oracle(host, pattern) == []
+
+
+def test_occurrences_orientation_mismatch():
+    oriented = structure({"x": "T", "y": "T"}, [("x", "y", "L")],
+                         oriented=True)
+    assert assert_matches_oracle(path(3), oriented) == []
+    assert assert_matches_oracle(oriented, path(2)) == []
+    # no relation to tell them apart: only the orientation flag does
+    lone = Structure(("x",), ("T",), (), oriented=True)
+    assert assert_matches_oracle(path(3), lone) == []
+
+
+def test_embedding_node_cap(monkeypatch):
+    # embeds maps P2 into P5 on its third step; occurrences goes on
+    monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 3)
+    assert embeds(path(5), path(2))
+    with pytest.raises(EmbeddingBudgetError, match="node cap of 3"):
+        occurrences(path(5), path(2))
+    monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 2)
+    with pytest.raises(SearchBudgetError, match="node cap of 2"):
+        embeds(path(5), path(2))
+    assert issubclass(CanonicalBudgetError, SearchBudgetError)
+    assert issubclass(SearchBudgetError, StructureError)
 
 
 def test_iso_equivalence_on_five_hundred_structures():
