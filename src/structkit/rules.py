@@ -353,9 +353,12 @@ def edit_distance(a: Structure, b: Structure,
     keys_b = _key_map(b, catalog)
     if _witness(a, b, keys_a, keys_b) is not None:
         return (0, [])
-    parts_b = list(b.parts)
+    pair_b: dict[tuple, Counter] = {}
+    for r in b.relations:
+        ends = (r.a, r.b) if b.oriented else tuple(sorted((r.a, r.b)))
+        pair_b.setdefault(ends, Counter())[r.label, r.attrs] += 1
     best: Optional[tuple[int, list[str]]] = None
-    for perm in itertools.permutations(parts_b):
+    for perm in itertools.permutations(b.parts):
         mapping = dict(zip(a.parts, perm))
         cost = 0
         script = []
@@ -364,15 +367,11 @@ def edit_distance(a: Structure, b: Structure,
                 cost += 1
                 script.append(f"retype {p} -> type of {mapping[p]}")
         pair_a: dict[tuple, Counter] = {}
-        pair_b: dict[tuple, Counter] = {}
         for r in a.relations:
             ends = (mapping[r.a], mapping[r.b])
             if not a.oriented:
                 ends = tuple(sorted(ends))
             pair_a.setdefault(ends, Counter())[r.label, r.attrs] += 1
-        for r in b.relations:
-            ends = (r.a, r.b) if b.oriented else tuple(sorted((r.a, r.b)))
-            pair_b.setdefault(ends, Counter())[r.label, r.attrs] += 1
         for ends in sorted(pair_a.keys() | pair_b.keys()):
             tags_a = pair_a.get(ends, Counter())
             tags_b = pair_b.get(ends, Counter())

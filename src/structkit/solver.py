@@ -24,7 +24,6 @@ from .structure import (
     Structure,
     StructureError,
     TypeCatalog,
-    _key_map,
     canonical_form,
     embeds,
 )
@@ -105,12 +104,9 @@ def state_recognitions(state: State, spec: ProblemSpec,
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
     recs = []
-    keys = None
     for rec in spec.recognizers:
         if rec.mask is None:
-            if keys is None:
-                keys = _key_map(state, spec.catalog)
-            hit = embeds(state, rec.pattern, spec.catalog, cfg, keys)
+            hit = embeds(state, rec.pattern, spec.catalog, cfg)
         else:
             hit = embeds(apply_morphism(state, rec.mask, spec.catalog),
                          rec.pattern, spec.catalog, cfg)

@@ -206,11 +206,17 @@ class TypeCatalog:
 
     Interning is append-only; ids handed out for structurally equal payloads
     are reused, so id equality within one catalog means payload equality.
+    A type's key is computed once, when the type is registered, and never
+    changes: binding an id that a registered payload names, or registering
+    a payload that names its own id, raises StructureError.  Payloads
+    therefore never nest cyclically.
     """
 
     def __init__(self):
         self._entries: dict[str, object] = {}
+        self._keys: dict[str, str] = {}
         self._by_key: dict[str, str] = {}
+        self._named: set[str] = set()   # ids the registered payloads name
         self._counter = 0
 
     def __contains__(self, type_id: str) -> bool:
@@ -244,14 +250,15 @@ class TypeCatalog:
 
     def intern_struct(self, inner: Structure,
                       attrs: Mapping[str, int] | Attrs = ()) -> str:
-        for t in inner.part_types:
-            if t in self._entries and isinstance(self.resolve(t), StructType):
-                self._check_acyclic(t)
         entry = StructType(inner, _freeze_attrs(attrs))
         key = self._entry_key(entry)
         if key in self._by_key:
             return self._by_key[key]
         type_id = f"t{self._counter}"
+        while (type_id in self._entries or type_id in self._named
+               or type_id in inner.part_types):
+            self._counter += 1
+            type_id = f"t{self._counter}"
         self._counter += 1
         self._put(type_id, entry, key)
         return type_id
@@ -261,8 +268,18 @@ class TypeCatalog:
             if self._entries[type_id] == entry:
                 return
             raise StructureError(f"type id {type_id!r} already bound")
+        if type_id in self._named:
+            raise StructureError(
+                f"type id {type_id!r} is named by a registered payload")
+        names = entry.inner.part_types if isinstance(entry, StructType) else ()
+        if type_id in names:
+            raise StructureError(f"payload of {type_id!r} names its own id")
+        if key is None:
+            key = self._entry_key(entry)
+        self._named.update(names)
         self._entries[type_id] = entry
-        self._by_key[key if key is not None else self._entry_key(entry)] = type_id
+        self._keys[type_id] = key
+        self._by_key[key] = type_id
 
     def _entry_key(self, entry) -> str:
         if isinstance(entry, AtomicType):
@@ -272,23 +289,11 @@ class TypeCatalog:
         return "s:" + canonical_form(entry.inner, self) + ";" + ";".join(
             f"{k}={v}" for k, v in entry.attrs)
 
-    def _check_acyclic(self, type_id: str, stack: Optional[set] = None):
-        stack = stack or set()
-        if type_id in stack:
-            raise StructureError("cyclic nested type reference")
-        entry = self.resolve(type_id)
-        if isinstance(entry, StructType):
-            stack = stack | {type_id}
-            for t in entry.inner.part_types:
-                if t in self._entries:
-                    self._check_acyclic(t, stack)
-
     def type_key(self, type_id: str) -> str:
-        """Deep distinguishability key; unknown ids stay opaque."""
-        entry = self.resolve(type_id)
-        if entry is None:
-            return "o:" + type_id
-        return self._entry_key(entry)
+        """Deep distinguishability key, fixed at registration; unknown ids
+        stay opaque."""
+        key = self._keys.get(type_id)
+        return key if key is not None else "o:" + type_id
 
     def unresolved(self, s: Structure) -> list[str]:
         """Type ids of s that do not resolve in this catalog."""
@@ -467,12 +472,9 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
     return best_order
 
 
-def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None,
-                   keys: Optional[dict[str, str]] = None) -> str:
-    if keys is None:
-        keys = _key_map(s, catalog)
-    order = canonical_order(s, catalog, keys)
-    return _encode(s, order, keys)
+def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None) -> str:
+    keys = _key_map(s, catalog)
+    return _encode(s, canonical_order(s, keys=keys), keys)
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +505,15 @@ def _check_witness(a: Structure, b: Structure, mapping: dict[str, str],
 
 def isomorphic(a: Structure, b: Structure,
                catalog: Optional[TypeCatalog] = None,
-               catalog_b: Optional[TypeCatalog] = None,
-               keys_a: Optional[dict[str, str]] = None,
-               keys_b: Optional[dict[str, str]] = None,
                ) -> Optional[dict[str, str]]:
     """Part bijection witness if the structures are isomorphic, else None.
 
-    Types resolve through the catalog(s) when given; with none, type ids are
+    Types resolve through the catalog when given; with none, type ids are
     compared as opaque labels.  Deterministic across runs.
     """
     require_valid(a)
     require_valid(b)
-    if keys_a is None:
-        keys_a = _key_map(a, catalog)
-    if keys_b is None:
-        keys_b = _key_map(b, catalog_b if catalog_b is not None else catalog)
-    return _witness(a, b, keys_a, keys_b)
+    return _witness(a, b, _key_map(a, catalog), _key_map(b, catalog))
 
 
 def _witness(a: Structure, b: Structure, keys_a: dict[str, str],
@@ -765,18 +760,15 @@ def occurrences(a: Structure, b: Structure,
 
 
 def embeds(a: Structure, b: Structure,
-           catalog: Optional[TypeCatalog] = None, cfg: Config = DEFAULT,
-           keys_a: Optional[dict[str, str]] = None) -> bool:
+           catalog: Optional[TypeCatalog] = None,
+           cfg: Config = DEFAULT) -> bool:
     """Whether some part subset of a induces a structure isomorphic to b.
 
-    Stops at the first embedding; `keys_a` lets a caller asking about many
-    patterns in one structure build its key map once.
+    Stops at the first embedding.
     """
     _check_part_cap(a, b, cfg)
-    if keys_a is None:
-        keys_a = _key_map(a, catalog)
-    return next(_embeddings(a, b, keys_a, _key_map(b, catalog)), None) \
-        is not None
+    return next(_embeddings(a, b, _key_map(a, catalog), _key_map(b, catalog)),
+                None) is not None
 
 
 def _is_connected(s: Structure) -> bool:

@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 
 from structkit.cli import main, parse_recognition_log
-from structkit.io_struct import serialize_structure
+from structkit.io_struct import parse_structure, serialize_structure
 from structkit.structure import structure
 
 from loggen import planted_implication
@@ -76,6 +76,21 @@ def test_derive_quotient_and_mask(tmp_path):
     assert out_struct.read_text() == payload["derived"]
     derived_lines = payload["derived"].splitlines()
     assert sum(1 for ln in derived_lines if ln.startswith("part ")) == 2
+
+
+def test_derive_with_mask_sidecar(tmp_path):
+    s = structure({"p0": "A", "p1": "A", "p2": "B"},
+                  [("p0", "p1", "L"), ("p1", "p2", "M")])
+    spath = write_struct(tmp_path, "s.struct", s)
+    sidecar = tmp_path / "mask.txt"
+    sidecar.write_text("mask merge-label L M -> J\n")
+    out = tmp_path / "derive.json"
+    assert main(["derive", spath, str(sidecar), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    validate(payload, "derive_report")
+    assert payload["steps"] == ["morphism"]
+    derived = parse_structure(payload["derived"])
+    assert {r.label for r in derived.relations} == {"J"}
 
 
 def test_analyze_triangle(tmp_path):

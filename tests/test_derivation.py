@@ -14,6 +14,7 @@ from structkit.derivation import (
 from structkit.structure import (
     Structure,
     StructureError,
+    StructType,
     TypeCatalog,
     canonical_form,
     internal_classes,
@@ -188,6 +189,19 @@ def test_drop_attr_merges_previously_distinct_types():
     a = structure({"a": s1, "b": s2}, [("a", "b", "joint")])
     assert len(internal_classes(a, cat)) == 2
     out = apply_morphism(a, MorphismMask.make(drop_part_attrs={"len"}), cat)
+    assert len(internal_classes(out, cat)) == 1
+
+
+def test_drop_attr_reinterns_struct_payloads():
+    cat = TypeCatalog()
+    inner = path(2)
+    t1 = cat.intern_struct(inner, {"w": 1, "v": 0})
+    t2 = cat.intern_struct(inner, {"w": 2, "v": 0})
+    s = structure({"a": t1, "b": t2}, [("a", "b", "joint")])
+    assert len(internal_classes(s, cat)) == 2
+    out = apply_morphism(s, MorphismMask.make(drop_part_attrs={"w"}), cat)
+    assert out.part_types[0] == out.part_types[1]
+    assert cat.resolve(out.part_types[0]) == StructType(inner, {"v": 0})
     assert len(internal_classes(out, cat)) == 1
 
 

@@ -107,6 +107,25 @@ def test_out_of_fuel():
         execute(looping, path(2), fuel=100)
 
 
+def test_move_to_neighbor_k_in_part_order():
+    # hub relations listed z, y, x; neighbours come in part declaration order
+    s = structure({"h": "H", "x": "X", "y": "Y", "z": "Z"},
+                  [("h", "z", "L"), ("y", "h", "L"), ("h", "x", "L")])
+
+    def type_of_neighbor(k):
+        return execute(schema([
+            ("mf", Binding("MOVE", literal="first")),
+            ("mk", Binding("MOVE", literal=f"nbr:{k}")),
+            ("st", Binding("MEM_STORE", slot="m")),
+            ("cp", Binding("COPY", slot="m", fresh=True)),
+        ], [("mf", "mk", "next"), ("mk", "st", "next"),
+            ("st", "cp", "next")]), s).part_types
+
+    assert [type_of_neighbor(k) for k in range(3)] == [("X",), ("Y",), ("Z",)]
+    with pytest.raises(SchemaError):
+        type_of_neighbor(3)
+
+
 def test_unbound_slot_errors():
     sch = schema([("c", Binding("COPY", slot="nope"))])
     with pytest.raises(SchemaError):

@@ -324,6 +324,66 @@ def test_internal_classes_identical_payload_parts_share_class():
     assert classes == [("a", "b")]
 
 
+# --- type catalog -------------------------------------------------------------
+
+def test_catalog_rejects_cyclic_payloads():
+    cat = TypeCatalog()
+    with pytest.raises(StructureError):
+        cat.add_struct("a", structure({"u": "a"}))
+    cat.add_struct("a", structure({"u": "b"}))
+    with pytest.raises(StructureError):
+        cat.add_struct("b", structure({"v": "a"}))
+    assert "b" not in cat
+
+
+def test_catalog_rejects_binding_an_id_a_payload_names():
+    cat = TypeCatalog()
+    cat.intern_struct(path(2, t="x"))
+    with pytest.raises(StructureError):
+        cat.add_atomic("x")
+    with pytest.raises(StructureError):
+        cat.intern_attr("x")
+    with pytest.raises(StructureError):
+        cat.add_struct("x", path(2, t="y"))
+    assert "x" not in cat
+
+
+def test_catalog_keys_fixed_at_registration(monkeypatch):
+    cat = TypeCatalog()
+    cat.add_atomic("clay")
+    brick = cat.intern_struct(path(2, t="clay"))
+    loose = cat.intern_struct(path(2, t="x"))
+    before = {t: cat.type_key(t) for t in ("clay", brick, loose)}
+    with pytest.raises(StructureError):
+        cat.add_atomic("x")
+    cat.add_atomic("mortar")
+    cat.intern_struct(path(3, t=brick))
+    assert {t: cat.type_key(t) for t in before} == before
+    # lookups never rebuild a key
+    monkeypatch.setattr(TypeCatalog, "_entry_key", None)
+    assert cat.type_key(brick) == before[brick]
+    s = structure({"a": brick, "b": loose}, [("a", "b", "L")])
+    assert len(internal_classes(s, cat)) == 2
+
+
+def test_interning_one_payload_twice_returns_one_id():
+    cat = TypeCatalog()
+    tid = cat.intern_struct(path(2, t="x"))
+    with pytest.raises(StructureError):
+        cat.add_atomic("x")
+    assert cat.intern_struct(path(2, t="x")) == tid
+
+
+def test_intern_struct_fresh_ids_skip_bound_and_named_ids():
+    cat = TypeCatalog()
+    cat.add_atomic("t0")
+    assert cat.intern_struct(path(2, t="t0")) == "t1"
+    # the payload itself names t2
+    assert cat.intern_struct(path(2, t="t2")) == "t3"
+    cat.add_struct("shell", path(2, t="t4"))
+    assert cat.intern_struct(path(3, t="t0")) == "t5"
+
+
 def test_m_degree_bounded_by_n():
     rng = random.Random(7)
     for _ in range(50):
