@@ -57,9 +57,17 @@ def _load_config(path: str | None, seed: int) -> tuple[Config, dict]:
         overrides = json.loads(Path(path).read_text())
         if not isinstance(overrides, dict):
             raise ParseError("config overrides must be a JSON object")
-        unknown = sorted(set(overrides) - set(cfg.as_dict()))
+        defaults = cfg.as_dict()
+        unknown = sorted(set(overrides) - set(defaults))
         if unknown:
             raise ParseError(f"unknown config keys: {unknown}")
+        for key, value in sorted(overrides.items()):
+            # JSON values have exact types, so a bool is no int here; an
+            # int is accepted where the default is a float
+            want, got = type(defaults[key]), type(value)
+            if got is not want and (want, got) != (float, int):
+                raise ParseError(f"config key {key} must be {want.__name__},"
+                                 f" not {got.__name__}")
         cfg = cfg.replace(**overrides)
     echo = {"config": cfg.as_dict(), "seed": seed}
     return cfg, echo
@@ -362,10 +370,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StructureError as exc:
+    except (StructureError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # pragma: no cover - defensive

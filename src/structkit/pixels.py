@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT, Config
@@ -124,7 +124,13 @@ def load_raster(data: bytes | str) -> RasterStructure:
 
 
 def serialize_raster(r: RasterStructure) -> str:
-    lines = ["P1", f"{r.width} {r.height}"]
+    """P1 when the values are 0/1 and ink is 1; otherwise P2, which
+    `load_raster` reads back with the darkest value as ink."""
+    levels = {v for row in r.values for v in row}
+    if levels <= {0, 1} and r.ink == 1:
+        lines = ["P1", f"{r.width} {r.height}"]
+    else:
+        lines = ["P2", f"{r.width} {r.height}", str(max(1, *levels))]
     for row in r.values:
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -263,8 +269,7 @@ def extract_strokes(r: RasterStructure, cfg: Config = DEFAULT) -> list[Chain]:
     ink = _thin(r.ink_pixels())
     if not ink:
         return []
-    ink = _prune_spurs(ink, cfg)
-    adj = _stroke_adjacency(ink)
+    ink, adj = _prune_spurs(ink)
     raw = _trace_chains(ink, adj)
     out: list[Chain] = []
     for path, junction_joints, closed in raw:
@@ -272,24 +277,26 @@ def extract_strokes(r: RasterStructure, cfg: Config = DEFAULT) -> list[Chain]:
     return out
 
 
-def _prune_spurs(ink: set[Pixel], cfg: Config, spur_len: int = 3) -> set[Pixel]:
+_SPUR_LEN = 3   # longest dead-end stub that is pruned, in pixels
+
+
+def _prune_spurs(ink: set[Pixel]
+                 ) -> tuple[set[Pixel], dict[Pixel, list[Pixel]]]:
     """Drop tiny dead-end stubs hanging off junctions.
 
     Rasterized corners often grow a one or two pixel whisker whose root then
-    looks like a junction and breaks cycle tracing.
+    looks like a junction and breaks cycle tracing.  Returns the kept ink
+    and its stroke adjacency.
     """
-    ink = set(ink)
     while True:
         adj = _stroke_adjacency(ink)
         degree = {p: len(adj[p]) for p in ink}
         junctions = {p for p in ink if degree[p] >= 3}
-        if not junctions:
-            return ink
         removed = set()
         for start in sorted(p for p in ink if degree[p] == 1):
             trail = [start]
             cur, prev = start, None
-            while degree[cur] <= 2 and len(trail) <= spur_len:
+            while degree[cur] <= 2 and len(trail) <= _SPUR_LEN:
                 nxt = [q for q in adj[cur] if q != prev]
                 if not nxt:
                     break
@@ -299,8 +306,8 @@ def _prune_spurs(ink: set[Pixel], cfg: Config, spur_len: int = 3) -> set[Pixel]:
                     break
                 trail.append(cur)
         if not removed:
-            return ink
-        ink -= removed
+            return ink, adj
+        ink = ink - removed
 
 
 def _thin(ink: set[Pixel]) -> set[Pixel]:
@@ -360,7 +367,7 @@ def _stroke_adjacency(ink: set[Pixel]) -> dict[Pixel, list[Pixel]]:
 
 
 def _trace_chains(ink: set[Pixel], adj: dict[Pixel, list[Pixel]]
-                  ) -> list[tuple[list[Pixel], bool]]:
+                  ) -> list[tuple[list[Pixel], tuple[Pixel, ...], bool]]:
     degree = {p: len(adj[p]) for p in ink}
     nodes = sorted(p for p in ink if degree[p] != 2)
     used_edges: set[tuple[Pixel, Pixel]] = set()
@@ -433,10 +440,12 @@ def _turn_angle(path: Sequence[Pixel], i: int, w: int, closed: bool) -> float:
         if i - w < 0 or i + w >= n:
             return 0.0
         a, b, c = path[i - w], path[i], path[i + w]
-    v1 = (b[0] - a[0], b[1] - a[1])
-    v2 = (c[0] - b[0], c[1] - b[1])
-    n1 = math.hypot(*v1)
-    n2 = math.hypot(*v2)
+    return _angle_deg((b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1]))
+
+
+def _angle_deg(v1: tuple[float, float], v2: tuple[float, float]) -> float:
+    """Angle between two vectors in degrees; 0 when either is zero."""
+    n1, n2 = math.hypot(*v1), math.hypot(*v2)
     if n1 == 0 or n2 == 0:
         return 0.0
     dot = (v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)
@@ -624,141 +633,77 @@ def polygon_quotient(r: RasterStructure, catalog: Optional[TypeCatalog] = None,
     """
     catalog = catalog if catalog is not None else TypeCatalog()
     all_chains = [c for c in extract_strokes(r, cfg) if len(c.pixels) >= 2]
-    assertions: list[PropertyAssertion] = []
-    problems: list[str] = []
     if not all_chains:
         return PolygonAnalysis(None, [], [], ["no strokes found"])
 
-    # chains too short to be sides are vertex connectors left by the skeleton
-    def chord_len(ch):
+    # chains too short to be sides are vertex connectors left by the
+    # skeleton; each side keeps its span for the steps below
+    chains: list[Chain] = []
+    spans: list[tuple[Pixel, Pixel]] = []
+    connectors: list[Chain] = []
+    for ch in all_chains:
         a, b = effective_endpoints(ch, cfg)
-        return math.hypot(b[0] - a[0], b[1] - a[1])
-
-    chains = [c for c in all_chains if chord_len(c) >= cfg.min_segment_px]
-    connectors = [c for c in all_chains if chord_len(c) < cfg.min_segment_px]
+        if math.dist(a, b) >= cfg.min_segment_px:
+            chains.append(ch)
+            spans.append((a, b))
+        else:
+            connectors.append(ch)
     if not chains:
         return PolygonAnalysis(None, [], all_chains, ["no segment-size strokes"])
+    parts = [f"s{i}" for i in range(len(chains))]
     per_part = {}
-    for i, ch in enumerate(chains):
-        part = f"s{i}"
-        found = classify_segment(ch, part, cfg)
-        per_part[part] = {a.feature: a.value for a in found}
+    problems: list[str] = []
+    for part, ch in zip(parts, chains):
+        per_part[part] = {a.feature: a.value
+                          for a in classify_segment(ch, part, cfg)}
         if per_part[part]["is-straight"] < cfg.straight_min_score:
             problems.append(f"chain {part} is not straight")
-    if problems:
-        for i in range(len(chains)):
-            for feat, val in sorted(per_part[f"s{i}"].items()):
-                assertions.append(PropertyAssertion(("part", f"s{i}"), feat, val))
-        return PolygonAnalysis(None, assertions, chains, problems)
-
-    # joints: chain terminals meeting within the joint radius, directly or
-    # bridged by a connector blob
-    def terminals(i):
-        ch = chains[i]
-        t = list(effective_endpoints(ch, cfg))
-        t.extend(ch.joints)
-        return t
-
-    def near(p, q, slack=0.0):
-        return math.hypot(p[0] - q[0], p[1] - q[1]) <= cfg.joint_radius_px + slack
-
-    def line_intersection(i, j, fallback):
-        # skeleton corners erode a pixel or two; the line crossing recovers
-        # the true vertex
-        (a1, b1) = effective_endpoints(chains[i], cfg)
-        (a2, b2) = effective_endpoints(chains[j], cfg)
-        d1 = (b1[0] - a1[0], b1[1] - a1[1])
-        d2 = (b2[0] - a2[0], b2[1] - a2[1])
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if abs(cross) < 1e-9:
-            return fallback
-        t = ((a2[0] - a1[0]) * d2[1] - (a2[1] - a1[1]) * d2[0]) / cross
-        vx = (a1[0] + t * d1[0], a1[1] + t * d1[1])
-        if math.hypot(vx[0] - fallback[0], vx[1] - fallback[1]) > 4.0:
-            return fallback
-        return vx
-
-    joints: dict[tuple[int, int], Pixel] = {}
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            best = None
-            for p in terminals(i):
-                for q in terminals(j):
-                    d = math.hypot(p[0] - q[0], p[1] - q[1])
-                    if d <= cfg.joint_radius_px and (best is None or d < best[0]):
-                        best = (d, p, q)
-            if best:
-                vx = ((best[1][0] + best[2][0]) / 2.0,
-                      (best[1][1] + best[2][1]) / 2.0)
-                joints[(i, j)] = line_intersection(i, j, vx)
-                continue
-            for conn in connectors:
-                probe = list(conn.pixels) + list(conn.joints)
-                if any(near(p, c) for p in terminals(i) for c in probe) and \
-                        any(near(q, c) for q in terminals(j) for c in probe):
-                    cx = sum(p[0] for p in conn.pixels) / len(conn.pixels)
-                    cy = sum(p[1] for p in conn.pixels) / len(conn.pixels)
-                    joints[(i, j)] = line_intersection(i, j, (cx, cy))
-                    break
+    joints = {} if problems else _joints(chains, spans, connectors, cfg)
 
     # a side with both vertices known is measured vertex to vertex, which is
     # immune to skeleton erosion at the corners
-    vertex_of: dict[int, list] = {i: [] for i in range(len(chains))}
+    vertex_of: list[list] = [[] for _ in chains]
     for (i, j), vx in joints.items():
         vertex_of[i].append(vx)
         vertex_of[j].append(vx)
-    for i in range(len(chains)):
-        if len(vertex_of[i]) == 2:
-            v1, v2 = vertex_of[i]
-            span = math.hypot(v2[0] - v1[0], v2[1] - v1[1])
-            per_part[f"s{i}"]["length-bin"] = length_bin(span)
-            per_part[f"s{i}"]["orientation-bin"] = orientation_bin(v1, v2, cfg)
-    for i in range(len(chains)):
-        for feat, val in sorted(per_part[f"s{i}"].items()):
-            assertions.append(PropertyAssertion(("part", f"s{i}"), feat, val))
+    for part, vs in zip(parts, vertex_of):
+        if len(vs) == 2:
+            v1, v2 = vs
+            per_part[part]["length-bin"] = length_bin(math.dist(v1, v2))
+            per_part[part]["orientation-bin"] = orientation_bin(v1, v2, cfg)
+    assertions = [PropertyAssertion(("part", p), feat, val)
+                  for p in parts for feat, val in sorted(per_part[p].items())]
+    if problems:
+        return PolygonAnalysis(None, assertions, chains, problems)
 
     def away_vector(i, vertex):
-        cands = [v for v in vertex_of[i]
-                 if math.hypot(v[0] - vertex[0], v[1] - vertex[1]) > 1.0]
+        cands = [v for v in vertex_of[i] if math.dist(v, vertex) > 1.0]
         if cands:
             far = max(cands, key=lambda v: _d2(v, vertex))
         else:
-            ea, eb = effective_endpoints(chains[i], cfg)
+            ea, eb = spans[i]
             far = eb if _d2(ea, vertex) <= _d2(eb, vertex) else ea
         return (far[0] - vertex[0], far[1] - vertex[1])
 
-    parts = []
-    types = []
-    for i in range(len(chains)):
-        parts.append(f"s{i}")
-        attrs = {"length-bin": per_part[f"s{i}"]["length-bin"],
-                 "orientation-bin": per_part[f"s{i}"]["orientation-bin"]}
-        types.append(catalog.intern_attr("segment", attrs))
+    types = [catalog.intern_attr("segment", {
+        "length-bin": per_part[p]["length-bin"],
+        "orientation-bin": per_part[p]["orientation-bin"]}) for p in parts]
     rels = []
     angle_bins = []
     for (i, j), vertex in sorted(joints.items()):
-        v1 = away_vector(i, vertex)
-        v2 = away_vector(j, vertex)
-        n1, n2 = math.hypot(*v1), math.hypot(*v2)
-        if n1 == 0 or n2 == 0:
-            angle = 0.0
-        else:
-            dot = (v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)
-            angle = math.degrees(math.acos(max(-1.0, min(1.0, dot))))
+        angle = _angle_deg(away_vector(i, vertex), away_vector(j, vertex))
         bin_width = 360.0 / cfg.joint_angle_bins
         abin = round(angle / bin_width) % cfg.joint_angle_bins
         angle_bins.append(abin)
-        rels.append(Relation(f"s{i}", f"s{j}", "joint", {"angle-bin": abin}))
-        assertions.append(PropertyAssertion(("pair", f"s{i}", f"s{j}"),
+        rels.append(Relation(parts[i], parts[j], "joint", {"angle-bin": abin}))
+        assertions.append(PropertyAssertion(("pair", parts[i], parts[j]),
                                             "joint-angle-bin", abin))
     quotient = Structure(tuple(parts), tuple(types), tuple(rels))
 
     # parallelism between distinct segments
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            if per_part[f"s{i}"]["orientation-bin"] == per_part[f"s{j}"]["orientation-bin"]:
-                assertions.append(PropertyAssertion(
-                    ("pair", f"s{i}", f"s{j}"), "parallel-to", True))
+    for p, q in combinations(parts, 2):
+        if per_part[p]["orientation-bin"] == per_part[q]["orientation-bin"]:
+            assertions.append(PropertyAssertion(("pair", p, q), "parallel-to", True))
 
     # whole-structure assertions
     closed = (len(parts) >= 3 and len(rels) == len(parts)
@@ -772,6 +717,57 @@ def polygon_quotient(r: RasterStructure, catalog: Optional[TypeCatalog] = None,
     assertions.append(PropertyAssertion(("structure",), "all-angles-equal",
                                         len(set(angle_bins)) <= 1 and bool(angle_bins)))
     return PolygonAnalysis(quotient, assertions, chains, problems)
+
+
+def _joints(chains: list[Chain], spans: list[tuple[Pixel, Pixel]],
+            connectors: list[Chain], cfg: Config
+            ) -> dict[tuple[int, int], tuple[float, float]]:
+    """The vertex of each pair of sides whose terminals (span ends and
+    joints) meet within the joint radius, directly or bridged by a
+    connector chain."""
+    radius = cfg.joint_radius_px
+    terms = [[*span, *ch.joints] for ch, span in zip(chains, spans)]
+    probes = [conn.pixels + conn.joints for conn in connectors]
+    # the connectors each side reaches, in connector order
+    reach = [[k for k, probe in enumerate(probes)
+              if any(math.dist(p, c) <= radius for p in t for c in probe)]
+             for t in terms]
+    joints = {}
+    for i, j in combinations(range(len(chains)), 2):
+        best = None
+        for p in terms[i]:
+            for q in terms[j]:
+                d = math.dist(p, q)
+                if d <= radius and (best is None or d < best[0]):
+                    best = (d, p, q)
+        if best:
+            vx = ((best[1][0] + best[2][0]) / 2.0,
+                  (best[1][1] + best[2][1]) / 2.0)
+        else:
+            k = next((k for k in reach[i] if k in reach[j]), None)
+            if k is None:
+                continue
+            px = connectors[k].pixels
+            vx = (sum(p[0] for p in px) / len(px),
+                  sum(p[1] for p in px) / len(px))
+        joints[(i, j)] = _line_crossing(spans[i], spans[j], vx)
+    return joints
+
+
+def _line_crossing(s1: tuple[Pixel, Pixel], s2: tuple[Pixel, Pixel],
+                   fallback: tuple[float, float]) -> tuple[float, float]:
+    """Where the lines through two spans cross, unless they are parallel or
+    cross more than 4 px from the fallback: skeleton corners erode a pixel
+    or two, and the line crossing recovers the true vertex."""
+    (a1, b1), (a2, b2) = s1, s2
+    d1 = (b1[0] - a1[0], b1[1] - a1[1])
+    d2 = (b2[0] - a2[0], b2[1] - a2[1])
+    cross = d1[0] * d2[1] - d1[1] * d2[0]
+    if abs(cross) < 1e-9:
+        return fallback
+    t = ((a2[0] - a1[0]) * d2[1] - (a2[1] - a1[1]) * d2[0]) / cross
+    vx = (a1[0] + t * d1[0], a1[1] + t * d1[1])
+    return vx if math.dist(vx, fallback) <= 4.0 else fallback
 
 
 # ---------------------------------------------------------------------------

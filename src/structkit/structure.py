@@ -86,9 +86,6 @@ class Structure:
     def n(self) -> int:
         return len(self.parts)
 
-    def type_of(self, part: str) -> str:
-        return self.types[part]
-
     @property
     def types(self) -> dict[str, str]:
         d = self.__dict__.get("_types")

@@ -295,6 +295,34 @@ def test_unknown_config_key_exit_two(tmp_path):
     assert main(["--config", str(cfgfile), "iso", a, a]) == 2
 
 
+def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    img = tmp_path / "dot.pbm"
+    img.write_text("P1\n3 3\n000\n010\n000\n")
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({   # a pattern guard reads the part cap
+        "start": {"struct": "part u0 N\n"},
+        "goal": {"members": [{"subject": "grown"}]},
+        "productions": [{"name": "noop", "guard": {"pattern": "part a N\n"},
+                         "effect": {"add": [], "remove": []}}]}))
+    for overrides, argv in [
+        ({"corner_window": "3"}, ["analyze", str(img)]),
+        ({"occurrence_part_cap": None}, ["solve", str(pfile)]),
+        ({"corner_window": True}, ["analyze", str(img)]),   # a bool is no int
+        ({"corner_window": 3.0}, ["analyze", str(img)]),
+        ({"min_segment_px": False}, ["analyze", str(img)]),
+    ]:
+        cfgfile.write_text(json.dumps(overrides))
+        assert main(["--config", str(cfgfile)] + argv) == 2, overrides
+        assert "must be" in capsys.readouterr().err
+    # an int is fine for a float field
+    cfgfile.write_text(json.dumps({"min_segment_px": 4}))
+    out = tmp_path / "analyze.json"
+    assert main(["--config", str(cfgfile), "analyze", str(img),
+                 "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["config"]["min_segment_px"] == 4
+
+
 def test_mine_log_token_without_equals_exit_two(tmp_path):
     log_file = tmp_path / "events.log"
     log_file.write_text("t=0 subj=A score=1.0\nt=1 subjA score=1.0\n")

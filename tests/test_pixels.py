@@ -1,10 +1,13 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from structkit.corpus import _BASE_SHAPES, rasterize_polygon
 from structkit.derivation import apply_morphism
+from structkit.io_struct import serialize_structure
 from structkit.pixels import (
     Chain,
     PropertyAssertion,
@@ -76,7 +79,20 @@ def test_load_p2_and_roundtrip():
     assert r.values == ((0, 255), (128, 0))
     assert r.ink == 0
     r1 = load_raster("P1\n2 2\n10\n01\n")
+    assert serialize_raster(r1) == "P1\n2 2\n1 0\n0 1\n"
     assert load_raster(serialize_raster(r1)) == r1
+
+
+@pytest.mark.parametrize("text", [
+    "P2\n2 2\n255\n0 255\n128 0\n",   # values above 1
+    "P2\n2 1\n1\n1 0\n",              # 0/1 values, but ink is 0
+    "P2\n2 1\n7\n0 0\n",              # one level
+    "P2\n1 2\n3\n3\n2\n",              # no 0: the ink is 2
+])
+def test_serialize_p2_roundtrip(text):
+    r = load_raster(text)
+    assert serialize_raster(r).startswith("P2\n")
+    assert load_raster(serialize_raster(r)) == r
 
 
 def test_load_errors():
@@ -365,7 +381,8 @@ def test_assertions_recomputable():
     assert first == second
 
 
-def test_nonstraight_chain_reported_polygon_omitted():
+def arc_raster():
+    # radius 20 half circle
     pts = []
     for k in range(0, 181, 3):
         p = (30 + round(20 * math.cos(math.radians(k))),
@@ -375,10 +392,75 @@ def test_nonstraight_chain_reported_polygon_omitted():
     ink = set()
     for a, b in zip(pts, pts[1:]):
         ink |= line_ink(a, b)
-    r = raster_from_ink(ink, 60, 30)
-    pa = polygon_quotient(r)
+    return raster_from_ink(ink, 60, 30)
+
+
+def test_nonstraight_chain_reported_polygon_omitted():
+    pa = polygon_quotient(arc_raster())
     assert pa.problems
     assert pa.quotient is None
+
+
+# Full polygon_quotient outputs on rasters that reach its rarer branches,
+# fixed in tests/golden/polygon-quotient-pins.json.  Regenerate that file
+# with `PYTHONPATH=src python tests/test_pixels.py` only when a change means
+# to alter these outputs.
+PIN_RASTERS = {
+    # the crossbar (3 px) is shorter than min_segment_px, so it is a
+    # connector and the joints across it are bridged, not direct
+    "h-short-crossbar": lambda: raster_from_ink(
+        line_ink((2, 1), (2, 15)) | line_ink((5, 1), (5, 15))
+        | line_ink((2, 8), (5, 8)), 8, 18),
+    # the two halves of the bar are collinear, so their line crossing is
+    # undefined and the joint falls back to the terminal midpoint
+    "t-collinear-halves": lambda: raster_from_ink(
+        line_ink((2, 2), (20, 2)) | line_ink((11, 2), (11, 16)), 23, 19),
+    "three-pixel-stroke": lambda: raster_from_ink(
+        line_ink((1, 1), (3, 1)), 5, 3),
+    "half-circle-arc": arc_raster,
+}
+PINS = Path(__file__).parent / "golden" / "polygon-quotient-pins.json"
+
+
+def quotient_record(r):
+    pa = polygon_quotient(r)
+    return {
+        "problems": pa.problems,
+        "assertions": [a.as_json() for a in pa.assertions],
+        "quotient": serialize_structure(pa.quotient)
+        if pa.quotient is not None else None,
+        "chains": [{"pixels": [list(p) for p in ch.pixels],
+                    "joints": [list(j) for j in ch.joints],
+                    "closed": ch.closed} for ch in pa.chains],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PIN_RASTERS))
+def test_polygon_quotient_pinned_outputs(name):
+    expected = json.loads(PINS.read_text())[name]
+    got = json.loads(json.dumps(quotient_record(PIN_RASTERS[name]())))
+    assert got == expected
+
+
+def test_pinned_rasters_reach_their_branches():
+    h = polygon_quotient(PIN_RASTERS["h-short-crossbar"]())
+    assert h.problems == [] and h.quotient.n == 4   # crossbar is no side
+    # each upright's two halves meet directly; across the crossbar every
+    # left half meets every right half through the connector
+    pairs = {(r.a, r.b) for r in h.quotient.relations}
+    assert pairs == {("s0", "s1"), ("s2", "s3"), ("s0", "s2"), ("s0", "s3"),
+                     ("s1", "s2"), ("s1", "s3")}
+    t = polygon_quotient(PIN_RASTERS["t-collinear-halves"]())
+    assert t.problems == [] and t.quotient.n == 3
+    dot = polygon_quotient(PIN_RASTERS["three-pixel-stroke"]())
+    assert dot.problems == ["no segment-size strokes"]
+    assert dot.quotient is None and len(dot.chains) == 1
+    arc = polygon_quotient(PIN_RASTERS["half-circle-arc"]())
+    assert arc.quotient is None
+    assert arc.problems and all(p.endswith("is not straight")
+                                for p in arc.problems)
+    # the problems exit still asserts every part's features
+    assert {a.target[0] for a in arc.assertions} == {"part"}
 
 
 # --- signatures ---------------------------------------------------------------
@@ -575,3 +657,19 @@ def test_candidates_disjoint_examples_only_generic_features():
     feats = {(a.feature, a.value) for c in cands for a in c.required}
     assert ("is-closed-cycle", True) in feats
     assert not any(f == "side-count" for f, _ in feats)
+
+
+if __name__ == "__main__":
+    # one assertion or chain per line, so a changed output diffs line by line
+    cases = []
+    for name, make in sorted(PIN_RASTERS.items()):
+        fields = []
+        for key, val in sorted(quotient_record(make()).items()):
+            if isinstance(val, list) and val:
+                val = "[\n   " + ",\n   ".join(
+                    json.dumps(v, sort_keys=True) for v in val) + "]"
+            else:
+                val = json.dumps(val)
+            fields.append(f"  {json.dumps(key)}: {val}")
+        cases.append(f" {json.dumps(name)}: {{\n" + ",\n".join(fields) + "}")
+    PINS.write_text("{\n" + ",\n".join(cases) + "\n}\n")
