@@ -349,24 +349,93 @@ def _attr_enc(attrs: Attrs) -> str:
     return ",".join(f"{k}={v}" for k, v in attrs)
 
 
-def _refine(s: Structure, colors: dict[str, int]) -> dict[str, int]:
-    """Iterate (color, incident-relation multiset) signatures until stable.
+def _ends(s: Structure) -> dict[str, list[tuple[int, str]]]:
+    """part -> [(end, other)] with each incident end as one int.
 
-    Each round renames every part to the rank of its signature among the
-    distinct signatures.  Signatures embed the previous color, so a round can
-    only split classes; the partition is stable once the count stops growing.
+    An end `(dir, label, attrs)` becomes `id * 2n`, the ids ranked in
+    sorted order of the ends, so `end + colour` for any colour in [-n, n)
+    sorts like the pair `(end, colour)`.
     """
     inc = s.incidence
-    count = len(set(colors.values()))
-    while True:
-        sigs = {p: (colors[p], tuple(sorted((d, lab, at, colors[q])
-                                            for d, lab, at, q in inc[p])))
-                for p in s.parts}
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        colors = {p: rank[sig] for p, sig in sigs.items()}
-        if len(rank) == count:
-            return colors
-        count = len(rank)
+    distinct = {(d, lab, at) for around in inc.values()
+                for d, lab, at, _ in around}
+    span = 2 * s.n
+    ids = {e: i * span for i, e in enumerate(sorted(distinct))}
+    return {p: [(ids[d, lab, at], q) for d, lab, at, q in around]
+            for p, around in inc.items()}
+
+
+def _key_cells(s: Structure, keys: dict[str, str]) -> dict[int, list[str]]:
+    """The type-key colouring as cells: one per key, in key order, each
+    keyed by its start offset."""
+    by_key: dict[str, list[str]] = {}
+    for p in s.parts:
+        by_key.setdefault(keys[p], []).append(p)
+    cells = {}
+    start = 0
+    for k in sorted(by_key):
+        cells[start] = by_key[k]
+        start += len(by_key[k])
+    return cells
+
+
+def _refine(ends: dict[str, list[tuple[int, str]]], colors: dict[str, int],
+            cells: dict[int, list[str]], todo: set[int]) -> None:
+    """Split cells by (colour, incident ends) signatures, in place, until
+    stable.
+
+    A colour is its cell's start offset.  A cell splits into pieces ordered
+    by their sorted `(end, neighbour colour)` signatures, laid out from the
+    cell's own offset, so the first piece keeps the cell's colour and no
+    other cell's colour changes.  Each round computes every split from the
+    colours at its start and re-signs only the cells in `todo`; the next
+    round's are the cells next to a part whose colour changed, as no other
+    part's signature did.  `todo` must hold every cell whose parts may
+    differ in signature.  The result is the ordered partition that
+    re-signing every part in every round, until the class count stops
+    growing, gives (`tests/oracles.py::refine_oracle`).
+    """
+    while todo:
+        splits = []
+        for c in todo:
+            cell = cells[c]
+            if len(cell) == 1:
+                continue
+            pieces: dict[tuple, list[str]] = {}
+            for p in cell:
+                sig = tuple(sorted([e + colors[q] for e, q in ends[p]]))
+                pieces.setdefault(sig, []).append(p)
+            if len(pieces) == 1:
+                continue
+            start = c
+            for sig in sorted(pieces):
+                splits.append((start, pieces[sig]))
+                start += len(pieces[sig])
+        moved = []
+        for c, piece in splits:
+            cells[c] = piece
+            if colors[piece[0]] != c:
+                for p in piece:
+                    colors[p] = c
+                moved.extend(piece)
+        todo = {colors[q] for p in moved for _, q in ends[p]}
+
+
+def _individualise(ends: dict[str, list[tuple[int, str]]],
+                   colors: dict[str, int], cells: dict[int, list[str]],
+                   p: str, fresh: int) -> tuple[dict, dict]:
+    """Refined copies of `colors` and `cells` with `p` alone in cell `fresh`.
+
+    p's cell must hold other parts too.  They keep its colour, so only the
+    cells of p's neighbours need re-signing.
+    """
+    colors, cells = dict(colors), dict(cells)
+    c = colors[p]
+    cells[c] = [q for q in cells[c] if q != p]
+    colors[p] = fresh
+    cells[fresh] = [p]
+    _refine(ends, colors, cells, {colors[q] for _, q in ends[p]})
+    return colors, cells
 
 
 def _encode(s: Structure, order: list[str], keys: dict[str, str]) -> str:
@@ -411,26 +480,26 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
         keys = _key_map(s, catalog)
     if not s.parts:
         return []
-    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-    colors = _refine(s, {p: rank[keys[p]] for p in s.parts})
+    ends = _ends(s)
+    cells = _key_cells(s, keys)
+    colors = {p: c for c, cell in cells.items() for p in cell}
+    _refine(ends, colors, cells, set(cells))
     best_enc = None
     best_order: list[str] = []
     autos: list[dict[str, str]] = []
     nodes = 0
     cap = _CANON_NODE_CAP
 
-    def rec(colors: dict[str, int], fixed: tuple[str, ...], more: bool):
+    def rec(colors: dict[str, int], cells: dict[int, list[str]],
+            fixed: tuple[str, ...], more: bool):
         nonlocal best_enc, best_order, nodes
         nodes += 1
         if nodes > cap:
             raise CanonicalBudgetError(
                 f"canonical search exceeds node cap of {cap}")
-        groups: dict[int, list[str]] = {}
-        for p, c in colors.items():
-            groups.setdefault(c, []).append(p)
-        multi = sorted((c for c, g in groups.items() if len(g) > 1))
+        multi = [c for c, cell in cells.items() if len(cell) > 1]
         if not multi:
-            order = sorted(s.parts, key=colors.__getitem__)
+            order = [cells[c][0] for c in sorted(cells)]
             enc = _encode(s, order, keys)
             if best_enc is None or enc < best_enc:
                 best_enc, best_order = enc, order
@@ -441,7 +510,7 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
                 if _check_witness(s, s, g, keys, keys):
                     autos.append(g)
             return
-        cell = sorted(groups[multi[0]])
+        cell = sorted(cells[min(multi)])
         orbit = None     # union-find over the cell, once needed
         merged = 0
         explored: list[str] = []
@@ -460,12 +529,12 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
                     _find(orbit, p) == _find(orbit, e) for e in explored):
                 continue
             explored.append(p)
-            # refined colors are ranks >= 0, so -1 is fresh and sorts first
-            forked = dict(colors)
-            forked[p] = -1
-            rec(_refine(s, forked), fixed + (p,), more or p != cell[-1])
+            # cell offsets are >= 0 and fixed parts count down from -1, so
+            # the latest fixed part's colour is fresh and sorts first
+            rec(*_individualise(ends, colors, cells, p, -1 - len(fixed)),
+                fixed + (p,), more or p != cell[-1])
 
-    rec(colors, (), False)
+    rec(colors, cells, (), False)
     return best_order
 
 

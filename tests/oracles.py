@@ -3,9 +3,9 @@
 Everything here is deliberately naive: permutation enumeration, union-find,
 exhaustive subset scans.  None of it shares code with the library paths it
 verifies, except `canonical_order_oracle`, which reuses the library's
-refinement and encoding because it checks only the search's pruning, and
-`occurrences_oracle`, which compares canonical forms to check the
-embedding matcher.
+encoding (its refinement is `refine_oracle`, full rounds over a plain
+relation scan), and `occurrences_oracle`, which compares canonical forms
+to check the embedding matcher.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from structkit.structure import (
     _connected_subsets,
     _encode,
     _key_map,
-    _refine,
     canonical_form,
     induced,
 )
@@ -74,6 +73,27 @@ def _respects(a: Structure, mapping: dict, rels_b: dict) -> bool:
     return all(v == 0 for v in remaining.values())
 
 
+def refine_oracle(s: Structure, colors: dict) -> dict:
+    """Colour refinement in full rounds: every round renames every part to
+    the rank of its (colour, sorted incident ends) signature among the
+    distinct signatures, until the class count stops growing."""
+    out_dir, in_dir = (">", "<") if s.oriented else ("-", "-")
+    inc = {p: [] for p in s.parts}
+    for r in s.relations:
+        inc[r.a].append((out_dir, r.label, r.attrs, r.b))
+        inc[r.b].append((in_dir, r.label, r.attrs, r.a))
+    count = len(set(colors.values()))
+    while True:
+        sigs = {p: (colors[p], tuple(sorted((d, lab, at, colors[q])
+                                            for d, lab, at, q in inc[p])))
+                for p in s.parts}
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        colors = {p: rank[sig] for p, sig in sigs.items()}
+        if len(rank) == count:
+            return colors
+        count = len(rank)
+
+
 def canonical_order_oracle(s: Structure, keys: dict | None = None) -> list:
     """The individualisation-refinement search without automorphism pruning.
 
@@ -101,9 +121,9 @@ def canonical_order_oracle(s: Structure, keys: dict | None = None) -> list:
         for p in sorted(groups[multi[0]]):
             forked = dict(colors)
             forked[p] = -1
-            rec(_refine(s, forked))
+            rec(refine_oracle(s, forked))
 
-    rec(_refine(s, {p: rank[keys[p]] for p in s.parts}))
+    rec(refine_oracle(s, {p: rank[keys[p]] for p in s.parts}))
     return best[0][1]
 
 

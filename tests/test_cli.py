@@ -1,4 +1,7 @@
 import json
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,6 +60,29 @@ def test_iso_malformed_file_exit_two(tmp_path):
     bad.write_text("part a\n")
     good = write_struct(tmp_path, "g.struct", path3(["a", "b", "c"]))
     assert main(["iso", str(bad), good]) == 2
+
+
+def test_iso_report_independent_of_hash_seed(tmp_path):
+    # refinement walks sets of cells, so two interpreters with different
+    # string hashing must still pick the same canonical orders and witness
+    ids = [f"v{i}" for i in range(20)]
+    names = dict(zip(ids, random.Random(20).sample(ids, 20)))
+    rels = [(ids[i], ids[(i + 1) % 20], "L") for i in range(20)]
+    copy = [(names[x], names[y], lab) for x, y, lab in rels]
+    types = dict.fromkeys(ids, "T")
+    a = write_struct(tmp_path, "a.struct", structure(types, rels))
+    b = write_struct(tmp_path, "b.struct", structure(types, copy))
+    src = Path(__file__).resolve().parents[1] / "src"
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"iso{seed}.json"
+        subprocess.run([sys.executable, "-m", "structkit.cli", "iso", a, b,
+                        "--out", str(out)], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src),
+                            "PYTHONHASHSEED": seed})
+        reports.append(out.read_bytes())
+    assert json.loads(reports[0])["isomorphic"] is True
+    assert reports[0] == reports[1]
 
 
 def test_derive_quotient_and_mask(tmp_path):

@@ -15,6 +15,11 @@ from structkit.structure import (
     Structure,
     StructureError,
     TypeCatalog,
+    _ends,
+    _individualise,
+    _key_cells,
+    _key_map,
+    _refine,
     canonical_form,
     canonical_order,
     compose,
@@ -37,6 +42,7 @@ from oracles import (
     iso_oracle,
     occurrences_oracle,
     random_structure,
+    refine_oracle,
     relabeled_copy,
 )
 
@@ -264,6 +270,96 @@ def test_pruned_canonical_order_matches_unpruned_on_cycle_unions(sizes, seed):
     # found long before the search is over
     s = relabeled_copy(random.Random(seed), disjoint_cycles(*sizes))
     assert canonical_order(s) == canonical_order_oracle(s)
+
+
+def test_end_ids_sort_like_end_colour_pairs():
+    # refinement adds a colour in [-n, n) to an end id and sorts the sums
+    rng = random.Random(2)
+    for oriented in (False, True):
+        s = with_random_attrs(rng, random_structure(
+            rng, max_n=9, n_labels=3, oriented=oriented))
+        n = s.n
+        ends = _ends(s)
+        sums = {}
+        for p in s.parts:
+            for (e, _), (d, lab, at, _) in zip(ends[p], s.incidence[p]):
+                for c in range(-n, n):
+                    sums[(d, lab, at), c] = e + c
+        pairs = sorted(sums)
+        assert [sums[k] for k in pairs] == sorted(set(sums.values()))
+
+
+def ordered_partition(colors):
+    classes = {}
+    for p, c in colors.items():
+        classes.setdefault(c, set()).add(p)
+    return [classes[c] for c in sorted(classes)]
+
+
+def assert_refine_matches_oracle(s):
+    """`_refine` and `_individualise` keep the full-round ordered partition,
+    from the type-key colouring, after individualising each part of a
+    non-singleton cell, and down one search path to a discrete colouring."""
+    keys = _key_map(s, None)
+    ends = _ends(s)
+    cells = _key_cells(s, keys)
+    colors = {p: c for c, cell in cells.items() for p in cell}
+    _refine(ends, colors, cells, set(cells))
+    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    old = refine_oracle(s, {p: rank[keys[p]] for p in s.parts})
+    assert ordered_partition(colors) == ordered_partition(old)
+    for p in s.parts:
+        if len(cells[colors[p]]) > 1:
+            got, _ = _individualise(ends, colors, cells, p, -1)
+            assert ordered_partition(got) == ordered_partition(
+                refine_oracle(s, {**old, p: -1}))
+    for depth in itertools.count():
+        assert {p: c for c, cell in cells.items() for p in cell} == colors
+        multi = [c for c, cell in cells.items() if len(cell) > 1]
+        if not multi:
+            return
+        # the last part by name, where the search starts with the first
+        p = max(cells[min(multi)])
+        colors, cells = _individualise(ends, colors, cells, p, -1 - depth)
+        old = refine_oracle(s, {**old, p: -1})
+        assert ordered_partition(colors) == ordered_partition(old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 3),
+       st.booleans(), st.booleans())
+def test_refine_keeps_full_round_partition(seed, n_types, n_labels, oriented,
+                                           attrs):
+    rng = random.Random(seed)
+    s = random_structure(rng, max_n=14, n_types=n_types, n_labels=n_labels,
+                         oriented=oriented)
+    if attrs:
+        s = with_random_attrs(rng, s)
+    assert_refine_matches_oracle(s)
+
+
+@pytest.mark.parametrize(
+    "a, b, iso",
+    [p for p in _symmetric_pairs() if p.id not in _UNPRUNED_TOO_SLOW])
+def test_refine_keeps_full_round_partition_on_symmetric_families(a, b, iso):
+    assert_refine_matches_oracle(a)
+    assert_refine_matches_oracle(b)
+
+
+def test_refine_keeps_full_round_partition_on_variants():
+    # the families again, typed, labelled, attributed and oriented at random
+    rng = random.Random(1987)
+    families = [complete(6), cycle(12), disjoint_cycles(6, 6),
+                convolution(path(4), path(4)), convolution(cycle(4), cycle(4)),
+                looped_c4]
+    for s in families:
+        rels = tuple(Relation(r.a, r.b, rng.choice("LM"),
+                              rng.choice([(), (("w", 1),)]))
+                     for r in s.relations)
+        types = tuple(rng.choice("AB") for _ in s.parts)
+        for oriented in (False, True):
+            assert_refine_matches_oracle(
+                Structure(s.parts, types, rels, oriented))
 
 
 def test_canonical_node_cap(monkeypatch):
