@@ -24,6 +24,8 @@ from .structure import (
     Structure,
     StructureError,
     TypeCatalog,
+    _embeds_in,
+    _host_index,
     canonical_form,
     embeds,
 )
@@ -101,16 +103,29 @@ class SearchResult:
 
 def state_recognitions(state: State, spec: ProblemSpec,
                        cfg: Config = DEFAULT) -> list[Recognition]:
+    """The recognizers that fire on the state, in recognizer order.
+
+    Recognizers sharing a mask (or none) share one masked state and one
+    host index, built when the first of them is asked.
+    """
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
+    catalog = spec.catalog
+    hosts: dict = {}     # mask -> (masked state, its host index)
     recs = []
     for rec in spec.recognizers:
-        if rec.mask is None:
-            hit = embeds(state, rec.pattern, spec.catalog, cfg)
-        else:
-            hit = embeds(apply_morphism(state, rec.mask, spec.catalog),
-                         rec.pattern, spec.catalog, cfg)
-        if hit:
+        if rec.mask not in hosts:
+            target = state
+            if rec.mask is not None:
+                bound = len(catalog) if catalog is not None else 0
+                target = apply_morphism(state, rec.mask, catalog)
+                if catalog is not None and len(catalog) != bound:
+                    # a coarsened type was bound, maybe under an id that
+                    # the states or host indexes built so far hold unbound
+                    hosts.clear()
+            hosts[rec.mask] = (target, _host_index(target, catalog))
+        target, host = hosts[rec.mask]
+        if _embeds_in(target, host, rec.pattern, catalog, cfg):
             recs.append(Recognition(rec.subject, 1.0, 0))
     return recs
 

@@ -11,7 +11,7 @@ and the part-count morphism that turns structures into natural numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import DEFAULT, Config
 
@@ -219,6 +219,10 @@ class TypeCatalog:
     def __contains__(self, type_id: str) -> bool:
         return type_id in self._entries
 
+    def __len__(self) -> int:
+        """The number of bound ids; it grows exactly when an id is bound."""
+        return len(self._entries)
+
     def resolve(self, type_id: str):
         return self._entries.get(type_id)
 
@@ -297,10 +301,15 @@ class TypeCatalog:
         return sorted({t for t in s.part_types if t not in self._entries})
 
 
-def _key_map(s: Structure, catalog: Optional[TypeCatalog]) -> dict[str, str]:
+def _keys(s: Structure, catalog: Optional[TypeCatalog]) -> tuple[str, ...]:
+    """The parts' type keys, in part order."""
     if catalog is None:
-        return {p: "o:" + t for p, t in zip(s.parts, s.part_types)}
-    return {p: catalog.type_key(t) for p, t in zip(s.parts, s.part_types)}
+        return tuple("o:" + t for t in s.part_types)
+    return tuple(map(catalog.type_key, s.part_types))
+
+
+def _key_map(s: Structure, catalog: Optional[TypeCatalog]) -> dict[str, str]:
+    return dict(zip(s.parts, _keys(s, catalog)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +474,19 @@ def _find(parent: dict[str, str], x: str) -> str:
 
 def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
                     keys: Optional[dict[str, str]] = None) -> list[str]:
-    """Deterministic part ordering; equal for isomorphic structures.
+    """Deterministic part ordering; equal for isomorphic structures."""
+    if keys is None:
+        keys = _key_map(s, catalog)
+    return _canonical(s, keys)[0]
+
+
+def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None) -> str:
+    """The encoding of s under its canonical order."""
+    return _canonical(s, _key_map(s, catalog))[1]
+
+
+def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
+    """The canonical order of s and its encoding.
 
     Individualisation-refinement: each search node branches on the parts of
     its first non-singleton colour class, by name, and the first leaf with
@@ -476,10 +497,8 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
     encodes like an earlier leaf, so skipping it leaves the result unchanged.
     Raises CanonicalBudgetError past `_CANON_NODE_CAP` search nodes.
     """
-    if keys is None:
-        keys = _key_map(s, catalog)
     if not s.parts:
-        return []
+        return [], _encode(s, [], keys)
     ends = _ends(s)
     cells = _key_cells(s, keys)
     colors = {p: c for c, cell in cells.items() for p in cell}
@@ -535,12 +554,7 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
                 fixed + (p,), more or p != cell[-1])
 
     rec(colors, cells, (), False)
-    return best_order
-
-
-def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None) -> str:
-    keys = _key_map(s, catalog)
-    return _encode(s, canonical_order(s, keys=keys), keys)
+    return best_order, best_enc
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +604,9 @@ def _witness(a: Structure, b: Structure, keys_a: dict[str, str],
     """
     if a.n != b.n or a.oriented != b.oriented:
         return None
-    order_a = canonical_order(a, keys=keys_a)
-    order_b = canonical_order(b, keys=keys_b)
-    if _encode(a, order_a, keys_a) != _encode(b, order_b, keys_b):
+    order_a, enc_a = _canonical(a, keys_a)
+    order_b, enc_b = _canonical(b, keys_b)
+    if enc_a != enc_b:
         return None
     mapping = dict(zip(order_a, order_b))
     if not _check_witness(a, b, mapping, keys_a, keys_b):
@@ -741,59 +755,102 @@ def induced(s: Structure, members: Iterable[str]) -> Structure:
 _EMBED_NODE_CAP = 100_000
 
 
-def _embeddings(a: Structure, b: Structure, keys_a: dict[str, str],
-                keys_b: dict[str, str]) -> Iterator[dict[str, str]]:
-    """Every induced embedding of b in a, as a part map b -> a.
+def _pattern_plan(b: Structure,
+                  catalog: Optional[TypeCatalog]) -> tuple[tuple, ...]:
+    """b's match plan: per pattern part, in match order, the wanted
+    `(key, self pair, pairs towards earlier positions, anchor)`.
 
-    Pattern parts are taken in breadth-first order over b's relations,
-    restarting at each component; a part with a mapped neighbour draws its
-    candidates from that neighbour's image's relations, any other from the
-    parts of a with its key.  A candidate must carry the part's key and the
-    same (dir, label, attrs) multiset as the part towards itself and towards
-    every part mapped so far, relations absent included.
+    Parts go in breadth-first order over b's relations, restarting at each
+    component.  A part's anchor is the position of the neighbour it was
+    reached from, or -1 for a component's first part; its pairs are its
+    `Structure.pairs` entries, `()` where no relation runs.  The plan
+    depends only on b and its type keys, so it is compiled once per key
+    tuple and cached on b, like `types` and `pairs`.  The key tuple is read
+    on every call, because an unbound id keys as "o:<id>" only until the
+    catalog binds it.
+    """
+    keys = _keys(b, catalog)
+    plans = b.__dict__.get("_plans")
+    if plans is None:
+        plans = {}
+        object.__setattr__(b, "_plans", plans)
+    plan = plans.get(keys)
+    if plan is None:
+        pairs = b.pairs
+        order: list[str] = []
+        anchor: list[int] = []
+        pos: dict[str, int] = {}
+        for root in b.parts:
+            if root in pos:
+                continue
+            pos[root] = len(order)
+            order.append(root)
+            anchor.append(-1)
+            i = pos[root]
+            while i < len(order):
+                for q in pairs[order[i]]:
+                    if q not in pos:
+                        pos[q] = len(order)
+                        order.append(q)
+                        anchor.append(i)
+                i += 1
+        key_of = dict(zip(b.parts, keys))
+        plan = plans[keys] = tuple(
+            (key_of[p], pairs[p].get(p, ()),
+             tuple(pairs[p].get(q, ()) for q in order[:i]), anchor[i])
+            for i, p in enumerate(order))
+    return plan
+
+
+def _host_index(a: Structure, catalog: Optional[TypeCatalog]
+                ) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """a's key map, and its parts grouped by key in part order.
+
+    This is all an embedding search needs of its host beyond `pairs`, so a
+    caller asking many patterns of one host builds it once.
+    """
+    keys = _key_map(a, catalog)
+    by_key: dict[str, list[str]] = {}
+    for p in a.parts:
+        by_key.setdefault(keys[p], []).append(p)
+    return keys, by_key
+
+
+def _embeddings(a: Structure, host: tuple[dict, dict], b: Structure,
+                catalog: Optional[TypeCatalog],
+                found: Callable[[list[str]], object]) -> bool:
+    """Search the induced embeddings of b in a, the one matcher.
+
+    Follows b's plan (`_pattern_plan`).  A part with an anchor draws its
+    candidates from its anchor's image's relations, any other from the
+    parts of a with its key (`host`, from `_host_index(a, catalog)`).  A
+    candidate must carry the part's key and the same (dir, label, attrs)
+    multiset as the part towards itself and towards every part mapped so
+    far, relations absent included.  Each complete map goes to `found` as
+    the list of images in plan order; the search stops, and returns True,
+    at the first map for which `found` returns a true value.
     Raises EmbeddingBudgetError past `_EMBED_NODE_CAP` recursion steps.
     """
     if a.oriented != b.oriented or not b.parts or b.n > a.n:
-        return
-    pairs_a, pairs_b = a.pairs, b.pairs
-    order: list[str] = []
-    anchor: list[int] = []      # position of a mapped neighbour, or -1
-    pos: dict[str, int] = {}
-    for root in b.parts:
-        if root in pos:
-            continue
-        pos[root] = len(order)
-        order.append(root)
-        anchor.append(-1)
-        i = pos[root]
-        while i < len(order):
-            for q in pairs_b[order[i]]:
-                if q not in pos:
-                    pos[q] = len(order)
-                    order.append(q)
-                    anchor.append(i)
-            i += 1
-    wants = [(keys_b[p], pairs_b[p].get(p, ()),
-              [pairs_b[p].get(q, ()) for q in order[:i]])
-             for i, p in enumerate(order)]
-    by_key: dict[str, list[str]] = {}
-    for p in a.parts:
-        by_key.setdefault(keys_a[p], []).append(p)
+        return False
+    plan = _pattern_plan(b, catalog)
+    keys_a, by_key = host
+    pairs_a = a.pairs
+    last = len(plan)
     images: list[str] = []
     nodes = 0
     cap = _EMBED_NODE_CAP
 
-    def rec(i: int) -> Iterator[dict[str, str]]:
+    def rec(i: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > cap:
             raise EmbeddingBudgetError(
                 f"embedding search exceeds node cap of {cap}")
-        if i == len(order):
-            yield dict(zip(order, images))
-            return
-        key, self_pair, towards = wants[i]
-        pool = pairs_a[images[anchor[i]]] if anchor[i] >= 0 else \
+        if i == last:
+            return bool(found(images))
+        key, self_pair, towards, anchor = plan[i]
+        pool = pairs_a[images[anchor]] if anchor >= 0 else \
             by_key.get(key, ())
         for c in pool:
             if c in images or keys_a[c] != key:
@@ -803,10 +860,12 @@ def _embeddings(a: Structure, b: Structure, keys_a: dict[str, str],
                     around.get(x, ()) != t for x, t in zip(images, towards)):
                 continue
             images.append(c)
-            yield from rec(i + 1)
+            if rec(i + 1):
+                return True
             images.pop()
+        return False
 
-    yield from rec(0)
+    return rec(0)
 
 
 def _check_part_cap(a: Structure, b: Structure, cfg: Config):
@@ -820,8 +879,10 @@ def occurrences(a: Structure, b: Structure,
                 cfg: Config = DEFAULT) -> list[frozenset]:
     """Part subsets of a whose induced structure is isomorphic to b."""
     _check_part_cap(a, b, cfg)
-    found = {frozenset(m.values()) for m in _embeddings(
-        a, b, _key_map(a, catalog), _key_map(b, catalog))}
+    found: set[frozenset] = set()
+    # set.add returns None, so the search visits every embedding
+    _embeddings(a, _host_index(a, catalog), b, catalog,
+                lambda images: found.add(frozenset(images)))
     return sorted(found, key=lambda m: tuple(sorted(m)))
 
 
@@ -830,11 +891,18 @@ def embeds(a: Structure, b: Structure,
            cfg: Config = DEFAULT) -> bool:
     """Whether some part subset of a induces a structure isomorphic to b.
 
-    Stops at the first embedding.
+    Stops at the first embedding.  b's plan is compiled on first use and
+    cached on b; a's host index is built per call, so a caller asking many
+    patterns of one host builds it once and calls `_embeds_in`.
     """
+    return _embeds_in(a, _host_index(a, catalog), b, catalog, cfg)
+
+
+def _embeds_in(a: Structure, host: tuple[dict, dict], b: Structure,
+               catalog: Optional[TypeCatalog], cfg: Config) -> bool:
+    """`embeds` on a host index built by `_host_index(a, catalog)`."""
     _check_part_cap(a, b, cfg)
-    return next(_embeddings(a, b, _key_map(a, catalog), _key_map(b, catalog)),
-                None) is not None
+    return _embeddings(a, host, b, catalog, lambda images: True)
 
 
 def _is_connected(s: Structure) -> bool:

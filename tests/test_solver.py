@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from collections import deque
@@ -5,13 +6,14 @@ from collections import deque
 import pytest
 
 from structkit.config import DEFAULT, Config
-from structkit.derivation import MorphismMask
-from structkit.rules import MicroSituation, MsMember
+from structkit.derivation import MorphismMask, apply_morphism
+from structkit.rules import MicroSituation, MsMember, Recognition
 from structkit.solver import (
     CacheEntry,
     Production,
     ProblemSpec,
     RecognitionState,
+    SearchResult,
     SetEffect,
     SolutionCache,
     StructRecognizer,
@@ -20,6 +22,7 @@ from structkit.solver import (
     replay,
     solve,
     solve_with_cache,
+    state_recognitions,
 )
 from structkit.structure import (
     CanonicalBudgetError,
@@ -28,6 +31,8 @@ from structkit.structure import (
     Structure,
     StructureError,
     TypeCatalog,
+    embeds,
+    same_structure,
     structure,
 )
 
@@ -408,7 +413,6 @@ def test_block_move_guard_updates_on_relations():
     assert "move-A-to-C" in names
     assert "move-B-to-A" not in names           # B is covered by A
     moved = dict(succ)["move-A-to-C"]
-    from structkit.solver import state_recognitions
     recs = {r.subject for r in state_recognitions(moved, spec)}
     assert on_subject("A", "C") in recs and on_subject("A", "B") not in recs
 
@@ -452,6 +456,154 @@ def test_n_block_relocation_optimal(n_blocks, seed):
     assert result.status == "solved"
     assert len(result.plan) == blocks_bfs_oracle(start, goal)
     replay(spec, result.plan)
+
+
+# --- recognition -------------------------------------------------------------------
+
+def recognitions_by_loop(state, spec):
+    """`state_recognitions` as one mask and one `embeds` per recognizer."""
+    recs = []
+    for rec in spec.recognizers:
+        target = state if rec.mask is None else \
+            apply_morphism(state, rec.mask, spec.catalog)
+        if embeds(target, rec.pattern, spec.catalog):
+            recs.append(Recognition(rec.subject, 1.0, 0))
+    return recs
+
+
+def masked_block_spec(start_supports, goal_on):
+    """block_spec over sized blocks whose on() subjects see through sizes.
+
+    Each on() recognizer names the unsized block types behind a shared
+    drop-size mask; a "sized:" twin of it, unmasked, follows it.
+    """
+    catalog = TypeCatalog()
+    sizes = {b: i + 1 for i, b in enumerate(sorted(start_supports))}
+    spec = block_spec(start_supports, goal_on, catalog, sizes)
+    mask = MorphismMask.make(drop_part_attrs={"size"})
+    unsized = {t: t if t == "TBL" else
+               catalog.intern_attr(catalog.resolve(t).label)
+               for t in spec.start.part_types}
+    recs = []
+    for rec in spec.recognizers:
+        pattern = rec.pattern.with_types(
+            {p: unsized[t] for p, t in rec.pattern.types.items()})
+        recs.append(StructRecognizer(rec.subject, pattern, mask))
+        recs.append(StructRecognizer("sized:" + rec.subject, rec.pattern))
+    return dataclasses.replace(spec, recognizers=tuple(recs))
+
+
+def test_masked_recognizers_share_one_masked_state(monkeypatch):
+    catalog = TypeCatalog()
+    small = catalog.intern_attr("blk", {"size": 1})
+    state = structure({"a": small, "b": small, "t": "TBL"},
+                      [("a", "b", "on"), ("b", "t", "on")], oriented=True)
+    stacked = structure({"u": "blk", "v": "blk"}, [("u", "v", "on")],
+                        oriented=True)
+    grounded = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
+                         oriented=True)
+    mask = MorphismMask.make(drop_part_attrs={"size"})
+    spec = ProblemSpec(state, ms("stacked"),
+                       (Production("noop", ms("stacked"), SetEffect()),),
+                       recognizers=(StructRecognizer("stacked", stacked, mask),
+                                    StructRecognizer("sized", stacked),
+                                    StructRecognizer("grounded", grounded,
+                                                     mask)),
+                       catalog=catalog)
+    calls = []
+    monkeypatch.setattr(sys.modules["structkit.solver"], "apply_morphism",
+                        lambda *args: calls.append(args) or
+                        apply_morphism(*args))
+    recs = state_recognitions(state, spec)
+    assert [r.subject for r in recs] == ["stacked", "grounded"]
+    assert len(calls) == 1
+    assert recs == recognitions_by_loop(state, spec)
+
+
+def test_recognition_follows_a_binding_made_by_a_mask():
+    # "blk" is unbound until the mask coarsens blk[size=2] to it, and the
+    # recognizers after the mask must see the bound key, as `embeds` does
+    def spec_and_state():
+        catalog = TypeCatalog()
+        big = catalog.intern_attr("blk", {"size": 2})
+        state = structure({"a": big, "b": "blk", "t": "TBL"},
+                          [("a", "t", "on"), ("b", "t", "on")], oriented=True)
+        pattern = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
+                            oriented=True)
+        mask = MorphismMask.make(drop_part_attrs={"size"})
+        recognizers = (StructRecognizer("before", pattern),
+                       StructRecognizer("masked", pattern, mask),
+                       StructRecognizer("after", pattern))
+        return ProblemSpec(state, ms("before"),
+                           (Production("noop", ms("before"), SetEffect()),),
+                           recognizers=recognizers, catalog=catalog), state
+
+    spec, state = spec_and_state()
+    recs = state_recognitions(state, spec)
+    assert [r.subject for r in recs] == ["before", "masked", "after"]
+    fresh_spec, fresh_state = spec_and_state()
+    assert recs == recognitions_by_loop(fresh_state, fresh_spec)
+
+
+# (plan, visited, cost) of each problem, all solved, as found by the search
+# that called `embeds` once per recognizer; the tie-breaking must not move
+_PINNED_SEARCHES = [
+    ("plain", {"A": "B", "B": "C", "C": "T"}, [("C", "B"), ("B", "A")],
+     (("move-A-to-T", "move-B-to-A", "move-C-to-B"), 4, 3)),
+    ("plain", {"A": "T", "B": "T", "C": "T"}, [("A", "B"), ("B", "C")],
+     (("move-B-to-C", "move-A-to-B"), 10, 2)),
+    ("plain", {"A": "B", "B": "T", "C": "T"}, [("B", "C")],
+     (("move-A-to-T", "move-B-to-C"), 6, 2)),
+    ("plain", (4, 1), None,
+     (("move-B-to-T", "move-C-to-B", "move-A-to-T", "move-D-to-A"), 14, 4)),
+    ("plain", (4, 7), None,
+     (("move-A-to-T", "move-D-to-A", "move-C-to-D"), 52, 3)),
+    ("plain", (4, 8), None,
+     (("move-B-to-T", "move-C-to-B", "move-A-to-D", "move-C-to-A",
+       "move-B-to-C"), 63, 5)),
+    ("plain", (4, 11), None,
+     (("move-B-to-T", "move-A-to-B", "move-D-to-T", "move-C-to-A",
+       "move-D-to-C"), 63, 5)),
+    ("plain", (5, 2), None,
+     (("move-A-to-T", "move-C-to-A", "move-B-to-C", "move-E-to-B"), 347, 4)),
+    ("plain", (5, 4), None,
+     (("move-C-to-T", "move-A-to-C", "move-E-to-T", "move-B-to-E",
+       "move-D-to-B", "move-A-to-D", "move-C-to-A"), 476, 7)),
+    ("plain", (5, 9), None,
+     (("move-A-to-T", "move-D-to-T", "move-C-to-T", "move-B-to-D"), 115, 4)),
+    ("sized", {"A": "B", "B": "T", "C": "T"}, [("A", "C")],
+     (("move-A-to-C",), 1, 1)),
+    ("masked", {"A": "B", "B": "T", "C": "T"}, [("A", "C"), ("C", "B")],
+     (("move-A-to-T", "move-C-to-B", "move-A-to-C"), 12, 3)),
+    ("masked", {"A": "T", "B": "A", "C": "B", "D": "T"},
+     [("D", "C"), ("A", "B")],
+     (("move-C-to-T", "move-B-to-T", "move-A-to-B", "move-D-to-C"), 49, 4)),
+]
+
+
+@pytest.mark.parametrize("kind, start, goal, pinned", _PINNED_SEARCHES)
+def test_search_and_recognitions_unchanged(kind, start, goal, pinned):
+    if goal is None:     # a seeded random problem, as the n-block test draws
+        n_blocks, seed = start
+        rng = random.Random(seed)
+        start = random_blocks(rng, "ABCDE"[:n_blocks])
+        goal = sorted(random_blocks(rng, "ABCDE"[:n_blocks]).items())
+    if kind == "masked":
+        spec = masked_block_spec(start, goal)
+    elif kind == "sized":
+        spec = block_spec(start, goal, TypeCatalog(), {b: 2 for b in start})
+    else:
+        spec = block_spec(start, goal)
+    plan, visited, cost = pinned
+    assert solve(spec) == SearchResult(plan, visited, cost, "solved")
+    by_name = {p.name: p for p in spec.productions}
+    state = spec.start
+    for name in (None,) + plan:
+        if name is not None:
+            state = by_name[name].effect(state)
+        assert state_recognitions(state, spec) == \
+            recognitions_by_loop(state, spec)
+    assert same_structure(state, replay(spec, plan))
 
 
 # --- solution cache ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from structkit.structure import (
     Structure,
     StructureError,
     TypeCatalog,
+    _encode,
     _ends,
     _individualise,
     _key_cells,
@@ -235,6 +236,14 @@ def test_symmetric_families(a, b, iso):
         assert mapped == sorted(r.key(b.oriented) for r in b.relations)
     if a.n <= 7:
         assert iso_oracle(a, b) == iso
+    # the form is the winning leaf's encoding, under bound type keys too
+    cat = TypeCatalog()
+    for t in sorted(set(a.part_types) | set(b.part_types)):
+        cat.add_atomic(t, "bound-" + t)
+    for s in (a, b):
+        for catalog in (None, cat):
+            assert canonical_form(s, catalog) == _encode(
+                s, canonical_order(s, catalog), _key_map(s, catalog))
 
 
 # the unpruned search takes 2.5-5 s on K8 and C100 and longer on the others
@@ -747,6 +756,21 @@ def test_occurrences_resolve_struct_payloads():
     pattern = structure({"x": "tri2", "y": "bar"}, [("x", "y", "L")])
     assert len(assert_matches_oracle(host, pattern, cat)) == 3
     assert assert_matches_oracle(host, pattern) == []
+
+
+def test_compiled_plan_follows_a_binding():
+    # the pattern's plan is compiled while "u" is unbound, so keyed "o:u";
+    # binding u to the label of w then lets x map to a as well as to c
+    cat = TypeCatalog()
+    cat.add_atomic("w", "T")
+    host = structure({"a": "w", "b": "S", "c": "u"},
+                     [("a", "b", "L"), ("b", "c", "L")])
+    pattern = structure({"x": "u", "y": "S"}, [("x", "y", "L")])
+    assert embeds(host, pattern, cat)
+    assert assert_matches_oracle(host, pattern, cat) == [frozenset("bc")]
+    cat.add_atomic("u", "T")
+    assert assert_matches_oracle(host, pattern, cat) == [frozenset("ab"),
+                                                         frozenset("bc")]
 
 
 def test_occurrences_orientation_mismatch():
