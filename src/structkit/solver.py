@@ -117,9 +117,9 @@ def state_recognitions(state: State, spec: ProblemSpec,
         if rec.mask not in hosts:
             target = state
             if rec.mask is not None:
-                bound = len(catalog) if catalog is not None else 0
+                bound = catalog.bound_count() if catalog is not None else 0
                 target = apply_morphism(state, rec.mask, catalog)
-                if catalog is not None and len(catalog) != bound:
+                if catalog is not None and catalog.bound_count() != bound:
                     # a coarsened type was bound, maybe under an id that
                     # the states or host indexes built so far hold unbound
                     hosts.clear()

@@ -219,7 +219,7 @@ class TypeCatalog:
     def __contains__(self, type_id: str) -> bool:
         return type_id in self._entries
 
-    def __len__(self) -> int:
+    def bound_count(self) -> int:
         """The number of bound ids; it grows exactly when an id is bound."""
         return len(self._entries)
 
@@ -472,12 +472,9 @@ def _find(parent: dict[str, str], x: str) -> str:
     return x
 
 
-def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None,
-                    keys: Optional[dict[str, str]] = None) -> list[str]:
+def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None) -> list[str]:
     """Deterministic part ordering; equal for isomorphic structures."""
-    if keys is None:
-        keys = _key_map(s, catalog)
-    return _canonical(s, keys)[0]
+    return _canonical(s, _key_map(s, catalog))[0]
 
 
 def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None) -> str:
