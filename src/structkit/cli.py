@@ -322,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="structure calculus toolbox")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--config", help="JSON file with config overrides")
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("iso", help="compare two .struct files")
@@ -377,6 +379,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # pragma: no cover - defensive
+        if args.debug:
+            import traceback   # only on this path: keeps start-up lean
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -447,21 +447,33 @@ def _individualise(ends: dict[str, list[tuple[int, str]]],
     return colors, cells
 
 
-def _encode(s: Structure, order: list[str], keys: dict[str, str]) -> str:
+def _rel_suffixes(s: Structure) -> list[str]:
+    """Each relation's `:{label}{attrs}` tail in `_encode`, in relation
+    order; it does not depend on the part order."""
+    return [f":{r.label}{{{_attr_enc(r.attrs)}}}" for r in s.relations]
+
+
+def _encode(s: Structure, order: list[str], keys: dict[str, str],
+            suffixes: Optional[list[str]] = None) -> str:
+    """s under the part order `order`; `suffixes` is `_rel_suffixes(s)`,
+    passed by a caller that encodes s under many orders."""
+    if suffixes is None:
+        suffixes = _rel_suffixes(s)
     pos = {p: i for i, p in enumerate(order)}
     rels = []
-    for r in s.relations:
+    for r, suffix in zip(s.relations, suffixes):
         i, j = pos[r.a], pos[r.b]
         if not s.oriented and i > j:
             i, j = j, i
-        rels.append(f"{i}-{j}:{r.label}{{{_attr_enc(r.attrs)}}}")
+        rels.append(f"{i}-{j}{suffix}")
     rels.sort()
     return (f"n={len(order)};o={int(s.oriented)};"
             + "|".join(keys[p] for p in order) + ";" + "|".join(rels))
 
 
-# search nodes each canonical_order call may visit; the largest search seen
-# on the tests, the demo and the benchmark workloads takes 92
+# search nodes each canonical_order call may visit; with jump-back K_n takes
+# about n^2 / 2, and the largest search seen on the tests, the demo and the
+# benchmark workloads takes 465 (K30; the benchmark's largest takes 21)
 _CANON_NODE_CAP = 100_000
 
 
@@ -488,10 +500,18 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
     Individualisation-refinement: each search node branches on the parts of
     its first non-singleton colour class, by name, and the first leaf with
     the least encoding wins.  Two leaves that encode equal give an
-    automorphism.  A child in the orbit of an explored sibling, under the
-    automorphisms found so far that fix the node's individualised parts,
-    roots an automorphic image of that sibling's subtree: each of its leaves
-    encodes like an earlier leaf, so skipping it leaves the result unchanged.
+    automorphism, and the search uses it twice:
+    - Jump-back.  Let d be the depth of the deepest node that this leaf's
+      path shares with the best leaf's.  When the automorphism fixes the
+      parts individualised above d and maps the best path's child at d to
+      this path's, the rest of this child's subtree is its image of a
+      subtree already explored, so the search resumes at that node's next
+      child.
+    - Orbit pruning.  A child in the orbit of an explored sibling, under the
+      automorphisms found so far that fix the node's individualised parts,
+      roots an automorphic image of that sibling's subtree.
+    Either way each skipped leaf encodes like an earlier one, so the result
+    is that of the unpruned search (`tests/oracles.py`).
     Raises CanonicalBudgetError past `_CANON_NODE_CAP` search nodes.
     """
     if not s.parts:
@@ -500,15 +520,22 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
     cells = _key_cells(s, keys)
     colors = {p: c for c, cell in cells.items() for p in cell}
     _refine(ends, colors, cells, set(cells))
+    if len(cells) == s.n:
+        # refinement alone individualises every part: the root is the leaf
+        order = [cells[c][0] for c in sorted(cells)]
+        return order, _encode(s, order, keys)
+    suffixes = _rel_suffixes(s)
     best_enc = None
     best_order: list[str] = []
+    best_fixed: tuple[str, ...] = ()
     autos: list[dict[str, str]] = []
     nodes = 0
     cap = _CANON_NODE_CAP
 
     def rec(colors: dict[str, int], cells: dict[int, list[str]],
-            fixed: tuple[str, ...], more: bool):
-        nonlocal best_enc, best_order, nodes
+            fixed: tuple[str, ...], more: bool) -> Optional[int]:
+        """Search below one node; the depth to resume at, or None."""
+        nonlocal best_enc, best_order, best_fixed, nodes
         nodes += 1
         if nodes > cap:
             raise CanonicalBudgetError(
@@ -516,22 +543,34 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
         multi = [c for c, cell in cells.items() if len(cell) > 1]
         if not multi:
             order = [cells[c][0] for c in sorted(cells)]
-            enc = _encode(s, order, keys)
+            enc = _encode(s, order, keys, suffixes)
             if best_enc is None or enc < best_enc:
-                best_enc, best_order = enc, order
-            elif more and enc == best_enc:
-                # only a node with children still to try can use it; the
-                # check guards against keys or labels holding separators
-                g = dict(zip(best_order, order))
-                if _check_witness(s, s, g, keys, keys):
-                    autos.append(g)
-            return
+                best_enc, best_order, best_fixed = enc, order, fixed
+                return None
+            if not more or enc != best_enc:
+                # an automorphism helps only a node with children to try
+                return None
+            g = dict(zip(best_order, order))
+            # the check guards against keys or labels holding separators
+            if not _check_witness(s, s, g, keys, keys):
+                return None
+            autos.append(g)
+            # two leaves never share a whole path, so the paths part below
+            # depth d; leaves of equal depth put their fixed parts first in
+            # the same places, so for them g passes the check
+            d = 0
+            while best_fixed[d] == fixed[d]:
+                d += 1
+            if g[best_fixed[d]] == fixed[d] and all(
+                    g[v] == v for v in fixed[:d]):
+                return d
+            return None
         cell = sorted(cells[min(multi)])
         orbit = None     # union-find over the cell, once needed
         merged = 0
         explored: list[str] = []
         for p in cell:
-            if merged < len(autos):
+            if explored and merged < len(autos):
                 # an automorphism fixing `fixed` preserves this node's
                 # colouring, so it maps the cell onto itself
                 if orbit is None:
@@ -547,8 +586,11 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
             explored.append(p)
             # cell offsets are >= 0 and fixed parts count down from -1, so
             # the latest fixed part's colour is fresh and sorts first
-            rec(*_individualise(ends, colors, cells, p, -1 - len(fixed)),
-                fixed + (p,), more or p != cell[-1])
+            child = _individualise(ends, colors, cells, p, -1 - len(fixed))
+            back = rec(*child, fixed + (p,), more or p != cell[-1])
+            if back is not None and back < len(fixed):
+                return back
+        return None
 
     rec(colors, cells, (), False)
     return best_order, best_enc
@@ -560,24 +602,25 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
 
 def _check_witness(a: Structure, b: Structure, mapping: dict[str, str],
                    keys_a: dict[str, str], keys_b: dict[str, str]) -> bool:
+    """Whether `mapping`, a bijection a.parts -> b.parts, carries keys and
+    relations onto each other.
+
+    Reads the cached `pairs` indexes: each part's pairs must map one to one
+    onto its image's.
+    """
     if len(mapping) != a.n or a.n != b.n or a.oriented != b.oriented:
         return False
+    pairs_a, pairs_b = a.pairs, b.pairs
     for p, q in mapping.items():
         if keys_a[p] != keys_b[q]:
             return False
-    rels_b = {}
-    for r in b.relations:
-        k = r.key(b.oriented)
-        rels_b[k] = rels_b.get(k, 0) + 1
-    for r in a.relations:
-        if a.oriented:
-            k = ((mapping[r.a], mapping[r.b]), r.label, r.attrs)
-        else:
-            k = (tuple(sorted((mapping[r.a], mapping[r.b]))), r.label, r.attrs)
-        if rels_b.get(k, 0) <= 0:
+        around, image = pairs_a[p], pairs_b[q]
+        if len(around) != len(image):
             return False
-        rels_b[k] -= 1
-    return all(v == 0 for v in rels_b.values())
+        for x, t in around.items():
+            if image.get(mapping[x]) != t:
+                return False
+    return True
 
 
 def isomorphic(a: Structure, b: Structure,
@@ -761,41 +804,41 @@ def _pattern_plan(b: Structure,
     component.  A part's anchor is the position of the neighbour it was
     reached from, or -1 for a component's first part; its pairs are its
     `Structure.pairs` entries, `()` where no relation runs.  The plan
-    depends only on b and its type keys, so it is compiled once per key
-    tuple and cached on b, like `types` and `pairs`.  The key tuple is read
-    on every call, because an unbound id keys as "o:<id>" only until the
-    catalog binds it.
+    depends only on b and its type keys, so the last one compiled is cached
+    on b, like `types` and `pairs`, with its catalog.  An unbound id keys as
+    "o:<id>" only until the catalog binds it, and a key never changes once
+    bound, so the plan holds while the catalog's `bound_count()` stays the
+    same.
     """
+    count = catalog.bound_count() if catalog is not None else 0
+    cached = b.__dict__.get("_plan")
+    if cached is not None and cached[0] is catalog and cached[1] == count:
+        return cached[2]
     keys = _keys(b, catalog)
-    plans = b.__dict__.get("_plans")
-    if plans is None:
-        plans = {}
-        object.__setattr__(b, "_plans", plans)
-    plan = plans.get(keys)
-    if plan is None:
-        pairs = b.pairs
-        order: list[str] = []
-        anchor: list[int] = []
-        pos: dict[str, int] = {}
-        for root in b.parts:
-            if root in pos:
-                continue
-            pos[root] = len(order)
-            order.append(root)
-            anchor.append(-1)
-            i = pos[root]
-            while i < len(order):
-                for q in pairs[order[i]]:
-                    if q not in pos:
-                        pos[q] = len(order)
-                        order.append(q)
-                        anchor.append(i)
-                i += 1
-        key_of = dict(zip(b.parts, keys))
-        plan = plans[keys] = tuple(
-            (key_of[p], pairs[p].get(p, ()),
-             tuple(pairs[p].get(q, ()) for q in order[:i]), anchor[i])
-            for i, p in enumerate(order))
+    pairs = b.pairs
+    order: list[str] = []
+    anchor: list[int] = []
+    pos: dict[str, int] = {}
+    for root in b.parts:
+        if root in pos:
+            continue
+        pos[root] = len(order)
+        order.append(root)
+        anchor.append(-1)
+        i = pos[root]
+        while i < len(order):
+            for q in pairs[order[i]]:
+                if q not in pos:
+                    pos[q] = len(order)
+                    order.append(q)
+                    anchor.append(i)
+            i += 1
+    key_of = dict(zip(b.parts, keys))
+    plan = tuple(
+        (key_of[p], pairs[p].get(p, ()),
+         tuple(pairs[p].get(q, ()) for q in order[:i]), anchor[i])
+        for i, p in enumerate(order))
+    object.__setattr__(b, "_plan", (catalog, count, plan))
     return plan
 
 

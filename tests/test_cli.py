@@ -400,3 +400,26 @@ def test_internal_key_error_exit_three(tmp_path, monkeypatch):
     monkeypatch.setattr("structkit.cli.isomorphic", broken)
     a = write_struct(tmp_path, "a.struct", path3(["a", "b", "c"]))
     assert main(["iso", a, a]) == 3
+
+
+def test_debug_prints_internal_error_traceback(tmp_path, monkeypatch, capsys):
+    a = write_struct(tmp_path, "a.struct", path3(["a", "b", "c"]))
+    b = write_struct(tmp_path, "b.struct", path3(["x", "y", "z"]))
+    # the flag changes neither the answer nor the report's bytes
+    for flags, name in (([], "plain.json"), (["--debug"], "debug.json")):
+        assert main(flags + ["iso", a, b, "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "plain.json").read_bytes()
+            == (tmp_path / "debug.json").read_bytes())
+
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("structkit.cli.isomorphic", broken)
+    capsys.readouterr()
+    assert main(["iso", a, b]) == 3
+    assert capsys.readouterr().err == "internal error: 'bug'\n"
+    assert main(["--debug", "iso", a, b]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in broken" in err
+    assert err.endswith("KeyError: 'bug'\ninternal error: 'bug'\n")

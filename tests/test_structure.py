@@ -163,6 +163,16 @@ def disjoint_cycles(*sizes):
     return structure({p: "T" for p in ids}, rels)
 
 
+def disjoint_union(*components):
+    """Components side by side, as (structure, relation label) pairs;
+    component k's parts get the prefix u{k}_."""
+    types, rels = {}, []
+    for k, (c, label) in enumerate(components):
+        types.update({f"u{k}_{p}": t for p, t in zip(c.parts, c.part_types)})
+        rels += [(f"u{k}_{r.a}", f"u{k}_{r.b}", label) for r in c.relations]
+    return structure(types, rels)
+
+
 def petersen():
     outer = [(f"o{i}", f"o{(i + 1) % 5}", "L") for i in range(5)]
     inner = [(f"i{i}", f"i{(i + 2) % 5}", "L") for i in range(5)]
@@ -200,7 +210,7 @@ def cfi(n, twisted):
 
 def _symmetric_pairs():
     rng = random.Random(2014)
-    families = [(f"K{n}", complete(n)) for n in range(2, 9)]
+    families = [(f"K{n}", complete(n)) for n in (*range(2, 9), 12, 20, 30)]
     families += [(f"C{n}", cycle(n)) for n in (3, 5, 7, 16, 30, 100, 200)]
     families += [(f"grid{w}x{w}", convolution(path(w), path(w))) for w in (2, 3, 4)]
     families.append(("C3*C3", convolution(cycle(3), cycle(3))))
@@ -221,7 +231,7 @@ def _symmetric_pairs():
     # over K3 the pair is 2C9 vs C18; over K4 both sides are 3-regular
     pairs += [pytest.param(cfi(n, False), cfi(n, True), False,
                            id=f"CFI(K{n})-vs-twisted")
-              for n in (3, 4)]
+              for n in (3, 4, 5, 6)]
     return pairs
 
 
@@ -246,8 +256,11 @@ def test_symmetric_families(a, b, iso):
                 s, canonical_order(s, catalog), _key_map(s, catalog))
 
 
-# the unpruned search takes 2.5-5 s on K8 and C100 and longer on the others
-_UNPRUNED_TOO_SLOW = {"K8", "C100", "C200", "C100-vs-2C50"}
+# the unpruned search takes 2.5-5 s on K8 and C100, about 20 s on CFI over
+# K5, and longer on the others
+_UNPRUNED_TOO_SLOW = {"K8", "K12", "K20", "K30", "C100", "C200",
+                      "C100-vs-2C50", "CFI(K5)-vs-twisted",
+                      "CFI(K6)-vs-twisted"}
 
 
 @pytest.mark.parametrize(
@@ -270,14 +283,25 @@ def test_pruned_canonical_order_matches_unpruned(seed, n_types, n_labels,
         assert canonical_order(x) == canonical_order_oracle(x)
 
 
+_COMPONENTS = {"K3": complete(3), "K4": complete(4), "C4": cycle(4),
+               "C5": cycle(5), "C6": cycle(6), "Petersen": petersen()}
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(3, 6), min_size=2, max_size=3).filter(
-           lambda sizes: sum(sizes) <= 12),
+@given(st.lists(st.tuples(st.sampled_from(sorted(_COMPONENTS)),
+                          st.sampled_from("LM")),
+                min_size=2, max_size=3).filter(
+           # the unpruned search takes about 10 s on 3K4
+           lambda comps: sum(_COMPONENTS[c].n for c, _ in comps) <= 13
+           and [c for c, _ in comps].count("K4") < 3),
        st.integers(0, 2 ** 31 - 1))
-def test_pruned_canonical_order_matches_unpruned_on_cycle_unions(sizes, seed):
-    # one refinement class spread over unlike components: automorphisms are
-    # found long before the search is over
-    s = relabeled_copy(random.Random(seed), disjoint_cycles(*sizes))
+def test_pruned_canonical_order_matches_unpruned_on_disjoint_unions(comps,
+                                                                   seed):
+    # one refinement class spread over unlike components, where relation
+    # labels make like shapes unlike: automorphisms are found long before
+    # the search is over, and a jump-back may unwind several levels
+    s = relabeled_copy(random.Random(seed), disjoint_union(
+        *[(_COMPONENTS[c], label) for c, label in comps]))
     assert canonical_order(s) == canonical_order_oracle(s)
 
 
@@ -381,6 +405,14 @@ def test_canonical_node_cap(monkeypatch):
     monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", 1)
     typed = structure({"a": "A", "b": "B"}, [("a", "b", "L")])
     assert canonical_order(typed) == ["a", "b"]
+
+
+@pytest.mark.parametrize("n", [12, 20, 30])
+def test_complete_graph_search_within_n_squared_nodes(monkeypatch, n):
+    # an automorphism between two leaves sends the search back to the
+    # deepest node their paths share, so K_n takes about n^2 / 2 nodes
+    monkeypatch.setattr(STRUCTURE_MODULE, "_CANON_NODE_CAP", n * n)
+    assert sorted(canonical_order(complete(n))) == sorted(complete(n).parts)
 
 
 @settings(max_examples=60, deadline=None)
