@@ -51,6 +51,14 @@ def _dump(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# values the pixel layer cannot divide or bin by: (test, wanted)
+_CONFIG_RANGES = {
+    "orientation_bins": (lambda v: v >= 2, "at least 2"),
+    "joint_angle_bins": (lambda v: v >= 1, "at least 1"),
+    "straightness_dev_px": (lambda v: v > 0, "positive"),
+}
+
+
 def _load_config(path: str | None, seed: int) -> tuple[Config, dict]:
     cfg = DEFAULT
     if path:
@@ -68,6 +76,10 @@ def _load_config(path: str | None, seed: int) -> tuple[Config, dict]:
             if got is not want and (want, got) != (float, int):
                 raise ParseError(f"config key {key} must be {want.__name__},"
                                  f" not {got.__name__}")
+            in_range, wanted = _CONFIG_RANGES.get(key, (None, None))
+            if in_range is not None and not in_range(value):
+                raise ParseError(f"config key {key} must be {wanted},"
+                                 f" not {value}")
         cfg = cfg.replace(**overrides)
     echo = {"config": cfg.as_dict(), "seed": seed}
     return cfg, echo
@@ -259,9 +271,11 @@ def cmd_solve(args) -> int:
     obj = json.loads(Path(args.problem).read_text())
     try:
         spec, budget = _problem_from_json(obj, cfg)
+    except StructureError:
+        raise   # already a ParseError or a malformed structure: exit 2
     except KeyError as exc:
         raise ParseError(f"problem: missing key {exc}")
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:   # e.g. int("ten"), float("hi")
         raise ParseError(f"problem: malformed: {exc}")
     result = solve(spec, budget, cfg)
     report = dict(echo)

@@ -276,7 +276,7 @@ def _blocks_key(blocks: list[list[str]]) -> tuple:
 def _grown_partition(s: Structure, keys: dict[str, str],
                      by_type: bool, by_label: bool) -> list[list[str]]:
     index = {p: i for i, p in enumerate(s.parts)}
-    inc = s.incidence
+    pairs = s.pairs
     assigned: dict[str, int] = {}
     blocks: list[list[str]] = []
     for seed in s.parts:
@@ -289,7 +289,9 @@ def _grown_partition(s: Structure, keys: dict[str, str],
         queue = deque([seed])
         while queue:
             p = queue.popleft()
-            for _, lab, _, q in sorted(inc[p], key=lambda e: (index[e[3]], e[1])):
+            for _, lab, q in sorted((index[q], lab, q)
+                                    for q, ends in pairs[p].items()
+                                    for _, lab, _ in ends):
                 if q in assigned:
                     continue
                 if by_type and keys[q] != keys[seed]:

@@ -707,7 +707,8 @@ def polygon_quotient(r: RasterStructure, catalog: Optional[TypeCatalog] = None,
 
     # whole-structure assertions
     closed = (len(parts) >= 3 and len(rels) == len(parts)
-              and all(len(ends) == 2 for ends in quotient.incidence.values())
+              and all(sum(map(len, around.values())) == 2
+                      for around in quotient.pairs.values())
               and _is_connected(quotient))
     assertions.append(PropertyAssertion(("structure",), "is-closed-cycle", closed))
     assertions.append(PropertyAssertion(("structure",), "side-count", len(parts)))

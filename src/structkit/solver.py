@@ -24,8 +24,6 @@ from .structure import (
     Structure,
     StructureError,
     TypeCatalog,
-    _embeds_in,
-    _host_index,
     canonical_form,
     embeds,
 )
@@ -105,27 +103,28 @@ def state_recognitions(state: State, spec: ProblemSpec,
                        cfg: Config = DEFAULT) -> list[Recognition]:
     """The recognizers that fire on the state, in recognizer order.
 
-    Recognizers sharing a mask (or none) share one masked state and one
-    host index, built when the first of them is asked.
+    Recognizers sharing a mask share one masked state, built when the first
+    of them is asked; `embeds` caches its host index on it.
     """
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
     catalog = spec.catalog
-    hosts: dict = {}     # mask -> (masked state, its host index)
+    masked: dict = {}    # mask -> the state under it
     recs = []
     for rec in spec.recognizers:
-        if rec.mask not in hosts:
-            target = state
-            if rec.mask is not None:
+        target = state
+        if rec.mask is not None:
+            if rec.mask not in masked:
                 bound = catalog.bound_count() if catalog is not None else 0
                 target = apply_morphism(state, rec.mask, catalog)
                 if catalog is not None and catalog.bound_count() != bound:
-                    # a coarsened type was bound, maybe under an id that
-                    # the states or host indexes built so far hold unbound
-                    hosts.clear()
-            hosts[rec.mask] = (target, _host_index(target, catalog))
-        target, host = hosts[rec.mask]
-        if _embeds_in(target, host, rec.pattern, catalog, cfg):
+                    # a coarsened type was bound, maybe under an id that the
+                    # masked states built so far hold unbound, so applying
+                    # their masks again may give other states
+                    masked.clear()
+                masked[rec.mask] = target
+            target = masked[rec.mask]
+        if embeds(target, rec.pattern, catalog, cfg):
             recs.append(Recognition(rec.subject, 1.0, 0))
     return recs
 

@@ -95,42 +95,31 @@ class Structure:
         return d
 
     @property
-    def incidence(self) -> dict[str, list[tuple]]:
-        """part -> [(dir, label, attrs, other)], one entry per relation end.
-
-        dir is ">"/"<" (out/in) on oriented structures and "-" otherwise.
-        Built on first use and cached, like `types`.
-        """
-        inc = self.__dict__.get("_incidence")
-        if inc is None:
-            inc = {p: [] for p in self.parts}
-            out_dir, in_dir = (">", "<") if self.oriented else ("-", "-")
-            for r in self.relations:
-                inc[r.a].append((out_dir, r.label, r.attrs, r.b))
-                inc[r.b].append((in_dir, r.label, r.attrs, r.a))
-            object.__setattr__(self, "_incidence", inc)
-        return inc
-
-    @property
     def pairs(self) -> dict[str, dict[str, tuple]]:
         """part -> {other: sorted (dir, label, attrs) between the two}.
 
-        Only related parts appear; a self-loop lists the part under itself.
-        Built from `incidence` on first use and cached, like `types`.
+        dir is ">"/"<" (out/in) on oriented structures and "-" otherwise.
+        Others are listed in the order of their first relation with the
+        part; only related parts appear, and a self-loop lists the part
+        under itself.  Built on first use and cached, like `types`.
         """
         pairs = self.__dict__.get("_pairs")
         if pairs is None:
-            pairs = {}
-            for p, around in self.incidence.items():
-                by_other: dict[str, list] = {}
-                for d, lab, at, q in around:
-                    by_other.setdefault(q, []).append((d, lab, at))
-                pairs[p] = {q: tuple(sorted(v)) for q, v in by_other.items()}
+            pairs = {p: {} for p in self.parts}
+            out_dir, in_dir = (">", "<") if self.oriented else ("-", "-")
+            for r in self.relations:
+                pairs[r.a].setdefault(r.b, []).append(
+                    (out_dir, r.label, r.attrs))
+                pairs[r.b].setdefault(r.a, []).append(
+                    (in_dir, r.label, r.attrs))
+            for around in pairs.values():
+                for q, ends in around.items():
+                    around[q] = tuple(sorted(ends))
             object.__setattr__(self, "_pairs", pairs)
         return pairs
 
     def neighbors(self, part: str) -> list[str]:
-        # a plain relation scan, kept off the incidence index: the test
+        # a plain relation scan, kept off the pairs index: the test
         # oracles call it and must not share code with the matcher they check
         out = []
         for r in self.relations:
@@ -301,15 +290,29 @@ class TypeCatalog:
         return sorted({t for t in s.part_types if t not in self._entries})
 
 
-def _keys(s: Structure, catalog: Optional[TypeCatalog]) -> tuple[str, ...]:
-    """The parts' type keys, in part order."""
-    if catalog is None:
-        return tuple("o:" + t for t in s.part_types)
-    return tuple(map(catalog.type_key, s.part_types))
-
-
 def _key_map(s: Structure, catalog: Optional[TypeCatalog]) -> dict[str, str]:
-    return dict(zip(s.parts, _keys(s, catalog)))
+    """part -> its type key."""
+    if catalog is None:
+        return {p: "o:" + t for p, t in zip(s.parts, s.part_types)}
+    return dict(zip(s.parts, map(catalog.type_key, s.part_types)))
+
+
+def _cached(s: Structure, catalog: Optional[TypeCatalog],
+            build: Callable[[Structure, Optional[TypeCatalog]], object]):
+    """`build(s, catalog)`, cached on s under `build`'s name, like `types`.
+
+    For data derived from s and its type keys.  An unbound id keys as
+    "o:<id>" only until the catalog binds it, and a bound key never
+    changes, so the value holds while the catalog is the same and its
+    `bound_count()` has not grown.  Only the last value built is kept.
+    """
+    count = catalog.bound_count() if catalog is not None else 0
+    cached = s.__dict__.get(build.__name__)
+    if cached is not None and cached[0] is catalog and cached[1] == count:
+        return cached[2]
+    value = build(s, catalog)
+    object.__setattr__(s, build.__name__, (catalog, count, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +362,23 @@ def _attr_enc(attrs: Attrs) -> str:
 
 
 def _ends(s: Structure) -> dict[str, list[tuple[int, str]]]:
-    """part -> [(end, other)] with each incident end as one int.
+    """part -> [(end, other)] with each incident end as one int, in
+    relation order.
 
     An end `(dir, label, attrs)` becomes `id * 2n`, the ids ranked in
     sorted order of the ends, so `end + colour` for any colour in [-n, n)
-    sorts like the pair `(end, colour)`.
+    sorts like the pair `(end, colour)`.  Built from the relations, not
+    from `pairs`, so a canonical search leaves the sorted index unbuilt.
     """
-    inc = s.incidence
-    distinct = {(d, lab, at) for around in inc.values()
-                for d, lab, at, _ in around}
+    out_dir, in_dir = (">", "<") if s.oriented else ("-", "-")
+    around: dict[str, list] = {p: [] for p in s.parts}
+    for r in s.relations:
+        around[r.a].append(((out_dir, r.label, r.attrs), r.b))
+        around[r.b].append(((in_dir, r.label, r.attrs), r.a))
     span = 2 * s.n
-    ids = {e: i * span for i, e in enumerate(sorted(distinct))}
-    return {p: [(ids[d, lab, at], q) for d, lab, at, q in around]
-            for p, around in inc.items()}
+    ids = {e: i * span for i, e in enumerate(
+        sorted({e for ends in around.values() for e, _ in ends}))}
+    return {p: [(ids[e], q) for e, q in ends] for p, ends in around.items()}
 
 
 def _key_cells(s: Structure, keys: dict[str, str]) -> dict[int, list[str]]:
@@ -759,7 +766,7 @@ def compose(a: Structure, b: Structure,
 
 def _connected_subsets(s: Structure, size: int) -> Iterable[frozenset]:
     """All connected part subsets of the given size (canonical enumeration)."""
-    adj = {p: {q for *_, q in around} for p, around in s.incidence.items()}
+    adj = {p: set(around) for p, around in s.pairs.items()}
     index = {p: i for i, p in enumerate(s.parts)}
     seen = set()
 
@@ -804,17 +811,9 @@ def _pattern_plan(b: Structure,
     component.  A part's anchor is the position of the neighbour it was
     reached from, or -1 for a component's first part; its pairs are its
     `Structure.pairs` entries, `()` where no relation runs.  The plan
-    depends only on b and its type keys, so the last one compiled is cached
-    on b, like `types` and `pairs`, with its catalog.  An unbound id keys as
-    "o:<id>" only until the catalog binds it, and a key never changes once
-    bound, so the plan holds while the catalog's `bound_count()` stays the
-    same.
+    depends only on b and its type keys; `_embeddings` caches it on b with
+    `_cached`.
     """
-    count = catalog.bound_count() if catalog is not None else 0
-    cached = b.__dict__.get("_plan")
-    if cached is not None and cached[0] is catalog and cached[1] == count:
-        return cached[2]
-    keys = _keys(b, catalog)
     pairs = b.pairs
     order: list[str] = []
     anchor: list[int] = []
@@ -833,22 +832,18 @@ def _pattern_plan(b: Structure,
                     order.append(q)
                     anchor.append(i)
             i += 1
-    key_of = dict(zip(b.parts, keys))
-    plan = tuple(
+    key_of = _key_map(b, catalog)
+    return tuple(
         (key_of[p], pairs[p].get(p, ()),
          tuple(pairs[p].get(q, ()) for q in order[:i]), anchor[i])
         for i, p in enumerate(order))
-    object.__setattr__(b, "_plan", (catalog, count, plan))
-    return plan
 
 
 def _host_index(a: Structure, catalog: Optional[TypeCatalog]
                 ) -> tuple[dict[str, str], dict[str, list[str]]]:
-    """a's key map, and its parts grouped by key in part order.
-
-    This is all an embedding search needs of its host beyond `pairs`, so a
-    caller asking many patterns of one host builds it once.
-    """
+    """a's key map, and its parts grouped by key in part order: all an
+    embedding search needs of its host beyond `pairs`.  `_embeddings`
+    caches it on a with `_cached`."""
     keys = _key_map(a, catalog)
     by_key: dict[str, list[str]] = {}
     for p in a.parts:
@@ -856,25 +851,26 @@ def _host_index(a: Structure, catalog: Optional[TypeCatalog]
     return keys, by_key
 
 
-def _embeddings(a: Structure, host: tuple[dict, dict], b: Structure,
-                catalog: Optional[TypeCatalog],
+def _embeddings(a: Structure, b: Structure, catalog: Optional[TypeCatalog],
                 found: Callable[[list[str]], object]) -> bool:
     """Search the induced embeddings of b in a, the one matcher.
 
     Follows b's plan (`_pattern_plan`).  A part with an anchor draws its
     candidates from its anchor's image's relations, any other from the
-    parts of a with its key (`host`, from `_host_index(a, catalog)`).  A
-    candidate must carry the part's key and the same (dir, label, attrs)
-    multiset as the part towards itself and towards every part mapped so
-    far, relations absent included.  Each complete map goes to `found` as
-    the list of images in plan order; the search stops, and returns True,
-    at the first map for which `found` returns a true value.
+    parts of a with its key (`_host_index`).  Plan and host index are
+    cached on b and a (`_cached`), so asking many patterns of one host, or
+    one pattern of many hosts, builds each once.  A candidate must carry
+    the part's key and the same (dir, label, attrs) multiset as the part
+    towards itself and towards every part mapped so far, relations absent
+    included.  Each complete map goes to `found` as the list of images in
+    plan order; the search stops, and returns True, at the first map for
+    which `found` returns a true value.
     Raises EmbeddingBudgetError past `_EMBED_NODE_CAP` recursion steps.
     """
     if a.oriented != b.oriented or not b.parts or b.n > a.n:
         return False
-    plan = _pattern_plan(b, catalog)
-    keys_a, by_key = host
+    plan = _cached(b, catalog, _pattern_plan)
+    keys_a, by_key = _cached(a, catalog, _host_index)
     pairs_a = a.pairs
     last = len(plan)
     images: list[str] = []
@@ -921,8 +917,7 @@ def occurrences(a: Structure, b: Structure,
     _check_part_cap(a, b, cfg)
     found: set[frozenset] = set()
     # set.add returns None, so the search visits every embedding
-    _embeddings(a, _host_index(a, catalog), b, catalog,
-                lambda images: found.add(frozenset(images)))
+    _embeddings(a, b, catalog, lambda images: found.add(frozenset(images)))
     return sorted(found, key=lambda m: tuple(sorted(m)))
 
 
@@ -931,28 +926,22 @@ def embeds(a: Structure, b: Structure,
            cfg: Config = DEFAULT) -> bool:
     """Whether some part subset of a induces a structure isomorphic to b.
 
-    Stops at the first embedding.  b's plan is compiled on first use and
-    cached on b; a's host index is built per call, so a caller asking many
-    patterns of one host builds it once and calls `_embeds_in`.
+    Stops at the first embedding.  b's plan and a's host index are built on
+    first use and cached on the instances, so a caller asking many patterns
+    of one host just calls `embeds` for each.
     """
-    return _embeds_in(a, _host_index(a, catalog), b, catalog, cfg)
-
-
-def _embeds_in(a: Structure, host: tuple[dict, dict], b: Structure,
-               catalog: Optional[TypeCatalog], cfg: Config) -> bool:
-    """`embeds` on a host index built by `_host_index(a, catalog)`."""
     _check_part_cap(a, b, cfg)
-    return _embeddings(a, host, b, catalog, lambda images: True)
+    return _embeddings(a, b, catalog, lambda images: True)
 
 
 def _is_connected(s: Structure) -> bool:
     if s.n <= 1:
         return True
-    inc = s.incidence
+    pairs = s.pairs
     seen = {s.parts[0]}
     stack = [s.parts[0]]
     while stack:
-        for *_, q in inc[stack.pop()]:
+        for q in pairs[stack.pop()]:
             if q not in seen:
                 seen.add(q)
                 stack.append(q)

@@ -325,6 +325,10 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     img = tmp_path / "dot.pbm"
     img.write_text("P1\n3 3\n000\n010\n000\n")
+    tri = tmp_path / "tri.pbm"
+    tri.write_text("P1\n24 24\n" + "".join(
+        "".join("1" if 3 <= x <= y <= 20 else "0" for x in range(24)) + "\n"
+        for y in range(24)))
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({   # a pattern guard reads the part cap
         "start": {"struct": "part u0 N\n"},
@@ -337,6 +341,12 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
         ({"corner_window": True}, ["analyze", str(img)]),   # a bool is no int
         ({"corner_window": 3.0}, ["analyze", str(img)]),
         ({"min_segment_px": False}, ["analyze", str(img)]),
+        # in type but out of range: on the triangle each would divide or
+        # bin by zero
+        ({"orientation_bins": 0}, ["analyze", str(tri)]),
+        ({"orientation_bins": 1}, ["analyze", str(tri)]),
+        ({"joint_angle_bins": 0}, ["analyze", str(tri)]),
+        ({"straightness_dev_px": 0}, ["analyze", str(tri)]),
     ]:
         cfgfile.write_text(json.dumps(overrides))
         assert main(["--config", str(cfgfile)] + argv) == 2, overrides
@@ -380,6 +390,31 @@ def test_solve_problem_missing_key_exit_two(tmp_path, capsys):
     pfile.write_text(json.dumps(problem))
     assert main(["solve", str(pfile)]) == 2
     assert "missing key 'goal'" in capsys.readouterr().err
+
+
+def test_solve_non_numeric_budget_or_score_exit_two(tmp_path, capsys):
+    def problem(budget=5, start_score=1.0, add_score=1.0):
+        return {
+            "start": {"recognitions": [{"subject": "s0",
+                                        "score": start_score}]},
+            "goal": {"members": [{"subject": "s1"}]},
+            "productions": [{
+                "name": "grow",
+                "guard": {"members": [{"subject": "s0"}]},
+                "effect": {"add": [["s1", add_score]], "remove": []},
+            }],
+            "budget": budget,
+        }
+
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem()))
+    assert main(["solve", str(pfile)]) == 0
+    capsys.readouterr()
+    for bad in ({"budget": "ten"}, {"start_score": "hi"},
+                {"add_score": "hi"}):
+        pfile.write_text(json.dumps(problem(**bad)))
+        assert main(["solve", str(pfile)]) == 2, bad
+        assert "problem: malformed" in capsys.readouterr().err
 
 
 def test_solve_struct_naming_undeclared_part_exit_two(tmp_path):

@@ -280,6 +280,20 @@ def test_canonical_partition_label_rupture():
     assert sorted(len(b.members) for b in got.blocks) == [1, 3]
 
 
+def test_canonical_partitions_oriented_pair_with_two_labels():
+    # a and b are related both ways under different labels, "y" first in
+    # relation order; growth takes a's ends by (neighbour, label), so the
+    # label rule's block from a takes "x" and keeps c, reached by "y", out
+    s = structure({"a": "T", "b": "T", "c": "T", "d": "U"},
+                  [("b", "a", "y"), ("a", "b", "x"), ("b", "c", "y"),
+                   ("c", "d", "x"), ("d", "c", "y")], oriented=True)
+    got = [[sorted(m) for m in p.member_sets()]
+           for p in canonical_partitions(s)]
+    assert got == [[["a", "b"], ["c"], ["d"]],
+                   [["a", "b"], ["c", "d"]],
+                   [["a", "b", "c"], ["d"]]]
+
+
 def test_canonical_partitions_capped_and_ranked():
     rng = random.Random(5)
     for _ in range(20):

@@ -545,6 +545,37 @@ def test_recognition_follows_a_binding_made_by_a_mask():
     assert recs == recognitions_by_loop(fresh_state, fresh_spec)
 
 
+def test_one_host_index_per_state(monkeypatch):
+    # three recognizers and a pattern guard ask one state: its host index
+    # is built at the first of them and read from the state after that
+    built = []
+    real = STRUCTURE_MODULE._host_index
+
+    def counting(s, catalog):
+        built.append(s)
+        return real(s, catalog)
+
+    monkeypatch.setattr(STRUCTURE_MODULE, "_host_index", counting)
+    catalog = TypeCatalog()
+    catalog.add_atomic("N")
+    state = structure({"a": "N", "b": "N", "c": "M"},
+                      [("a", "b", "adj"), ("b", "c", "adj")])
+    pair = structure({"x": "N", "y": "N"}, [("x", "y", "adj")])
+    mixed = structure({"x": "N", "y": "M"}, [("x", "y", "adj")])
+    spec = ProblemSpec(state, ms("pair"),
+                       (Production("guarded", mixed, lambda s: s),),
+                       recognizers=(StructRecognizer("pair", pair),
+                                    StructRecognizer("mixed", mixed),
+                                    StructRecognizer("lone", structure(
+                                        {"x": "M"}))),
+                       catalog=catalog)
+    recs = state_recognitions(state, spec)
+    assert [r.subject for r in recs] == ["pair", "mixed", "lone"]
+    assert expand(state, spec, recs=recs) == ([("guarded", state)], [])
+    assert state_recognitions(state, spec) == recs
+    assert len(built) == 1 and built[0] is state
+
+
 # (plan, visited, cost) of each problem, all solved, as found by the search
 # that called `embeds` once per recognizer; the tie-breaking must not move
 _PINNED_SEARCHES = [

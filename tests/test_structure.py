@@ -312,12 +312,19 @@ def test_end_ids_sort_like_end_colour_pairs():
         s = with_random_attrs(rng, random_structure(
             rng, max_n=9, n_labels=3, oriented=oriented))
         n = s.n
+        # each part's (dir, label, attrs) ends, in relation order like _ends
+        dirs = (">", "<") if oriented else ("-", "-")
+        around = {p: [] for p in s.parts}
+        for r in s.relations:
+            around[r.a].append((dirs[0], r.label, r.attrs))
+            around[r.b].append((dirs[1], r.label, r.attrs))
         ends = _ends(s)
         sums = {}
         for p in s.parts:
-            for (e, _), (d, lab, at, _) in zip(ends[p], s.incidence[p]):
+            assert len(ends[p]) == len(around[p])
+            for (e, _), end in zip(ends[p], around[p]):
                 for c in range(-n, n):
-                    sums[(d, lab, at), c] = e + c
+                    sums[end, c] = e + c
         pairs = sorted(sums)
         assert [sums[k] for k in pairs] == sorted(set(sums.values()))
 
@@ -798,11 +805,18 @@ def test_compiled_plan_follows_a_binding():
     host = structure({"a": "w", "b": "S", "c": "u"},
                      [("a", "b", "L"), ("b", "c", "L")])
     pattern = structure({"x": "u", "y": "S"}, [("x", "y", "L")])
+    # T-S-T embeds only once c's key, cached on the host, follows u too
+    flanked = structure({"x": "w", "y": "S", "z": "w"},
+                        [("x", "y", "L"), ("y", "z", "L")])
     assert embeds(host, pattern, cat)
+    assert not embeds(host, flanked, cat)
     assert assert_matches_oracle(host, pattern, cat) == [frozenset("bc")]
     cat.add_atomic("u", "T")
+    assert embeds(host, pattern, cat)
+    assert embeds(host, flanked, cat)
     assert assert_matches_oracle(host, pattern, cat) == [frozenset("ab"),
                                                          frozenset("bc")]
+    assert assert_matches_oracle(host, flanked, cat) == [frozenset("abc")]
 
 
 def test_occurrences_orientation_mismatch():
