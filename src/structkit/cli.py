@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 from pathlib import Path
 
 from .config import DEFAULT, Config
@@ -43,19 +45,45 @@ from .solver import (
 from .structure import StructureError, TypeCatalog, isomorphic
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for str keys, joined per
+    container: given an indent, CPython's json uses its pure-Python encoder."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return ("NaN" if value != value else "Infinity" if value == inf
+                else "-Infinity" if value == -inf else float.__repr__(value))
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [_quote(k) + ": " + _json(value[k], inner)
+                       for k in sorted(value)], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _dump(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json(payload) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-# values the pixel layer cannot divide or bin by: (test, wanted)
+# values the pixel layer cannot divide, bin or index by: (test, wanted)
 _CONFIG_RANGES = {
     "orientation_bins": (lambda v: v >= 2, "at least 2"),
     "joint_angle_bins": (lambda v: v >= 1, "at least 1"),
     "straightness_dev_px": (lambda v: v > 0, "positive"),
+    "corner_window": (lambda v: v >= 0, "at least 0"),
 }
 
 

@@ -181,42 +181,44 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
         in_window[r.subject] |= ((1 << window) - 1) << i & every
         future[r.subject] |= (1 << i) - (1 << max(i - window, 0))
 
+    # two literals (subject, sign, mask, anchor) per subject, in subject order;
+    # targets by count, most first: stop at the first that cannot reach min_p
+    literals = [lit for s in subjects for lit in (
+        (s, True, in_window[s], at[s]), (s, False, every & ~in_window[s], 0))]
+    targets = sorted([(f.bit_count(), s, f) for s, f in future.items()])[::-1]
     found: list[tuple] = []
-    max_k = min(cfg.mining_max_condition, len(subjects))
-    for k in range(1, max_k + 1):
-        for named in itertools.combinations(subjects, k):
-            for signs in itertools.product((True, False), repeat=k):
-                occur = every
-                anchors = 0
-                for s, sign in zip(named, signs):
-                    if sign:
-                        occur &= in_window[s]
-                        anchors |= at[s]
-                    else:
-                        occur &= ~in_window[s]
-                if any(signs):
-                    occur &= anchors
-                n_cond = occur.bit_count()
-                if n_cond < min_support:
+
+    def grow(first, masks, anchors, prefix):
+        """Extend `prefix` by each literal of a later subject.  No anchor
+        means no positive literal or an empty mask, and the AND of the masks
+        bounds the n_cond of every extension."""
+        for i in range(first, len(literals)):
+            s, sign, mask, anchor = literals[i]
+            cond = prefix + ((s, sign),)
+            masks_i, anchors_i = masks & mask, anchors | anchor
+            occur = masks_i & anchors_i if anchors_i else masks_i
+            n_cond = occur.bit_count()
+            members = None
+            for most, target, fut in targets if n_cond >= min_support else ():
+                if (most + 1) / (n_cond + 2) < min_p:
+                    break
+                n_hit = (occur & fut).bit_count()
+                p = (n_hit + 1) / (n_cond + 2)
+                if p < min_p or any(target == m for m, _ in cond):
                     continue
-                members = tuple(
-                    MsMember(s, sign, cfg.recognition_min_score,
-                             (-(window - 1), 0))
-                    for s, sign in zip(named, signs))
-                for target in subjects:
-                    if target in named:
-                        continue
-                    n_hit = (occur & future[target]).bit_count()
-                    if (n_hit + 1) / (n_cond + 2) < min_p:
-                        continue
-                    rule = AssociativeRule(
-                        MicroSituation(members),
-                        (Consequent(target, (1, window)),),
-                        n_cond=n_cond, n_hit=n_hit,
-                        threshold=cfg.rule_threshold)
-                    sort_key = (-rule.p, -rule.support,
-                                tuple(zip(named, signs)), target)
-                    found.append((sort_key, rule))
+                members = members or tuple(
+                    MsMember(m, sg, cfg.recognition_min_score,
+                             (-(window - 1), 0)) for m, sg in cond)
+                found.append(((-p, -n_cond, cond, target), AssociativeRule(
+                    MicroSituation(members),
+                    (Consequent(target, (1, window)),), n_cond=n_cond,
+                    n_hit=n_hit, threshold=cfg.rule_threshold)))
+            if len(cond) < cfg.mining_max_condition and (
+                    n_cond >= min_support or masks_i.bit_count() >= min_support):
+                grow(i + 2 - i % 2, masks_i, anchors_i, cond)
+
+    if cfg.mining_max_condition >= 1:
+        grow(0, every, 0, ())
     found.sort(key=lambda kv: kv[0])
     return [rule for _, rule in found]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -6,12 +7,20 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from structkit.cli import main, parse_recognition_log
+from structkit.cli import _json, main, parse_recognition_log
 from structkit.io_struct import parse_structure, serialize_structure
 from structkit.structure import structure
 
-from loggen import planted_implication
+from loggen import (
+    absence_rule_log,
+    independent_noise,
+    planted_implication,
+    with_distractors,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1]
@@ -164,6 +173,78 @@ def test_mine_roundtrip(tmp_path):
                 for r in payload["rules"]
                 for m in r["condition"]["members"]}
     assert ("A", True) in subjects
+
+
+# `structkit mine` reports whose SHA-256 digests are fixed in
+# tests/golden/mine-reports.sha256 (`sha256sum` format).  Regenerate that file
+# with `PYTHONPATH=src python tests/test_cli.py` only when a change means to
+# alter these reports.
+MINE_GOLDEN = {
+    "planted": (lambda: planted_implication(seed=71, n_triggers=80),
+                ["--window", "5", "--min-support", "5", "--min-p", "0.5"]),
+    "absence-pad8": (lambda: with_distractors(8, absence_rule_log(
+        seed=9, cycles=20, wet=4, dry=26), 8),
+        ["--window", "5", "--min-support", "30", "--min-p", "0.7"]),
+    "noise": (lambda: independent_noise(seed=2033, length=600),
+              ["--window", "3", "--min-support", "5", "--min-p", "0.1"]),
+}
+MINE_DIGESTS = Path(__file__).parent / "golden" / "mine-reports.sha256"
+
+
+def mine_golden_digests(workdir: Path) -> str:
+    lines = []
+    for name, (make, args) in sorted(MINE_GOLDEN.items()):
+        log = workdir / f"{name}.log"
+        log.write_text("".join(f"t={r.t} subj={r.subject} score={r.score}\n"
+                               for r in make()))
+        out = workdir / f"{name}.json"
+        assert main(["mine", str(log), *args, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}.json\n")
+    return "".join(lines)
+
+
+def test_mine_reports_match_golden_digests(tmp_path):
+    assert mine_golden_digests(tmp_path) == MINE_DIGESTS.read_text()
+
+
+# scalars where json's text is easy to get wrong, and any str: non-ASCII,
+# control characters and lone surrogates
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(-2 ** 300, 2 ** 300) | st.floats()
+                | st.sampled_from([-0.0, 1e16, -1e16, 1e-7, float("nan"),
+                                   float("inf"), float("-inf"), True, 1,
+                                   False, 0])
+                | st.text(st.characters(exclude_categories=())))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(st.characters(
+                      exclude_categories=())), kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_report_writer_edge_values():
+    value = {"\u00e9\x00\n": [{}, [], (), [[{}]], {"": {"": []}}],
+             "b": [True, 1, False, 0, None, -0.0, 1e16, 2 ** 100],
+             "a": (float("nan"), float("inf"), -float("inf"), "\U0001f600")}
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), {"a": [b"x"]},
+                                   [1, {"k": frozenset()}]])
+def test_report_writer_rejects_non_json_values(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _json(value)
 
 
 def test_solve_trivial_problem(tmp_path):
@@ -347,6 +428,8 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
         ({"orientation_bins": 1}, ["analyze", str(tri)]),
         ({"joint_angle_bins": 0}, ["analyze", str(tri)]),
         ({"straightness_dev_px": 0}, ["analyze", str(tri)]),
+        # and a negative corner window indexes outside the stroke
+        ({"corner_window": -1}, ["analyze", str(tri)]),
     ]:
         cfgfile.write_text(json.dumps(overrides))
         assert main(["--config", str(cfgfile)] + argv) == 2, overrides
@@ -458,3 +541,9 @@ def test_debug_prints_internal_error_traceback(tmp_path, monkeypatch, capsys):
     assert err.startswith("Traceback (most recent call last):\n")
     assert "in broken" in err
     assert err.endswith("KeyError: 'bug'\ninternal error: 'bug'\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        MINE_DIGESTS.write_text(mine_golden_digests(Path(tmp)))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from structkit.config import DEFAULT
 from structkit.derivation import MorphismMask
 from structkit.rules import (
     AssociativeRule,
@@ -206,21 +207,55 @@ MINING_LOGS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(MINING_LOGS))
-@pytest.mark.parametrize("n_distractors", [0, 8])
-@pytest.mark.parametrize("window", [3, 5])
-@pytest.mark.parametrize("min_support", [5, 30])
-def test_mined_rules_match_exhaustive_oracle(kind, n_distractors, window,
-                                             min_support):
-    log = with_distractors(n_distractors, MINING_LOGS[kind], n_distractors)
-    rules = mine_rules(log, window=window, min_support=min_support, min_p=0.5)
+def assert_mined_like_oracle(log, window, min_support, min_p, cfg=DEFAULT):
+    rules = mine_rules(log, window=window, min_support=min_support,
+                       min_p=min_p, cfg=cfg)
     got = [(tuple((m.subject, m.positive) for m in r.condition.members),
             r.consequents[0].subject, r.n_cond, r.n_hit) for r in rules]
-    assert got == mining_oracle(log, window, min_support, 0.5)
+    assert got == mining_oracle(log, window, min_support, min_p, cfg)
     for r in rules:
         assert r.consequents == (Consequent(r.consequents[0].subject,
                                             (1, window)),)
         assert all(m.window == (-(window - 1), 0) for m in r.condition.members)
+    return rules
+
+
+@pytest.mark.parametrize("kind", sorted(MINING_LOGS))
+@pytest.mark.parametrize("n_distractors", [0, 8])
+@pytest.mark.parametrize("window", [3, 5])
+@pytest.mark.parametrize("min_support", [0, 5, 30])
+def test_mined_rules_match_exhaustive_oracle(kind, n_distractors, window,
+                                             min_support):
+    log = with_distractors(n_distractors, MINING_LOGS[kind], n_distractors)
+    # a subject recognized only below recognition_min_score has empty tick
+    # sets: as a target its count is 0, as a positive literal it never occurs
+    faint = [Recognition("Q", 0.3, r.t) for r in log[::7]]
+    # at 0.7 and 0.9 the target-count bound stops the target loop early; at
+    # min_support 0 every condition passes, and one that never occurs has
+    # p = 1/2 for every target
+    for min_p in (0.5, 0.7, 0.9):
+        assert_mined_like_oracle(log, window, min_support, min_p)
+    assert_mined_like_oracle(log + faint, window, min_support, 0.5)
+
+
+def test_mined_rules_extend_a_prefix_below_support():
+    # (A+, B+) occurs on 5 ticks, but its masks hold 10: adding C+ anchors
+    # all 10, so a prefix is dropped only when its masks miss min_support
+    log = [Recognition(s, 1.0, 10 * k + d) for k in range(5)
+           for s, d in (("A", 0), ("B", 0), ("C", 0), ("C", 1), ("D", 2))]
+    rules = assert_mined_like_oracle(log, 2, 10, 0.5)
+    counts = {(tuple((m.subject, m.positive) for m in r.condition.members),
+               r.consequents[0].subject): (r.n_cond, r.n_hit) for r in rules}
+    assert counts[(("A", True), ("B", True), ("C", True)), "D"] == (10, 10)
+
+
+@pytest.mark.parametrize("max_condition", [0, 1, 2])
+def test_mined_rules_match_oracle_up_to_max_condition(max_condition):
+    cfg = DEFAULT.replace(mining_max_condition=max_condition)
+    log = with_distractors(8, MINING_LOGS["planted"], 8)
+    rules = assert_mined_like_oracle(log, 5, 5, 0.5, cfg)
+    sizes = {len(r.condition.members) for r in rules}
+    assert sizes == set(range(1, max_condition + 1))
 
 
 # --- subject recognizers ----------------------------------------------------------
