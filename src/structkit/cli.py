@@ -18,7 +18,13 @@ from pathlib import Path
 from .config import DEFAULT, Config
 from .corpus import class_signatures, expected_subjects, generate_corpus
 from .derivation import MorphismMask, apply_morphism, partition, quotient
-from .io_struct import ParseError, parse_sidecar, parse_structure, serialize_structure
+from .io_struct import (
+    ParseError,
+    _tokens,
+    parse_sidecar,
+    parse_structure,
+    serialize_structure,
+)
 from .pixels import (
     evaluate_signature,
     load_raster,
@@ -197,12 +203,9 @@ def cmd_analyze(args) -> int:
 
 def parse_recognition_log(text: str) -> list[Recognition]:
     log = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, tok in _tokens(text):
         try:
-            fields = dict(item.split("=", 1) for item in line.split())
+            fields = dict(item.split("=", 1) for item in tok)
             log.append(Recognition(fields["subj"], float(fields["score"]),
                                    int(fields["t"])))
         except (KeyError, ValueError) as exc:
@@ -222,7 +225,7 @@ def rule_to_json(rule: AssociativeRule) -> dict:
         "p": round(rule.p, 6),
         "support": rule.support,
         "n_hit": rule.n_hit,
-        "smoothed": rule.smoothed,
+        "smoothed": True,
     }
 
 
@@ -320,7 +323,7 @@ def cmd_demo_polygons(args) -> int:
     out_dir = Path(args.out_dir)
     (out_dir / "corpus").mkdir(parents=True, exist_ok=True)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)
-    items = generate_corpus(cfg)
+    items = generate_corpus()
     summary = dict(echo)
     summary["total"] = len(items)
     per_item = []

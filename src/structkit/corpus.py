@@ -110,7 +110,7 @@ def rasterize_polygon(vertices: list[tuple[float, float]],
     return RasterStructure(width, height, rows, ink=1)
 
 
-def generate_corpus(cfg: Config = DEFAULT) -> list[CorpusItem]:
+def generate_corpus() -> list[CorpusItem]:
     """The 60-raster demonstration corpus: 20 figure families x 3 scales."""
     items = []
     for (kind, variant), verts in sorted(_BASE_SHAPES.items()):

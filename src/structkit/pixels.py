@@ -779,12 +779,9 @@ def _line_crossing(s1: tuple[Pixel, Pixel], s2: tuple[Pixel, Pixel],
 class SignatureAtom:
     feature: str
     value: object = None       # None accepts any value, scored by match
-    target: tuple = ("*",)     # ("*",) or an exact assertion target
 
     def match_score(self, a: PropertyAssertion) -> float:
         if a.feature != self.feature:
-            return 0.0
-        if self.target != ("*",) and tuple(self.target) != tuple(a.target):
             return 0.0
         if self.value is not None:
             return 1.0 if a.value == self.value else 0.0

@@ -69,7 +69,6 @@ class MsMember:
 @dataclass(frozen=True)
 class MicroSituation:
     members: tuple[MsMember, ...]
-    relations: tuple[MsMember, ...] = ()   # relation subjects, always positive
 
     def __post_init__(self):
         if not 1 <= len(self.members) <= 8:
@@ -92,14 +91,11 @@ class AssociativeRule:
     consequents: tuple[Consequent, ...]
     n_cond: int = 0
     n_hit: int = 0
-    smoothed: bool = True
     threshold: float = 0.5
 
     @property
     def p(self) -> float:
-        if self.smoothed:
-            return (self.n_hit + 1) / (self.n_cond + 2)
-        return self.n_hit / self.n_cond if self.n_cond else 0.0
+        return (self.n_hit + 1) / (self.n_cond + 2)
 
     @property
     def support(self) -> int:
@@ -128,7 +124,7 @@ def eval_micro_situation(ms: MicroSituation, log: Sequence[Recognition],
                          now: int) -> float:
     """Goedel semantics: conjunction is min, negation is 1 - best match."""
     score = 1.0
-    for m in list(ms.members) + list(ms.relations):
+    for m in ms.members:
         score = min(score, _member_score(m, log, now))
         if score == 0.0:
             break
@@ -232,7 +228,6 @@ class Subject:
     """A recognizable information unit; legitimate once rules depend on it."""
     id: str
     recognizer: object = None     # Signature, (Structure, mask) or Schema
-    lineage: tuple[str, ...] = ()
     legitimacy: int = 0
     candidate_only: bool = True
 
@@ -267,7 +262,6 @@ def recognize(subject: Subject, observation,
 
 def rule_subjects(rule: AssociativeRule) -> set[str]:
     out = {m.subject for m in rule.condition.members}
-    out |= {m.subject for m in rule.condition.relations}
     out |= {c.subject for c in rule.consequents}
     return out
 
@@ -337,6 +331,11 @@ def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3,
     return reports
 
 
+# edit_distance tries all n! bijections once the isomorphism shortcut fails:
+# 8 parts are 40,320 of them (a few seconds), 9 parts nine times as many
+_EDIT_PART_CAP = 8
+
+
 def _element_count(s: Structure) -> int:
     return s.n + len(s.relations) + sum(len(r.attrs) for r in s.relations)
 
@@ -348,13 +347,18 @@ def edit_distance(a: Structure, b: Structure,
     insert/delete/relabel: empty when the matcher finds an isomorphism,
     otherwise found by search over all part bijections.
 
-    None when the part counts differ (parts are never added or removed)."""
+    None when the part counts differ (parts are never added or removed).
+    Raises SearchBudgetError when that search would range over more than
+    `_EDIT_PART_CAP` parts."""
     if a.n != b.n or a.oriented != b.oriented:
         return None
     keys_a = _key_map(a, catalog)
     keys_b = _key_map(b, catalog)
     if _witness(a, b, keys_a, keys_b) is not None:
         return (0, [])
+    if a.n > _EDIT_PART_CAP:
+        raise SearchBudgetError(
+            f"edit distance search exceeds part cap of {_EDIT_PART_CAP}")
     pair_b: dict[tuple, Counter] = {}
     for r in b.relations:
         ends = (r.a, r.b) if b.oriented else tuple(sorted((r.a, r.b)))
@@ -428,7 +432,6 @@ class Recipe:
 def detect_regularity_case3(pop: Sequence[Structure],
                             masks: Sequence[MorphismMask] = (),
                             catalog: Optional[TypeCatalog] = None,
-                            partition_ranks: int = 2,
                             cfg: Config = DEFAULT) -> list[RegularityReport]:
     """Derivation recipes (quotient rank x mask subset) that make members
     coincide.  The search space is capped; overflow flags partial results."""
@@ -437,7 +440,7 @@ def detect_regularity_case3(pop: Sequence[Structure],
     mask_subsets = []
     for k in range(0, len(masks) + 1):
         mask_subsets.extend(itertools.combinations(range(len(masks)), k))
-    for rank in [None] + list(range(partition_ranks)):
+    for rank in (None, 0, 1):
         for subset in mask_subsets:
             recipes.append(Recipe(rank, tuple(subset)))
     partial = len(recipes) > cfg.recipe_cap

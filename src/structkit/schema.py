@@ -12,19 +12,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import DEFAULT, Config
+from .io_struct import _tokens, parse_structure, serialize_structure
 from .structure import (
     Relation,
     Structure,
     StructureError,
     canonical_form,
+    structure,
     _witness,
 )
 
 PRIMITIVE_OPS = ("MEM_STORE", "MEM_LOAD", "COMPARE", "MOVE", "COPY", "BIND")
-MOVE_MODES = ("first", "last", "next", "prev")
 
 
 class SchemaError(StructureError):
@@ -78,13 +80,9 @@ class Schema:
             if b.op not in PRIMITIVE_OPS and b.op != "CALL":
                 raise SchemaError(f"unknown operation {b.op}")
 
-    @property
+    @cached_property
     def binding_of(self) -> dict[str, Binding]:
-        d = self.__dict__.get("_bmap")
-        if d is None:
-            d = dict(self.bindings)
-            object.__setattr__(self, "_bmap", d)
-        return d
+        return dict(self.bindings)
 
     def is_base(self) -> bool:
         return all(b.op != "CALL" for _, b in self.bindings)
@@ -300,7 +298,6 @@ def flatten(sch: Schema, _stack: tuple = ()) -> Schema:
 # ---------------------------------------------------------------------------
 
 def default_battery() -> list[Structure]:
-    from .structure import structure
     a = structure({"u0": "A", "u1": "B", "u2": "A"},
                   [("u0", "u1", "L"), ("u1", "u2", "L")])
     b = structure({"u0": "A", "u1": "A", "u2": "A", "u3": "B"},
@@ -468,11 +465,7 @@ def parse_nandnet(text: str) -> NandNet:
     inputs: list[str] = []
     gates: list[tuple[str, str, str]] = []
     outputs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for lineno, tok in _tokens(text):
         if tok[0] == "input" and len(tok) == 2:
             inputs.append(tok[1])
         elif tok[0] == "gate" and len(tok) == 4 and tok[2] == "=":
@@ -493,7 +486,6 @@ def parse_nandnet(text: str) -> NandNet:
 # ---------------------------------------------------------------------------
 
 def serialize_schema(sch: Schema) -> str:
-    from .io_struct import serialize_structure
     lines = [serialize_structure(sch.body).rstrip("\n")]
     lines.append(f"entry {sch.entry}")
     for part, b in sch.bindings:
@@ -504,15 +496,10 @@ def serialize_schema(sch: Schema) -> str:
 
 
 def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> Schema:
-    from .io_struct import parse_structure
     body_lines = []
     entry = None
     binds: dict[str, Binding] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for _, tok in _tokens(text):
         if tok[0] == "entry" and len(tok) == 2:
             entry = tok[1]
         elif tok[0] == "bind":
@@ -538,7 +525,7 @@ def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> 
             else:
                 binds[part] = Binding(op, slot=operand[0] if operand else None)
         else:
-            body_lines.append(line)
+            body_lines.append(" ".join(tok))
     body = parse_structure("\n".join(body_lines) + "\n")
     parts = tuple((p, binds[p]) for p in body.parts if p in binds)
     if len(parts) != body.n:

@@ -281,10 +281,6 @@ class CacheEntry:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def p(self) -> float:
-        return (self.hits + 1) / (self.hits + self.misses + 2)
-
 
 class SolutionCache:
     """Ready-made plans keyed by the abstracted (start, goal) pair.
@@ -311,7 +307,7 @@ class SolutionCache:
     @staticmethod
     def abstract_goal(goal: MicroSituation) -> str:
         bits = sorted(f"{'+' if m.positive else '-'}{m.subject}"
-                      for m in goal.members + goal.relations)
+                      for m in goal.members)
         return "&".join(bits)
 
     def key_for(self, spec: ProblemSpec) -> tuple[str, str]:

@@ -11,6 +11,7 @@ and the part-count morphism that turns structures into natural numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import DEFAULT, Config
@@ -86,15 +87,11 @@ class Structure:
     def n(self) -> int:
         return len(self.parts)
 
-    @property
+    @cached_property
     def types(self) -> dict[str, str]:
-        d = self.__dict__.get("_types")
-        if d is None:
-            d = dict(zip(self.parts, self.part_types))
-            object.__setattr__(self, "_types", d)
-        return d
+        return dict(zip(self.parts, self.part_types))
 
-    @property
+    @cached_property
     def pairs(self) -> dict[str, dict[str, tuple]]:
         """part -> {other: sorted (dir, label, attrs) between the two}.
 
@@ -103,19 +100,16 @@ class Structure:
         part; only related parts appear, and a self-loop lists the part
         under itself.  Built on first use and cached, like `types`.
         """
-        pairs = self.__dict__.get("_pairs")
-        if pairs is None:
-            pairs = {p: {} for p in self.parts}
-            out_dir, in_dir = (">", "<") if self.oriented else ("-", "-")
-            for r in self.relations:
-                pairs[r.a].setdefault(r.b, []).append(
-                    (out_dir, r.label, r.attrs))
-                pairs[r.b].setdefault(r.a, []).append(
-                    (in_dir, r.label, r.attrs))
-            for around in pairs.values():
-                for q, ends in around.items():
-                    around[q] = tuple(sorted(ends))
-            object.__setattr__(self, "_pairs", pairs)
+        pairs = {p: {} for p in self.parts}
+        out_dir, in_dir = (">", "<") if self.oriented else ("-", "-")
+        for r in self.relations:
+            pairs[r.a].setdefault(r.b, []).append(
+                (out_dir, r.label, r.attrs))
+            pairs[r.b].setdefault(r.a, []).append(
+                (in_dir, r.label, r.attrs))
+        for around in pairs.values():
+            for q, ends in around.items():
+                around[q] = tuple(sorted(ends))
         return pairs
 
     def neighbors(self, part: str) -> list[str]:
@@ -521,8 +515,6 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
     is that of the unpruned search (`tests/oracles.py`).
     Raises CanonicalBudgetError past `_CANON_NODE_CAP` search nodes.
     """
-    if not s.parts:
-        return [], _encode(s, [], keys)
     ends = _ends(s)
     cells = _key_cells(s, keys)
     colors = {p: c for c, cell in cells.items() for p in cell}
@@ -563,15 +555,15 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
                 return None
             autos.append(g)
             # two leaves never share a whole path, so the paths part below
-            # depth d; leaves of equal depth put their fixed parts first in
-            # the same places, so for them g passes the check
+            # depth d.  A leaf lists its fixed parts first, deepest first,
+            # so g fixes fixed[:d] and maps best_fixed[d] to fixed[d]
+            # exactly when the two leaves have equal depth
+            if len(fixed) != len(best_fixed):
+                return None
             d = 0
             while best_fixed[d] == fixed[d]:
                 d += 1
-            if g[best_fixed[d]] == fixed[d] and all(
-                    g[v] == v for v in fixed[:d]):
-                return d
-            return None
+            return d
         cell = sorted(cells[min(multi)])
         orbit = None     # union-find over the cell, once needed
         merged = 0

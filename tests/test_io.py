@@ -1,11 +1,22 @@
 import pytest
 
+from structkit.cli import parse_recognition_log
 from structkit.io_struct import (
     ParseError,
     parse_sidecar,
     parse_structure,
     serialize_sidecar,
     serialize_structure,
+)
+from structkit.schema import (
+    Binding,
+    SchemaError,
+    compile_to_nand,
+    parse_nandnet,
+    parse_schema,
+    schema,
+    serialize_nandnet,
+    serialize_schema,
 )
 
 
@@ -80,3 +91,59 @@ def test_sidecar_round_trip():
 def test_sidecar_conflicting_merge_rejected():
     with pytest.raises(ParseError):
         parse_sidecar("mask merge-type a b -> x\nmask merge-type a c -> y\n")
+
+
+# --- the shared line tokenizer ---------------------------------------------------
+# schemas, netlists and recognition logs are read with the same tokenizer as
+# structures: `#` comments, blank lines and indentation carry no meaning, and
+# an error names the line of the raw text, blank and comment lines counted
+
+
+def decorated(text):
+    """`text` with comment and blank lines, indentation and trailing
+    comments added; every original line keeps its tokens."""
+    out = ["# a leading comment", ""]
+    for i, line in enumerate(text.splitlines()):
+        out.append(" " * (i % 3) + "\t" * (i % 2) + line + f"   # note {i}")
+        if i % 2:
+            out.append("  \t ")
+    return "\n".join(out) + "\n"
+
+
+def with_bad_line(text, bad):
+    """`text` with `bad` inserted mid-way, and the 1-based line it is on."""
+    lines = text.splitlines()
+    at = len(lines) // 2
+    return "\n".join(lines[:at] + [bad] + lines[at:]) + "\n", at + 1
+
+
+def test_schema_text_ignores_comments_blanks_and_indentation():
+    sch = schema([
+        ("m", Binding("MOVE", literal="last")),
+        ("s", Binding("MEM_STORE", slot="k")),
+        ("b", Binding("BIND", slot="r", literal="1")),
+        ("c", Binding("COPY", slot="r", fresh=True)),
+    ], [("m", "s", "next"), ("s", "b", "next"), ("b", "c", "next")])
+    text = serialize_schema(sch)
+    assert parse_schema(decorated(text)) == parse_schema(text) == sch
+
+
+def test_netlist_ignores_comments_blanks_and_indentation():
+    text = serialize_nandnet(compile_to_nand([0, 1, 1, 0]))
+    noisy = decorated(text)
+    assert parse_nandnet(noisy) == parse_nandnet(text)
+    bad_text, lineno = with_bad_line(noisy, "  wire g0 g1  # not a directive")
+    assert lineno > 2
+    with pytest.raises(SchemaError, match=f"^line {lineno}: "):
+        parse_nandnet(bad_text)
+
+
+def test_recognition_log_ignores_comments_blanks_and_indentation():
+    text = "".join(f"t={t} subj={s} score={v}\n" for t, s, v in [
+        (0, "A", 0.9), (1, "B", 0.75), (1, "A", 0.5), (3, "C", 1.0)])
+    noisy = decorated(text)
+    assert parse_recognition_log(noisy) == parse_recognition_log(text)
+    bad_text, lineno = with_bad_line(noisy, "\tt=2 subj=B score=high")
+    assert lineno > 2
+    with pytest.raises(ParseError, match=f"^log line {lineno}: "):
+        parse_recognition_log(bad_text)

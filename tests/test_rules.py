@@ -17,6 +17,7 @@ from structkit.rules import (
     Recognition,
     RuleError,
     Subject,
+    _EDIT_PART_CAP,
     detect_regularity_case1,
     detect_regularity_case2,
     detect_regularity_case3,
@@ -30,6 +31,7 @@ from structkit.rules import (
 from structkit.schema import Binding, schema
 from structkit.structure import (
     CanonicalBudgetError,
+    SearchBudgetError,
     TypeCatalog,
     isomorphic,
     structure,
@@ -458,6 +460,25 @@ def test_case2_distance_symmetric():
     b = structure({ids[p]: t for p, t in zip(a.parts, a.part_types)},
                   [(ids[r.a], ids[r.b], r.label) for r in a.relations])
     assert edit_distance(a, b) == edit_distance(b, a) == (0, [])
+
+
+def test_edit_distance_past_part_cap_raises_at_once():
+    # a cycle and a cycle with a chord are not isomorphic, so past the cap
+    # the bijection search must refuse (9! tries took about a minute)
+    # rather than run; relabelled copies still answer through the matcher
+    n = _EDIT_PART_CAP + 1
+    ids = [f"p{i}" for i in range(n)]
+    ring = [(ids[i], ids[(i + 1) % n], "L") for i in range(n)]
+    a = structure({p: "T" for p in ids}, ring)
+    b = structure({p: "T" for p in ids}, ring + [(ids[0], ids[n // 2], "L")])
+    with pytest.raises(SearchBudgetError):
+        edit_distance(a, b)
+    with pytest.raises(SearchBudgetError):
+        detect_regularity_case2(a, b, eps=0.5)
+    names = {p: f"q{k}" for k, p in enumerate(reversed(ids))}
+    copy = structure({names[p]: "T" for p in reversed(ids)},
+                     [(names[x], names[y], lab) for x, y, lab in ring[::-1]])
+    assert edit_distance(a, copy) == (0, [])
 
 
 def test_case2_script_independent_of_hash_seed():
