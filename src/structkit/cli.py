@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
 
 from .config import DEFAULT, Config
@@ -51,29 +51,63 @@ from .solver import (
 from .structure import StructureError, TypeCatalog, isomorphic
 
 
-def _json(value, indent: str = "\n") -> str:
+def _float(value: float) -> str:
+    return ("NaN" if value != value else "Infinity" if value == inf
+            else "-Infinity" if value == -inf else float.__repr__(value))
+
+
+# writers of the exact JSON scalar types; subclasses take the isinstance path
+_SCALARS = {str: _quote, int: int.__repr__, float: _float,
+            bool: lambda v: "true" if v else "false",
+            type(None): lambda v: "null"}
+
+
+def _json(value, indent: str = "\n", seen: dict | None = None) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for str keys, joined per
-    container: given an indent, CPython's json uses its pure-Python encoder."""
+    container: given an indent, CPython's json uses its pure-Python encoder.
+
+    Scalars are written through `_SCALARS` by exact type, a container's
+    scalar children inline.  `seen` maps (id, indent) of each container met
+    in this dump to None, or to its text once it is met a second time at that
+    indent: a container shared by several parents of a report (a mined rule's
+    member or consequents) is rendered once per depth.  Ids stay valid
+    because the whole value is alive until the dump ends.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
     if isinstance(value, str):
         return _quote(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return ("NaN" if value != value else "Infinity" if value == inf
-                else "-Infinity" if value == -inf else float.__repr__(value))
+        return _float(value)
+    if seen is None:
+        seen = {}
+    key = (id(value), indent)
+    text = seen.get(key)
+    if text is not None:
+        return text
     inner = indent + "  "
+    items = []
     if isinstance(value, dict):
-        items, ends = [_quote(k) + ": " + _json(value[k], inner)
-                       for k in sorted(value)], "{}"
+        ends = "{}"
+        for k in sorted(value):
+            v = value[k]
+            write = _SCALARS.get(type(v))
+            items.append(_quote(k) + ": "
+                         + (write(v) if write else _json(v, inner, seen)))
     elif isinstance(value, (list, tuple)):
-        items, ends = [_json(v, inner) for v in value], "[]"
+        ends = "[]"
+        for v in value:
+            write = _SCALARS.get(type(v))
+            items.append(write(v) if write else _json(v, inner, seen))
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+    text = (ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+            if items else ends)
+    seen[key] = text if key in seen else None
+    return text
 
 
 def _dump(payload: dict, out: str | None) -> None:
@@ -110,6 +144,10 @@ def _load_config(path: str | None, seed: int) -> tuple[Config, dict]:
             if got is not want and (want, got) != (float, int):
                 raise ParseError(f"config key {key} must be {want.__name__},"
                                  f" not {got.__name__}")
+            # json reads NaN and ±Infinity, which are no RFC 8259 JSON
+            if got is float and not isfinite(value):
+                raise ParseError(f"config key {key} must be finite,"
+                                 f" not {value}")
             in_range, wanted = _CONFIG_RANGES.get(key, (None, None))
             if in_range is not None and not in_range(value):
                 raise ParseError(f"config key {key} must be {wanted},"
@@ -214,19 +252,30 @@ def parse_recognition_log(text: str) -> list[Recognition]:
     return log
 
 
-def rule_to_json(rule: AssociativeRule) -> dict:
-    return {
-        "condition": {"members": [{
-            "subject": m.subject, "positive": m.positive,
-            "min_score": m.min_score, "window": list(m.window),
-        } for m in rule.condition.members]},
-        "consequents": [{"subject": c.subject, "window": list(c.window)}
-                        for c in rule.consequents],
-        "p": round(rule.p, 6),
-        "support": rule.support,
-        "n_hit": rule.n_hit,
-        "smoothed": True,
-    }
+def rules_to_json(rules: list[AssociativeRule]) -> list[dict]:
+    """The report's rule list.  Rules that share a member or a consequents
+    object share its JSON, so `_json` renders it once per depth."""
+    members: dict[int, dict] = {}
+    consequents: dict[int, list] = {}
+    out = []
+    for rule in rules:
+        ms = []
+        for m in rule.condition.members:
+            d = members.get(id(m))
+            if d is None:
+                d = members[id(m)] = {
+                    "subject": m.subject, "positive": m.positive,
+                    "min_score": m.min_score, "window": list(m.window)}
+            ms.append(d)
+        cs = consequents.get(id(rule.consequents))
+        if cs is None:
+            cs = consequents[id(rule.consequents)] = [
+                {"subject": c.subject, "window": list(c.window)}
+                for c in rule.consequents]
+        out.append({"condition": {"members": ms}, "consequents": cs,
+                    "p": round(rule.p, 6), "support": rule.support,
+                    "n_hit": rule.n_hit, "smoothed": True})
+    return out
 
 
 def cmd_mine(args) -> int:
@@ -236,7 +285,7 @@ def cmd_mine(args) -> int:
                        min_p=args.min_p, cfg=cfg)
     report = dict(echo)
     report["events"] = len(log)
-    report["rules"] = [rule_to_json(r) for r in rules]
+    report["rules"] = rules_to_json(rules)
     _dump(report, args.out)
     return 0
 

@@ -160,6 +160,10 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
         raise RuleError("cannot mine an empty log")
     if window < 1:
         raise RuleError("window must be at least one tick")
+    if not 0.0 <= min_p <= 1.0:     # NaN too: it would prune nothing
+        raise RuleError(f"min_p must lie in [0, 1], not {min_p}")
+    if min_support < 0:
+        raise RuleError(f"min_support must be at least 0, not {min_support}")
     t0 = min(r.t for r in log)
     t1 = max(r.t for r in log)
     subjects = sorted({r.subject for r in log})
@@ -177,44 +181,55 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
         in_window[r.subject] |= ((1 << window) - 1) << i & every
         future[r.subject] |= (1 << i) - (1 << max(i - window, 0))
 
-    # two literals (subject, sign, mask, anchor) per subject, in subject order;
-    # targets by count, most first: stop at the first that cannot reach min_p
-    literals = [lit for s in subjects for lit in (
-        (s, True, in_window[s], at[s]), (s, False, every & ~in_window[s], 0))]
-    targets = sorted([(f.bit_count(), s, f) for s, f in future.items()])[::-1]
+    # two literals (member, subject bit, mask, anchor) per subject, in subject
+    # order; targets (count, subject, future, subject bit, consequents) by
+    # count, most first: stop at the first that cannot reach min_p.  Rules
+    # share the member and consequent objects of their literals and target.
+    lookback = (-(window - 1), 0)
+    literals = [lit for b, s in enumerate(subjects) for lit in (
+        (MsMember(s, True, cfg.recognition_min_score, lookback), 1 << b,
+         in_window[s], at[s]),
+        (MsMember(s, False, cfg.recognition_min_score, lookback), 1 << b,
+         every & ~in_window[s], 0))]
+    targets = sorted([(future[s].bit_count(), s, future[s], 1 << b,
+                       (Consequent(s, (1, window)),))
+                      for b, s in enumerate(subjects)])[::-1]
     found: list[tuple] = []
 
-    def grow(first, masks, anchors, prefix):
+    def grow(first, masks, anchors, bits, prefix):
         """Extend `prefix` by each literal of a later subject.  No anchor
         means no positive literal or an empty mask, and the AND of the masks
         bounds the n_cond of every extension."""
         for i in range(first, len(literals)):
-            s, sign, mask, anchor = literals[i]
-            cond = prefix + ((s, sign),)
+            member, bit, mask, anchor = literals[i]
+            cond = prefix + (member,)
             masks_i, anchors_i = masks & mask, anchors | anchor
+            bits_i = bits | bit
             occur = masks_i & anchors_i if anchors_i else masks_i
             n_cond = occur.bit_count()
-            members = None
-            for most, target, fut in targets if n_cond >= min_support else ():
+            situation = None
+            for most, target, fut, tbit, consequents in (
+                    targets if n_cond >= min_support else ()):
                 if (most + 1) / (n_cond + 2) < min_p:
                     break
+                if tbit & bits_i:       # the target is in the condition
+                    continue
                 n_hit = (occur & fut).bit_count()
                 p = (n_hit + 1) / (n_cond + 2)
-                if p < min_p or any(target == m for m, _ in cond):
+                if p < min_p:
                     continue
-                members = members or tuple(
-                    MsMember(m, sg, cfg.recognition_min_score,
-                             (-(window - 1), 0)) for m, sg in cond)
-                found.append(((-p, -n_cond, cond, target), AssociativeRule(
-                    MicroSituation(members),
-                    (Consequent(target, (1, window)),), n_cond=n_cond,
-                    n_hit=n_hit, threshold=cfg.rule_threshold)))
+                if situation is None:
+                    situation = MicroSituation(cond)
+                    key = tuple((m.subject, m.positive) for m in cond)
+                found.append(((-p, -n_cond, key, target), AssociativeRule(
+                    situation, consequents, n_cond=n_cond, n_hit=n_hit,
+                    threshold=cfg.rule_threshold)))
             if len(cond) < cfg.mining_max_condition and (
                     n_cond >= min_support or masks_i.bit_count() >= min_support):
-                grow(i + 2 - i % 2, masks_i, anchors_i, cond)
+                grow(i + 2 - i % 2, masks_i, anchors_i, bits_i, cond)
 
     if cfg.mining_max_condition >= 1:
-        grow(0, every, 0, ())
+        grow(0, every, 0, 0, ())
     found.sort(key=lambda kv: kv[0])
     return [rule for _, rule in found]
 

@@ -496,36 +496,41 @@ def serialize_schema(sch: Schema) -> str:
 
 
 def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> Schema:
-    body_lines = []
+    # body lines stay in place, so a body error names the file's line
+    body_lines = [""] * len(text.splitlines())
     entry = None
     binds: dict[str, Binding] = {}
-    for _, tok in _tokens(text):
+    for lineno, tok in _tokens(text):
         if tok[0] == "entry" and len(tok) == 2:
             entry = tok[1]
         elif tok[0] == "bind":
             if len(tok) < 3:
-                raise SchemaError("bind needs <part> <OP> [operand]")
+                raise SchemaError(f"line {lineno}: bind needs <part> <OP>"
+                                  " [operand]")
             part, op = tok[1], tok[2]
             operand = tok[3:]
             if op == "CALL":
                 if not operand or registry is None or operand[0] not in registry:
-                    raise SchemaError(f"CALL target {operand} not in registry")
+                    raise SchemaError(f"line {lineno}: CALL target {operand}"
+                                      " not in registry")
                 binds[part] = Binding("CALL", callee=registry[operand[0]])
             elif op == "MOVE":
                 binds[part] = Binding("MOVE", literal=operand[0] if operand else "")
             elif op == "BIND":
                 if not operand or "=" not in operand[0]:
-                    raise SchemaError("BIND operand must be slot=value")
+                    raise SchemaError(f"line {lineno}: BIND operand must be"
+                                      " slot=value")
                 slot, _, value = operand[0].partition("=")
                 binds[part] = Binding("BIND", slot=slot, literal=value)
             elif op == "COPY" and operand and operand[0] == "fresh":
                 if len(operand) < 2:
-                    raise SchemaError("COPY fresh needs a slot")
+                    raise SchemaError(f"line {lineno}: COPY fresh needs"
+                                      " a slot")
                 binds[part] = Binding("COPY", slot=operand[1], fresh=True)
             else:
                 binds[part] = Binding(op, slot=operand[0] if operand else None)
         else:
-            body_lines.append(" ".join(tok))
+            body_lines[lineno - 1] = " ".join(tok)
     body = parse_structure("\n".join(body_lines) + "\n")
     parts = tuple((p, binds[p]) for p in body.parts if p in binds)
     if len(parts) != body.n:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structkit.cli import _json, main, parse_recognition_log
+from structkit.cli import _json, main, parse_recognition_log, rules_to_json
 from structkit.io_struct import parse_structure, serialize_structure
+from structkit.rules import mine_rules
 from structkit.structure import structure
 
 from loggen import (
@@ -185,6 +186,10 @@ MINE_GOLDEN = {
     "absence-pad8": (lambda: with_distractors(8, absence_rule_log(
         seed=9, cycles=20, wet=4, dry=26), 8),
         ["--window", "5", "--min-support", "30", "--min-p", "0.7"]),
+    # the most shared rule members: about 2,900 rules over 50 subjects
+    "absence-pad24": (lambda: with_distractors(24, absence_rule_log(
+        seed=9, cycles=20, wet=4, dry=26), 24),
+        ["--window", "5", "--min-support", "30", "--min-p", "0.7"]),
     "noise": (lambda: independent_noise(seed=2033, length=600),
               ["--window", "3", "--min-support", "5", "--min-p", "0.1"]),
 }
@@ -208,6 +213,41 @@ def test_mine_reports_match_golden_digests(tmp_path):
     assert mine_golden_digests(tmp_path) == MINE_DIGESTS.read_text()
 
 
+def per_rule_json(rule) -> dict:
+    """The report's shape of one rule, built on its own."""
+    return {
+        "condition": {"members": [{
+            "subject": m.subject, "positive": m.positive,
+            "min_score": m.min_score, "window": list(m.window),
+        } for m in rule.condition.members]},
+        "consequents": [{"subject": c.subject, "window": list(c.window)}
+                        for c in rule.consequents],
+        "p": round(rule.p, 6),
+        "support": rule.support,
+        "n_hit": rule.n_hit,
+        "smoothed": True,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(MINE_GOLDEN))
+def test_rules_to_json_matches_per_rule_dicts(name):
+    make, args = MINE_GOLDEN[name]
+    opts = dict(zip(args[::2], args[1::2]))
+    rules = mine_rules(make(), window=int(opts["--window"]),
+                       min_support=int(opts["--min-support"]),
+                       min_p=float(opts["--min-p"]))
+    assert rules
+    out = rules_to_json(rules)
+    assert out == [per_rule_json(r) for r in rules]
+    # one dict per distinct member and one list per distinct target
+    members = {id(m) for r in out for m in r["condition"]["members"]}
+    assert len(members) <= len({(m["subject"], m["positive"])
+                                for r in out
+                                for m in r["condition"]["members"]})
+    assert len({id(r["consequents"]) for r in out}) == len(
+        {r["consequents"][0]["subject"] for r in out})
+
+
 # scalars where json's text is easy to get wrong, and any str: non-ASCII,
 # control characters and lone surrogates
 JSON_SCALARS = (st.none() | st.booleans() | st.integers()
@@ -229,12 +269,23 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_report_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+    # one object met several times, at equal and at different depths
+    shared = {"a": value, "b": [value, value, {"c": value}],
+              "d": (value, [value])}
+    assert _json(shared) == json.dumps(shared, sort_keys=True, indent=2)
 
 
 def test_report_writer_edge_values():
     value = {"\u00e9\x00\n": [{}, [], (), [[{}]], {"": {"": []}}],
              "b": [True, 1, False, 0, None, -0.0, 1e16, 2 ** 100],
              "a": (float("nan"), float("inf"), -float("inf"), "\U0001f600")}
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+    member = {"subject": "Z01", "window": [-4, 0]}
+    members = [member, member, {}]
+    value = {"rules": [{"members": members, "first": member},
+                       {"members": members},
+                       {"members": [member, [member, members]]}],
+             "top": member}
     assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
@@ -440,6 +491,32 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
     assert main(["--config", str(cfgfile), "analyze", str(img),
                  "--out", str(out)]) == 1
     assert json.loads(out.read_text())["config"]["min_segment_px"] == 4
+
+
+@pytest.mark.parametrize("flags", [["--min-p", "nan", "--min-support", "0"],
+                                   ["--min-p", "2"], ["--min-support", "-3"]])
+def test_mine_threshold_out_of_domain_exit_two(tmp_path, capsys, flags):
+    log_file = tmp_path / "events.log"
+    log_file.write_text("t=0 subj=A score=0.9\nt=1 subj=B score=0.9\n"
+                        "t=4 subj=A score=0.9\n")
+    out = tmp_path / "rules.json"
+    assert main(["mine", str(log_file), *flags, "--out", str(out)]) == 2
+    assert "must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_value_exit_two(tmp_path, capsys, text):
+    # json reads these, but they are no RFC 8259 JSON to echo into a report
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"recognition_min_score": %s}' % text)
+    log_file = tmp_path / "events.log"
+    log_file.write_text("t=0 subj=A score=0.9\nt=1 subj=B score=0.9\n")
+    out = tmp_path / "rules.json"
+    assert main(["--config", str(cfgfile), "mine", str(log_file),
+                 "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mine_log_token_without_equals_exit_two(tmp_path):

@@ -128,6 +128,17 @@ def test_schema_text_ignores_comments_blanks_and_indentation():
     assert parse_schema(decorated(text)) == parse_schema(text) == sch
 
 
+def test_schema_errors_name_the_file_line():
+    # the body is parsed with its lines in place, and bind lines carry theirs
+    with pytest.raises(ParseError, match="^line 5: part needs"):
+        parse_schema("oriented\n# body\n\npart a MOVE\npart b\n"
+                     "bind a MOVE first\n")
+    with pytest.raises(SchemaError, match="^line 4: BIND operand"):
+        parse_schema("part a MOVE\n\n\nbind a BIND x\n")
+    with pytest.raises(SchemaError, match="^line 2: bind needs"):
+        parse_schema("part a MOVE\nbind a\n")
+
+
 def test_netlist_ignores_comments_blanks_and_indentation():
     text = serialize_nandnet(compile_to_nand([0, 1, 1, 0]))
     noisy = decorated(text)

@@ -195,6 +195,18 @@ def test_laplace_estimate_properties():
     assert abs(rule.p - hits / n) < 0.01
 
 
+def test_mine_rejects_thresholds_out_of_domain():
+    # a NaN min_p fails every `p < min_p` test, so it would prune nothing
+    log = [Recognition("A", 0.9, 0), Recognition("B", 0.9, 1),
+           Recognition("A", 0.9, 4)]
+    for bad in ({"min_p": float("nan")}, {"min_p": 2.0}, {"min_p": -0.1},
+                {"min_support": -3}):
+        with pytest.raises(RuleError, match="min_p|min_support"):
+            mine_rules(log, **{"min_p": 0.5, "min_support": 0, **bad})
+    for edge in ({"min_p": 0.0}, {"min_p": 1.0}, {"min_support": 0}):
+        mine_rules(log, **{"min_p": 0.5, "min_support": 1, **edge})
+
+
 def test_mined_condition_arity_capped():
     log = planted_implication(seed=3, n_triggers=80, p=1.0, window=4)
     rules = mine_rules(log, window=4, min_support=10, min_p=0.5)
