@@ -51,37 +51,25 @@ from .solver import (
 from .structure import StructureError, TypeCatalog, isomorphic
 
 
-def _float(value: float) -> str:
-    return ("NaN" if value != value else "Infinity" if value == inf
-            else "-Infinity" if value == -inf else float.__repr__(value))
-
-
-# writers of the exact JSON scalar types; subclasses take the isinstance path
-_SCALARS = {str: _quote, int: int.__repr__, float: _float,
-            bool: lambda v: "true" if v else "false",
-            type(None): lambda v: "null"}
-
-
 def _json(value, indent: str = "\n", seen: dict | None = None) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for str keys, joined per
     container: given an indent, CPython's json uses its pure-Python encoder.
 
-    Scalars are written through `_SCALARS` by exact type, a container's
-    scalar children inline.  `seen` maps (id, indent) of each container met
-    in this dump to None, or to its text once it is met a second time at that
-    indent: a container shared by several parents of a report (a mined rule's
-    member or consequents) is rendered once per depth.  Ids stay valid
-    because the whole value is alive until the dump ends.
+    `seen` maps (id, indent) of each container met in this dump to None, or
+    to its text once it is met a second time at that indent: a container
+    shared by several parents of a report (a mined rule's member or
+    consequents) is rendered once per depth.  Ids stay valid because the
+    whole value is alive until the dump ends.
     """
-    write = _SCALARS.get(type(value))
-    if write is not None:
-        return write(value)
     if isinstance(value, str):
         return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float(value)
+        return ("NaN" if value != value else "Infinity" if value == inf
+                else "-Infinity" if value == -inf else float.__repr__(value))
     if seen is None:
         seen = {}
     key = (id(value), indent)
@@ -89,19 +77,11 @@ def _json(value, indent: str = "\n", seen: dict | None = None) -> str:
     if text is not None:
         return text
     inner = indent + "  "
-    items = []
     if isinstance(value, dict):
-        ends = "{}"
-        for k in sorted(value):
-            v = value[k]
-            write = _SCALARS.get(type(v))
-            items.append(_quote(k) + ": "
-                         + (write(v) if write else _json(v, inner, seen)))
+        items, ends = [_quote(k) + ": " + _json(value[k], inner, seen)
+                       for k in sorted(value)], "{}"
     elif isinstance(value, (list, tuple)):
-        ends = "[]"
-        for v in value:
-            write = _SCALARS.get(type(v))
-            items.append(write(v) if write else _json(v, inner, seen))
+        items, ends = [_json(v, inner, seen) for v in value], "[]"
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
     text = (ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
@@ -253,23 +233,25 @@ def parse_recognition_log(text: str) -> list[Recognition]:
 
 
 def rules_to_json(rules: list[AssociativeRule]) -> list[dict]:
-    """The report's rule list.  Rules that share a member or a consequents
-    object share its JSON, so `_json` renders it once per depth."""
-    members: dict[int, dict] = {}
-    consequents: dict[int, list] = {}
+    """The report's rule list.  Rules with equal members or consequents share
+    their JSON, so `_json` renders it once per depth.  Equal is Python's
+    `==`, so a `min_score` of 1 would take the text of an earlier 1.0;
+    `mine_rules` gives every member of a run the one configured float."""
+    members: dict[MsMember, dict] = {}
+    consequents: dict[tuple, list] = {}
     out = []
     for rule in rules:
         ms = []
         for m in rule.condition.members:
-            d = members.get(id(m))
+            d = members.get(m)
             if d is None:
-                d = members[id(m)] = {
+                d = members[m] = {
                     "subject": m.subject, "positive": m.positive,
                     "min_score": m.min_score, "window": list(m.window)}
             ms.append(d)
-        cs = consequents.get(id(rule.consequents))
+        cs = consequents.get(rule.consequents)
         if cs is None:
-            cs = consequents[id(rule.consequents)] = [
+            cs = consequents[rule.consequents] = [
                 {"subject": c.subject, "window": list(c.window)}
                 for c in rule.consequents]
         out.append({"condition": {"members": ms}, "consequents": cs,

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from structkit.cli import _json, main, parse_recognition_log, rules_to_json
 from structkit.io_struct import parse_structure, serialize_structure
-from structkit.rules import mine_rules
+from structkit.rules import (
+    AssociativeRule,
+    Consequent,
+    MicroSituation,
+    MsMember,
+    mine_rules,
+)
 from structkit.structure import structure
 
 from loggen import (
@@ -241,11 +247,27 @@ def test_rules_to_json_matches_per_rule_dicts(name):
     assert out == [per_rule_json(r) for r in rules]
     # one dict per distinct member and one list per distinct target
     members = {id(m) for r in out for m in r["condition"]["members"]}
-    assert len(members) <= len({(m["subject"], m["positive"])
-                                for r in out
-                                for m in r["condition"]["members"]})
+    assert len(members) == len({m for r in rules
+                                for m in r.condition.members})
     assert len({id(r["consequents"]) for r in out}) == len(
         {r["consequents"][0]["subject"] for r in out})
+
+
+def test_rules_to_json_shares_equal_pieces_of_separate_objects():
+    rules = [AssociativeRule(MicroSituation((MsMember("A"),
+                                             MsMember("B", False))),
+                             (Consequent("C", (1, 3)),), n_cond=5, n_hit=4),
+             AssociativeRule(MicroSituation((MsMember("B", False),)),
+                             (Consequent("C", (1, 3)),), n_cond=6, n_hit=5),
+             AssociativeRule(MicroSituation((MsMember("B"),)),
+                             (Consequent("C", (1, 2)),), n_cond=6, n_hit=5)]
+    out = rules_to_json(rules)
+    assert out == [per_rule_json(r) for r in rules]
+    members = [r["condition"]["members"] for r in out]
+    assert members[0][1] is members[1][0]
+    assert members[2][0] is not members[1][0]
+    assert out[0]["consequents"] is out[1]["consequents"]
+    assert out[2]["consequents"] is not out[1]["consequents"]
 
 
 # scalars where json's text is easy to get wrong, and any str: non-ASCII,
