@@ -148,7 +148,7 @@ def cmd_iso(args) -> int:
     witness = isomorphic(a, b)
     report = dict(echo)
     report["isomorphic"] = witness is not None
-    report["witness"] = witness if witness is not None else None
+    report["witness"] = witness
     _dump(report, args.out)
     return 0 if witness is not None else 1
 
@@ -273,10 +273,18 @@ def cmd_mine(args) -> int:
 
 
 def _micro_from_json(obj: dict) -> MicroSituation:
-    members = tuple(MsMember(
-        m["subject"], m.get("positive", True), m.get("min_score", 0.5),
-        tuple(m.get("window", (0, 0)))) for m in obj["members"])
-    return MicroSituation(members)
+    members = []
+    for m in obj["members"]:
+        subject, positive = m["subject"], m.get("positive", True)
+        score, window = m.get("min_score", 0.5), m.get("window", [0, 0])
+        # JSON values have exact types, so a bool is no int here
+        if not (isinstance(subject, str) and type(positive) is bool
+                and type(score) in (int, float) and 0 <= score <= 1
+                and type(window) is list and len(window) == 2
+                and all(type(w) is int for w in window)):
+            raise ParseError(f"problem: malformed member {m}")
+        members.append(MsMember(subject, positive, score, tuple(window)))
+    return MicroSituation(tuple(members))
 
 
 def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
@@ -325,7 +333,10 @@ def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
     spec = ProblemSpec(start, goal, tuple(productions),
                        recognizers=recognizers,
                        undesired=undesired, heuristic=heuristic)
-    return spec, int(obj.get("budget", cfg.solve_budget_default))
+    budget = obj.get("budget", cfg.solve_budget_default)
+    if type(budget) is not int:
+        raise ParseError(f"problem: malformed budget {budget!r}")
+    return spec, budget
 
 
 def cmd_solve(args) -> int:

@@ -208,15 +208,12 @@ def apply_morphism(s: Structure, m: MorphismMask,
         t = merge_types.get(t, t)
         if m.drop_part_attrs and catalog is not None:
             entry = catalog.resolve(t)
-            if isinstance(entry, AttrType):
+            if isinstance(entry, (AttrType, StructType)):
                 kept = tuple((k, v) for k, v in entry.attrs
                              if k not in m.drop_part_attrs)
                 if kept != entry.attrs:
-                    return catalog.intern_attr(entry.label, kept)
-            elif isinstance(entry, StructType):
-                kept = tuple((k, v) for k, v in entry.attrs
-                             if k not in m.drop_part_attrs)
-                if kept != entry.attrs:
+                    if isinstance(entry, AttrType):
+                        return catalog.intern_attr(entry.label, kept)
                     return catalog.intern_struct(entry.inner, kept)
         return t
 

@@ -19,8 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT, Config
 from .derivation import MorphismMask, Partition, Portion
+from .io_struct import _tokens
 from .structure import (Relation, Structure, StructureError, TypeCatalog,
-                        _is_connected)
+                        _find, _is_connected)
 
 
 class RasterError(StructureError):
@@ -77,9 +78,8 @@ def load_raster(data: bytes | str) -> RasterStructure:
     """Parse ASCII PBM (P1) or PGM (P2); lossless."""
     text = data.decode("ascii") if isinstance(data, bytes) else data
     tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
+    for _, line in _tokens(text):
+        tokens += line
     if not tokens:
         raise RasterError("empty raster file")
     magic = tokens.pop(0)
@@ -156,13 +156,6 @@ def _regions(r: RasterStructure) -> list[tuple[int, list[Run]]]:
     runs: list[Run] = []
     values: list[int] = []
     parent: list[int] = []
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     prev: list[int] = []
     for y, row in enumerate(r.values):
         cur = []
@@ -181,7 +174,7 @@ def _regions(r: RasterStructure) -> list[tuple[int, list[Run]]]:
         while i < len(prev) and j < len(cur):
             a, b = prev[i], cur[j]
             if values[a] == values[b]:
-                ra, rb = find(a), find(b)
+                ra, rb = _find(parent, a), _find(parent, b)
                 if ra < rb:
                     parent[rb] = ra
                 elif rb < ra:
@@ -195,7 +188,7 @@ def _regions(r: RasterStructure) -> list[tuple[int, list[Run]]]:
     regions: list[tuple[int, list[Run]]] = []
     slot = [0] * len(runs)
     for label, run in enumerate(runs):
-        root = find(label)
+        root = _find(parent, label)
         if root == label:
             slot[label] = len(regions)
             regions.append((values[label], []))

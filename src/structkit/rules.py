@@ -244,7 +244,10 @@ class Subject:
     id: str
     recognizer: object = None     # Signature, (Structure, mask) or Schema
     legitimacy: int = 0
-    candidate_only: bool = True
+
+    @property
+    def candidate_only(self) -> bool:
+        return self.legitimacy == 0
 
 
 def recognize(subject: Subject, observation,
@@ -282,7 +285,6 @@ def rule_subjects(rule: AssociativeRule) -> set[str]:
 
 
 def update_legitimacy(subjects: Sequence[Subject],
-                      rules: Sequence[AssociativeRule],
                       validations: Sequence[tuple[AssociativeRule, bool]],
                       cfg: Config = DEFAULT) -> list[Subject]:
     """Count, per subject, the validated rules that reference it.
@@ -305,7 +307,7 @@ def update_legitimacy(subjects: Sequence[Subject],
     out = []
     for subj in subjects:
         count = sum(1 for rule in validated if subj.id in rule_subjects(rule))
-        out.append(replace(subj, legitimacy=count, candidate_only=count == 0))
+        out.append(replace(subj, legitimacy=count))
     return out
 
 

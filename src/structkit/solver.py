@@ -103,27 +103,16 @@ def state_recognitions(state: State, spec: ProblemSpec,
                        cfg: Config = DEFAULT) -> list[Recognition]:
     """The recognizers that fire on the state, in recognizer order.
 
-    Recognizers sharing a mask share one masked state, built when the first
-    of them is asked; `embeds` caches its host index on it.
+    A masked recognizer tests its pattern on the state under its mask.
     """
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
     catalog = spec.catalog
-    masked: dict = {}    # mask -> the state under it
     recs = []
     for rec in spec.recognizers:
         target = state
         if rec.mask is not None:
-            if rec.mask not in masked:
-                bound = catalog.bound_count() if catalog is not None else 0
-                target = apply_morphism(state, rec.mask, catalog)
-                if catalog is not None and catalog.bound_count() != bound:
-                    # a coarsened type was bound, maybe under an id that the
-                    # masked states built so far hold unbound, so applying
-                    # their masks again may give other states
-                    masked.clear()
-                masked[rec.mask] = target
-            target = masked[rec.mask]
+            target = apply_morphism(state, rec.mask, catalog)
         if embeds(target, rec.pattern, catalog, cfg):
             recs.append(Recognition(rec.subject, 1.0, 0))
     return recs

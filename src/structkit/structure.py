@@ -61,8 +61,7 @@ class Relation:
         object.__setattr__(self, "attrs", _freeze_attrs(self.attrs))
 
     def key(self, oriented: bool) -> tuple:
-        ends = (self.a, self.b) if oriented else tuple(sorted((self.a, self.b)))
-        return (ends, self.label, self.attrs)
+        return (self.ends(oriented), self.label, self.attrs)
 
     def ends(self, oriented: bool) -> tuple[str, str]:
         return (self.a, self.b) if oriented else tuple(sorted((self.a, self.b)))
@@ -138,15 +137,9 @@ def structure(types: Mapping[str, str] | Sequence[tuple[str, str]],
     pairs = list(types.items()) if isinstance(types, Mapping) else list(types)
     parts = tuple(p for p, _ in pairs)
     ptypes = tuple(t for _, t in pairs)
-    rels = []
-    for r in relations:
-        if isinstance(r, Relation):
-            rels.append(r)
-        elif len(r) == 3:
-            rels.append(Relation(r[0], r[1], r[2]))
-        else:
-            rels.append(Relation(r[0], r[1], r[2], _freeze_attrs(r[3])))
-    return Structure(parts, ptypes, tuple(rels), oriented)
+    rels = tuple(r if isinstance(r, Relation) else Relation(*r)
+                 for r in relations)
+    return Structure(parts, ptypes, rels, oriented)
 
 
 EMPTY = Structure((), ())
@@ -478,7 +471,7 @@ def _encode(s: Structure, order: list[str], keys: dict[str, str],
 _CANON_NODE_CAP = 100_000
 
 
-def _find(parent: dict[str, str], x: str) -> str:
+def _find(parent, x):
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]

@@ -599,6 +599,31 @@ def test_solve_non_numeric_budget_or_score_exit_two(tmp_path, capsys):
         assert "problem: malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("goal_member, budget", [
+    ({"subject": "a", "min_score": "hi"}, 5),
+    ({"subject": "a", "min_score": None}, 5),
+    ({"subject": "a", "window": "ab"}, 5),
+    ({"subject": "a", "window": [0]}, 5),
+    ({"subject": "a"}, True),
+])
+def test_solve_malformed_member_or_budget_exit_two(tmp_path, capsys,
+                                                   goal_member, budget):
+    problem = {
+        "start": {"recognitions": [{"subject": "a", "score": 1.0}]},
+        "goal": {"members": [goal_member]},
+        "productions": [{
+            "name": "noop",
+            "guard": {"members": [{"subject": "a"}]},
+            "effect": {"add": [], "remove": []},
+        }],
+        "budget": budget,
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+    assert "problem: malformed" in capsys.readouterr().err
+
+
 def test_solve_struct_naming_undeclared_part_exit_two(tmp_path):
     problem = {
         "start": {"struct": "part a T\nrel a b L\n"},

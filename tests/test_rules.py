@@ -323,7 +323,7 @@ def test_legitimacy_counts_validated_rules():
                            (Consequent("X"),), n_cond=40, n_hit=36)
     subjects = [Subject("A"), Subject("X"), Subject("Z")]
     validations = [(rule, True)] * 9 + [(rule, False)]
-    out = update_legitimacy(subjects, [rule], validations)
+    out = update_legitimacy(subjects, validations)
     by_id = {s.id: s for s in out}
     assert by_id["A"].legitimacy == 1 and not by_id["A"].candidate_only
     assert by_id["X"].legitimacy == 1
@@ -333,8 +333,13 @@ def test_legitimacy_counts_validated_rules():
 def test_refuted_rule_confers_nothing():
     rule = AssociativeRule(MicroSituation((MsMember("A"),)),
                            (Consequent("X"),), n_cond=40, n_hit=4)
-    out = update_legitimacy([Subject("A")], [rule], [(rule, False)] * 10)
+    out = update_legitimacy([Subject("A")], [(rule, False)] * 10)
     assert out[0].legitimacy == 0 and out[0].candidate_only
+
+
+def test_candidate_follows_legitimacy():
+    assert Subject("A").candidate_only is True
+    assert Subject("A", legitimacy=2).candidate_only is False
 
 
 def test_negative_polarity_subject_gains_legitimacy():
@@ -342,7 +347,7 @@ def test_negative_polarity_subject_gains_legitimacy():
         MicroSituation((MsMember("water", False, 0.5, (-6, 0)),)),
         (Consequent("plants-dry", (1, 6)),), n_cond=50, n_hit=47)
     subjects = [Subject("water"), Subject("plants-dry")]
-    out = update_legitimacy(subjects, [dry_rule], [(dry_rule, True)] * 8)
+    out = update_legitimacy(subjects, [(dry_rule, True)] * 8)
     assert all(s.legitimacy == 1 for s in out)
 
 

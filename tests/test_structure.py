@@ -86,6 +86,14 @@ def test_validate_duplicate_relation():
     assert any("duplicate" in p for p in validate(s))
 
 
+def test_structure_builds_relation_tuples_like_relation():
+    s = structure({"a": "T", "b": "T"}, [("a", "b", "L", {"w": 2, "h": 1})])
+    assert s.relations == (Relation("a", "b", "L", {"w": 2, "h": 1}),)
+    assert s.relations[0].attrs == (("h", 1), ("w", 2))
+    with pytest.raises(TypeError):
+        structure({"a": "T", "b": "T"}, [("a", "b", "L", {}, "extra")])
+
+
 def test_single_part_is_legal():
     assert validate(structure({"a": "T"})) == []
 
