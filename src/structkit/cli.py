@@ -46,6 +46,7 @@ from .solver import (
     RecognitionState,
     SetEffect,
     StructRecognizer,
+    _SOLVE_BUDGET,
     solve,
 )
 from .structure import StructureError, TypeCatalog, isomorphic
@@ -272,14 +273,19 @@ def cmd_mine(args) -> int:
     return 0
 
 
+def _scored(subject, score) -> bool:
+    """A str subject and an int or float score; JSON values have exact
+    types, so a bool is no int here."""
+    return isinstance(subject, str) and type(score) in (int, float)
+
+
 def _micro_from_json(obj: dict) -> MicroSituation:
     members = []
     for m in obj["members"]:
         subject, positive = m["subject"], m.get("positive", True)
         score, window = m.get("min_score", 0.5), m.get("window", [0, 0])
-        # JSON values have exact types, so a bool is no int here
-        if not (isinstance(subject, str) and type(positive) is bool
-                and type(score) in (int, float) and 0 <= score <= 1
+        if not (_scored(subject, score) and type(positive) is bool
+                and 0 <= score <= 1
                 and type(window) is list and len(window) == 2
                 and all(type(w) is int for w in window)):
             raise ParseError(f"problem: malformed member {m}")
@@ -287,11 +293,16 @@ def _micro_from_json(obj: dict) -> MicroSituation:
     return MicroSituation(tuple(members))
 
 
-def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
+def _problem_from_json(obj: dict) -> tuple[ProblemSpec, int]:
     start_obj = obj["start"]
     if "recognitions" in start_obj:
-        start = RecognitionState.of({r["subject"]: r.get("score", 1.0)
-                                     for r in start_obj["recognitions"]})
+        scores = {}
+        for r in start_obj["recognitions"]:
+            subject, score = r["subject"], r.get("score", 1.0)
+            if not _scored(subject, score):
+                raise ParseError(f"problem: malformed recognition {r}")
+            scores[subject] = score
+        start = RecognitionState.of(scores)
     elif "struct" in start_obj:
         start = parse_structure(start_obj["struct"])
     else:
@@ -309,15 +320,23 @@ def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
         if "schema" in eff_obj:
             effect = parse_schema(eff_obj["schema"])
         elif "add" in eff_obj or "remove" in eff_obj:
-            effect = SetEffect(
-                tuple((s, float(v)) for s, v in eff_obj.get("add", [])),
-                tuple(eff_obj.get("remove", [])))
+            add, remove = eff_obj.get("add", []), eff_obj.get("remove", [])
+            if not (type(add) is list and type(remove) is list
+                    and all(type(e) is list and len(e) == 2 and _scored(*e)
+                            for e in add)
+                    and all(isinstance(s, str) for s in remove)):
+                raise ParseError(f"problem: malformed effect {eff_obj}")
+            effect = SetEffect(tuple((s, float(v)) for s, v in add),
+                               tuple(remove))
         else:
             raise ParseError(f"production {p['name']} effect malformed")
         productions.append(Production(p["name"], guard, effect))
-    recognizers = tuple(
-        StructRecognizer(r["subject"], parse_structure(r["pattern"]))
-        for r in obj.get("recognizers", []))
+    recognizers = []
+    for r in obj.get("recognizers", []):
+        if not isinstance(r["subject"], str):
+            raise ParseError(f"problem: malformed recognizer {r}")
+        recognizers.append(
+            StructRecognizer(r["subject"], parse_structure(r["pattern"])))
     goal = _micro_from_json(obj["goal"])
     undesired = tuple(_micro_from_json(u) for u in obj.get("undesired", []))
     heuristic = None
@@ -331,9 +350,9 @@ def _problem_from_json(obj: dict, cfg: Config) -> tuple[ProblemSpec, int]:
                 present = set()
             return sum(1 for m in _pos if m.subject not in present)
     spec = ProblemSpec(start, goal, tuple(productions),
-                       recognizers=recognizers,
+                       recognizers=tuple(recognizers),
                        undesired=undesired, heuristic=heuristic)
-    budget = obj.get("budget", cfg.solve_budget_default)
+    budget = obj.get("budget", _SOLVE_BUDGET)
     if type(budget) is not int:
         raise ParseError(f"problem: malformed budget {budget!r}")
     return spec, budget
@@ -343,7 +362,7 @@ def cmd_solve(args) -> int:
     cfg, echo = _load_config(args.config, args.seed)
     obj = json.loads(Path(args.problem).read_text())
     try:
-        spec, budget = _problem_from_json(obj, cfg)
+        spec, budget = _problem_from_json(obj)
     except StructureError:
         raise   # already a ParseError or a malformed structure: exit 2
     except KeyError as exc:

@@ -1,7 +1,9 @@
-"""Single home for every tunable.
+"""Single home for the model parameters a caller may set.
 
-Every threshold, bin count, cap and budget used anywhere in the package is
-declared here so that tests can pin them and reports can echo them verbatim.
+The thresholds, bin counts, mining condition size and schema fuel are
+declared here so that callers and tests can set them and reports can echo
+them verbatim.  A search cap or budget that no caller sets differently is a
+module constant beside the code that enforces it.
 """
 
 from __future__ import annotations
@@ -24,15 +26,6 @@ class Config:
     min_segment_px: float = 4.0           # shorter chains act as joint connectors
     signature_threshold: float = 0.5
 
-    # --- structure operations ---
-    # operand size cap of occurrences (so of difference), of embeds (so of
-    # the solver's recognizers and pattern guards) and of convolution
-    occurrence_part_cap: int = 64
-    motif_size_cap: int = 5               # case-1 regularity motif cap
-    edit_eps: float = 0.10                # case-2 "small change" fraction
-    partition_cap: int = 8                # canonical partitions returned
-    recipe_cap: int = 64                  # case-3 derivation recipes tried
-
     # --- schema machine ---
     fuel_default: int = 1_000_000
 
@@ -41,9 +34,6 @@ class Config:
     recognition_min_score: float = 0.5    # score counting as "recognized" in mining
     mining_max_condition: int = 3
     validation_threshold: float = 0.7     # smoothed p making a rule "validated"
-
-    # --- solver ---
-    solve_budget_default: int = 100_000
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .config import DEFAULT, Config
 from .structure import (
     AttrType,
     Relation,
@@ -242,8 +241,8 @@ def _dedup(rels: list[Relation], oriented: bool) -> tuple[Relation, ...]:
 # canonical partitions: blocks grown until a regularity rupture
 # ---------------------------------------------------------------------------
 
-def canonical_partitions(s: Structure, catalog: Optional[TypeCatalog] = None,
-                         cfg: Config = DEFAULT) -> list[Partition]:
+def canonical_partitions(s: Structure, catalog: Optional[TypeCatalog] = None
+                         ) -> list[Partition]:
     """Partitions whose blocks are maximal runs of equal internal content.
 
     Three growth rules are tried (equal type and relation label, equal type,
@@ -261,9 +260,7 @@ def canonical_partitions(s: Structure, catalog: Optional[TypeCatalog] = None,
     for blocks in candidates:
         uniq.setdefault(_blocks_key(blocks), blocks)
     ranked = sorted(uniq.values(), key=lambda bl: (-len(bl), _blocks_key(bl)))
-    out = [partition(s, blocks, allow_disconnected=True)
-           for blocks in ranked[:cfg.partition_cap]]
-    return out
+    return [partition(s, blocks, allow_disconnected=True) for blocks in ranked]
 
 
 def _blocks_key(blocks: list[list[str]]) -> tuple:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .config import DEFAULT, Config
 from .derivation import MorphismMask, apply_morphism, canonical_partitions, quotient
+from .pixels import Signature, evaluate_signature
 from .schema import Schema, execute
 from .structure import (
     SearchBudgetError,
@@ -260,7 +261,6 @@ def recognize(subject: Subject, observation,
     mask, if any); schema detectors run on the structure and report 1.0 when
     the output carries a part typed "1".
     """
-    from .pixels import Signature, evaluate_signature
     rec = subject.recognizer
     if rec is None:
         raise RuleError(f"subject {subject.id} carries no recognizer")
@@ -321,12 +321,16 @@ class RegularityReport:
     evidence: dict
 
 
+# case 1 canonicalises every connected subset of up to k_max parts
+_MOTIF_SIZE_CAP = 5
+
+
 def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3,
-                            catalog: Optional[TypeCatalog] = None,
-                            cfg: Config = DEFAULT) -> list[RegularityReport]:
+                            catalog: Optional[TypeCatalog] = None
+                            ) -> list[RegularityReport]:
     """Connected motifs of up to k_max parts occurring in >= 2 members."""
-    if k_max > cfg.motif_size_cap:
-        raise RuleError(f"k_max exceeds the motif cap of {cfg.motif_size_cap}")
+    if k_max > _MOTIF_SIZE_CAP:
+        raise RuleError(f"k_max exceeds the motif cap of {_MOTIF_SIZE_CAP}")
     hits: dict[str, dict[int, list[tuple[str, ...]]]] = {}
     for idx, s in enumerate(pop):
         for size in range(1, min(k_max, s.n) + 1):
@@ -378,8 +382,7 @@ def edit_distance(a: Structure, b: Structure,
             f"edit distance search exceeds part cap of {_EDIT_PART_CAP}")
     pair_b: dict[tuple, Counter] = {}
     for r in b.relations:
-        ends = (r.a, r.b) if b.oriented else tuple(sorted((r.a, r.b)))
-        pair_b.setdefault(ends, Counter())[r.label, r.attrs] += 1
+        pair_b.setdefault(r.ends(b.oriented), Counter())[r.label, r.attrs] += 1
     best: Optional[tuple[int, list[str]]] = None
     for perm in itertools.permutations(b.parts):
         mapping = dict(zip(a.parts, perm))
@@ -414,11 +417,10 @@ def edit_distance(a: Structure, b: Structure,
     return best
 
 
-def detect_regularity_case2(a: Structure, b: Structure, eps: float = None,
-                            catalog: Optional[TypeCatalog] = None,
-                            cfg: Config = DEFAULT) -> Optional[RegularityReport]:
+def detect_regularity_case2(a: Structure, b: Structure, eps: float = 0.10,
+                            catalog: Optional[TypeCatalog] = None
+                            ) -> Optional[RegularityReport]:
     """Near-identity: the minimal edit stays under the eps fraction."""
-    eps = cfg.edit_eps if eps is None else eps
     if not 0 < eps <= 0.5:
         raise RuleError("eps must lie in (0, 0.5]")
     found = edit_distance(a, b, catalog)
@@ -446,10 +448,14 @@ class Recipe:
         return "; ".join(steps) if steps else "identity"
 
 
+# case 3 tries 3 quotient ranks x 2^len(masks) recipes: 4 masks in full
+_RECIPE_CAP = 64
+
+
 def detect_regularity_case3(pop: Sequence[Structure],
                             masks: Sequence[MorphismMask] = (),
-                            catalog: Optional[TypeCatalog] = None,
-                            cfg: Config = DEFAULT) -> list[RegularityReport]:
+                            catalog: Optional[TypeCatalog] = None
+                            ) -> list[RegularityReport]:
     """Derivation recipes (quotient rank x mask subset) that make members
     coincide.  The search space is capped; overflow flags partial results."""
     catalog = catalog if catalog is not None else TypeCatalog()
@@ -460,8 +466,8 @@ def detect_regularity_case3(pop: Sequence[Structure],
     for rank in (None, 0, 1):
         for subset in mask_subsets:
             recipes.append(Recipe(rank, tuple(subset)))
-    partial = len(recipes) > cfg.recipe_cap
-    recipes = recipes[:cfg.recipe_cap]
+    partial = len(recipes) > _RECIPE_CAP
+    recipes = recipes[:_RECIPE_CAP]
 
     reports = []
     for recipe in recipes:
@@ -470,7 +476,7 @@ def detect_regularity_case3(pop: Sequence[Structure],
             derived = s
             try:
                 if recipe.partition_rank is not None:
-                    parts = canonical_partitions(derived, catalog, cfg)
+                    parts = canonical_partitions(derived, catalog)
                     if recipe.partition_rank >= len(parts):
                         continue
                     derived = quotient(derived, parts[recipe.partition_rank],

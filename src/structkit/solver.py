@@ -99,8 +99,7 @@ class SearchResult:
 # state inspection
 # ---------------------------------------------------------------------------
 
-def state_recognitions(state: State, spec: ProblemSpec,
-                       cfg: Config = DEFAULT) -> list[Recognition]:
+def state_recognitions(state: State, spec: ProblemSpec) -> list[Recognition]:
     """The recognizers that fire on the state, in recognizer order.
 
     A masked recognizer tests its pattern on the state under its mask.
@@ -113,7 +112,7 @@ def state_recognitions(state: State, spec: ProblemSpec,
         target = state
         if rec.mask is not None:
             target = apply_morphism(state, rec.mask, catalog)
-        if embeds(target, rec.pattern, catalog, cfg):
+        if embeds(target, rec.pattern, catalog):
             recs.append(Recognition(rec.subject, 1.0, 0))
     return recs
 
@@ -125,7 +124,7 @@ def _fires(ms, recs: list[Recognition], cfg: Config) -> bool:
 def goal_satisfied(state: State, goal: MicroSituation, spec: ProblemSpec,
                    cfg: Config = DEFAULT) -> bool:
     """Abstract goals match every concrete state carrying the subjects."""
-    return _fires(goal, state_recognitions(state, spec, cfg), cfg)
+    return _fires(goal, state_recognitions(state, spec), cfg)
 
 
 def _guard_holds(state: State, prod: Production, spec: ProblemSpec,
@@ -135,7 +134,7 @@ def _guard_holds(state: State, prod: Production, spec: ProblemSpec,
     if isinstance(prod.guard, Structure):
         if not isinstance(state, Structure):
             return False
-        return embeds(state, prod.guard, spec.catalog, cfg)
+        return embeds(state, prod.guard, spec.catalog)
     raise SolverError(f"unsupported guard on production {prod.name}")
 
 
@@ -177,7 +176,7 @@ def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
     for prod in spec.productions:
         try:
             if recs is None and isinstance(prod.guard, MicroSituation):
-                recs = state_recognitions(state, spec, cfg)
+                recs = state_recognitions(state, spec)
             if not _guard_holds(state, prod, spec, recs, cfg):
                 continue
             successors.append((prod.name, _apply_effect(state, prod, cfg)))
@@ -198,7 +197,11 @@ def _state_key(state: State, spec: ProblemSpec) -> str:
 # search
 # ---------------------------------------------------------------------------
 
-def solve(spec: ProblemSpec, budget: Optional[int] = None,
+# states one search may expand unless the caller passes another budget
+_SOLVE_BUDGET = 100_000
+
+
+def solve(spec: ProblemSpec, budget: int = _SOLVE_BUDGET,
           cfg: Config = DEFAULT) -> SearchResult:
     """Best-first search; zero heuristic means uniform cost and minimal plans.
 
@@ -206,7 +209,6 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
     replays from the start to a goal state.  Deterministic tie-breaking by
     insertion order.
     """
-    budget = budget if budget is not None else cfg.solve_budget_default
     if budget <= 0:
         raise SolverError("budget must be positive")
     h = spec.heuristic or (lambda state: 0.0)
@@ -219,7 +221,7 @@ def solve(spec: ProblemSpec, budget: Optional[int] = None,
         _, _, key, state, plan = heapq.heappop(heap)
         if best_cost[key] < len(plan):
             continue
-        recs = state_recognitions(state, spec, cfg)
+        recs = state_recognitions(state, spec)
         if any(_fires(ms, recs, cfg) for ms in spec.undesired):
             continue    # every path to this key is undesired too
         if _fires(spec.goal, recs, cfg):
@@ -244,7 +246,7 @@ def replay(spec: ProblemSpec, plan: Sequence[str],
     """Walk the plan from the start, enforcing guards; returns the end state."""
     by_name = {p.name: p for p in spec.productions}
     state = spec.start
-    recs = state_recognitions(state, spec, cfg)
+    recs = state_recognitions(state, spec)
     for name in plan:
         prod = by_name.get(name)
         if prod is None:
@@ -252,7 +254,7 @@ def replay(spec: ProblemSpec, plan: Sequence[str],
         if not _guard_holds(state, prod, spec, recs, cfg):
             raise SolverError(f"guard of {name} does not hold during replay")
         state = _apply_effect(state, prod, cfg)
-        recs = state_recognitions(state, spec, cfg)
+        recs = state_recognitions(state, spec)
         if any(_fires(ms, recs, cfg) for ms in spec.undesired):
             raise SolverError(f"replay entered an undesired state after {name}")
     if not _fires(spec.goal, recs, cfg):
@@ -309,7 +311,7 @@ class SolutionCache:
 
 
 def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
-                     budget: Optional[int] = None,
+                     budget: int = _SOLVE_BUDGET,
                      cfg: Config = DEFAULT) -> SearchResult:
     """Replay a cached skeleton when the abstracted problem is known.
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .config import DEFAULT, Config
-
 
 class StructureError(ValueError):
     """Raised on invalid inputs to structure operations."""
@@ -889,17 +887,21 @@ def _embeddings(a: Structure, b: Structure, catalog: Optional[TypeCatalog],
     return rec(0)
 
 
-def _check_part_cap(a: Structure, b: Structure, cfg: Config):
-    if a.n > cfg.occurrence_part_cap or b.n > cfg.occurrence_part_cap:
+# operand size cap of occurrences (so of difference), of embeds (so of the
+# solver's recognizers and pattern guards) and of convolution
+_PART_CAP = 64
+
+
+def _check_part_cap(a: Structure, b: Structure):
+    if a.n > _PART_CAP or b.n > _PART_CAP:
         raise StructureError(
-            f"operand exceeds occurrence cap of {cfg.occurrence_part_cap} parts")
+            f"operand exceeds occurrence cap of {_PART_CAP} parts")
 
 
 def occurrences(a: Structure, b: Structure,
-                catalog: Optional[TypeCatalog] = None,
-                cfg: Config = DEFAULT) -> list[frozenset]:
+                catalog: Optional[TypeCatalog] = None) -> list[frozenset]:
     """Part subsets of a whose induced structure is isomorphic to b."""
-    _check_part_cap(a, b, cfg)
+    _check_part_cap(a, b)
     found: set[frozenset] = set()
     # set.add returns None, so the search visits every embedding
     _embeddings(a, b, catalog, lambda images: found.add(frozenset(images)))
@@ -907,15 +909,14 @@ def occurrences(a: Structure, b: Structure,
 
 
 def embeds(a: Structure, b: Structure,
-           catalog: Optional[TypeCatalog] = None,
-           cfg: Config = DEFAULT) -> bool:
+           catalog: Optional[TypeCatalog] = None) -> bool:
     """Whether some part subset of a induces a structure isomorphic to b.
 
     Stops at the first embedding.  b's plan and a's host index are built on
     first use and cached on the instances, so a caller asking many patterns
     of one host just calls `embeds` for each.
     """
-    _check_part_cap(a, b, cfg)
+    _check_part_cap(a, b)
     return _embeddings(a, b, catalog, lambda images: True)
 
 
@@ -934,28 +935,27 @@ def _is_connected(s: Structure) -> bool:
 
 
 def difference(a: Structure, b: Structure,
-               catalog: Optional[TypeCatalog] = None,
-               cfg: Config = DEFAULT) -> list[Structure]:
+               catalog: Optional[TypeCatalog] = None) -> list[Structure]:
     """One result per occurrence of b inside a: a minus that portion.
 
     Empty list when b does not embed.  Results may contain isolated parts;
     validate() will say so when it matters.
     """
     results = []
-    for members in occurrences(a, b, catalog, cfg):
+    for members in occurrences(a, b, catalog):
         rest = [p for p in a.parts if p not in members]
         results.append(induced(a, rest))
     return results
 
 
-def convolution(a: Structure, b: Structure, cfg: Config = DEFAULT) -> Structure:
+def convolution(a: Structure, b: Structure) -> Structure:
     """Substitute every part of b with a copy of a.
 
     Each relation of b is replicated across the corresponding parts of the
     two copies (k-th part with k-th part), so the result inherits one glue
     relation per relation of b per part of a.  Part count multiplies.
     """
-    _check_part_cap(a, b, cfg)
+    _check_part_cap(a, b)
     if a.oriented != b.oriented:
         raise StructureError("convolution operands must agree on orientation")
     if a.n == 0 or b.n == 0:

@@ -475,6 +475,20 @@ def test_unknown_config_key_exit_two(tmp_path):
     assert main(["--config", str(cfgfile), "iso", a, a]) == 2
 
 
+# search caps and budgets that are module constants, not Config fields
+@pytest.mark.parametrize("key, value", [
+    ("occurrence_part_cap", 64), ("motif_size_cap", 5), ("edit_eps", 0.1),
+    ("partition_cap", 8), ("recipe_cap", 64),
+    ("solve_budget_default", 100_000),
+])
+def test_removed_config_key_exit_two(tmp_path, capsys, key, value):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    a = write_struct(tmp_path, "a.struct", path3(["a", "b", "c"]))
+    assert main(["--config", str(cfgfile), "iso", a, a]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
 def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     img = tmp_path / "dot.pbm"
@@ -484,14 +498,14 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
         "".join("1" if 3 <= x <= y <= 20 else "0" for x in range(24)) + "\n"
         for y in range(24)))
     pfile = tmp_path / "problem.json"
-    pfile.write_text(json.dumps({   # a pattern guard reads the part cap
+    pfile.write_text(json.dumps({   # the goal reads the rule threshold
         "start": {"struct": "part u0 N\n"},
         "goal": {"members": [{"subject": "grown"}]},
         "productions": [{"name": "noop", "guard": {"pattern": "part a N\n"},
                          "effect": {"add": [], "remove": []}}]}))
     for overrides, argv in [
         ({"corner_window": "3"}, ["analyze", str(img)]),
-        ({"occurrence_part_cap": None}, ["solve", str(pfile)]),
+        ({"rule_threshold": None}, ["solve", str(pfile)]),
         ({"corner_window": True}, ["analyze", str(img)]),   # a bool is no int
         ({"corner_window": 3.0}, ["analyze", str(img)]),
         ({"min_segment_px": False}, ["analyze", str(img)]),
@@ -619,6 +633,38 @@ def test_solve_malformed_member_or_budget_exit_two(tmp_path, capsys,
         "budget": budget,
     }
     pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+    assert "problem: malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("recognition", "subject", 3),
+    ("recognition", "score", True),
+    ("effect", "add", [["b", True]]),
+    ("effect", "add", [[3, 1.0]]),
+    ("effect", "add", "b"),
+    ("effect", "remove", "ab"),
+    ("effect", "remove", [3]),
+    ("recognizer", "subject", 3),
+])
+def test_solve_mistyped_problem_field_exit_two(tmp_path, capsys,
+                                               where, key, value):
+    fields = {"recognition": {"subject": "a", "score": 1.0},
+              "effect": {"add": [["b", 1.0]], "remove": ["a"]},
+              "recognizer": {"subject": "r", "pattern": "part u N\n"}}
+    problem = {
+        "start": {"recognitions": [fields["recognition"]]},
+        "goal": {"members": [{"subject": "b"}]},
+        "productions": [{"name": "go",
+                         "guard": {"members": [{"subject": "a"}]},
+                         "effect": fields["effect"]}],
+        "recognizers": [fields["recognizer"]],
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 0
+    fields[where][key] = value
     pfile.write_text(json.dumps(problem))
     assert main(["solve", str(pfile)]) == 2
     assert "problem: malformed" in capsys.readouterr().err

@@ -105,6 +105,13 @@ def test_quotient_blocks_types_by_isomorphism():
     assert len(internal_classes(q2, cat)) == 1
 
 
+def test_quotient_rejects_another_structures_partition():
+    k = partition(path(4), [["p0", "p1"], ["p2", "p3"]])
+    with pytest.raises(StructureError,
+                       match="partition does not belong to this structure"):
+        quotient(path(4, label="M"), k)
+
+
 def test_quotient_relation_summary():
     # two blocks joined by two crossing relations with different labels
     s = structure({"a": "T", "b": "T", "c": "T", "d": "T"},
@@ -214,6 +221,25 @@ def test_merge_labels_and_drop_rel_attrs():
     assert all(r.attrs == () for r in out.relations)
 
 
+def test_drop_rel_attrs_requires_known_name():
+    s = structure({"a": "T", "b": "T"}, [("a", "b", "x", {"w": 1})])
+    m = MorphismMask.make(drop_rel_attrs={"v", "w"})
+    with pytest.raises(StructureError,
+                       match=r"unknown relation attributes: \['v'\]"):
+        apply_morphism(s, m)
+
+
+def test_mask_maps_each_source_once():
+    with pytest.raises(StructureError, match="mask maps a source twice"):
+        MorphismMask(merge_labels=(("x", "y"), ("x", "z")))
+    m1 = MorphismMask.make(merge_types={"A": "B"})
+    m2 = MorphismMask.make(merge_types={"A": "C"})
+    with pytest.raises(StructureError,
+                       match="mask union maps a source twice"):
+        m1.union(m2)
+    assert m1.union(m1) == m1
+
+
 def test_morphism_monotone_under_isomorphism():
     rng = random.Random(404)
     cat = TypeCatalog()
@@ -299,7 +325,7 @@ def test_canonical_partitions_capped_and_ranked():
     for _ in range(20):
         s = random_structure(rng)
         ps = canonical_partitions(s)
-        assert 1 <= len(ps) <= 8
+        assert 1 <= len(ps) <= 3   # one per growth rule
         sizes = [len(p.blocks) for p in ps]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -325,3 +351,15 @@ def test_derives_from_paths():
     assert store.derives_from(unrelated, s) is None
     with pytest.raises(StructureError):
         store.derives_from(path(9), s)
+
+
+def test_lineage_rejects_self_derivation_and_cycles():
+    s = path(4, {"p0": "A", "p1": "A", "p2": "B", "p3": "B"})
+    store = DerivationStore()
+    with pytest.raises(StructureError, match="output equals an input"):
+        store.add("identity", [s], s)
+    q = quotient(s, canonical_partitions(s)[0])
+    store.add("quotient", [s], q)
+    with pytest.raises(StructureError, match="would create a lineage cycle"):
+        store.add("inverse", [q], s)
+    assert len(store.derives_from(q, s)) == 1

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from structkit.config import DEFAULT, Config
+from structkit.config import Config
 from structkit.derivation import MorphismMask, apply_morphism
 from structkit.rules import MicroSituation, MsMember, Recognition
 from structkit.solver import (
@@ -183,7 +183,7 @@ def test_guard_failures_under_shared_recognitions_poison_each_production():
     assert all("occurrence cap" in msg for _, msg in errors)
 
 
-def test_config_occurrence_cap_reaches_recognizers():
+def test_occurrence_cap_reaches_recognizers(monkeypatch):
     three = structure({"a": "T", "b": "T", "c": "T"},
                       [("a", "b", "L"), ("b", "c", "L")])
     pair = structure({"u": "T", "v": "T"}, [("u", "v", "L")])
@@ -191,8 +191,9 @@ def test_config_occurrence_cap_reaches_recognizers():
                        (Production("noop", ms("linked"), SetEffect()),),
                        recognizers=(StructRecognizer("linked", pair),))
     assert solve(spec, 10).status == "solved"
+    monkeypatch.setattr(STRUCTURE_MODULE, "_PART_CAP", 2)
     with pytest.raises(StructureError, match="cap of 2 parts"):
-        solve(spec, 10, DEFAULT.replace(occurrence_part_cap=2))
+        solve(spec, 10)
 
 
 def test_canonical_budget_reaches_state_keys(monkeypatch):
@@ -669,16 +670,16 @@ def test_cache_miss_falls_back_to_search():
     assert via_cache == direct
 
 
-def test_cache_replay_cap_error_counts_miss_and_searches_afresh():
+def test_cache_replay_cap_error_counts_miss_and_searches_afresh(monkeypatch):
     spec = block_spec({"A": "B", "B": "T", "C": "T"}, [("A", "C")])
     cache = SolutionCache()
     assert solve_with_cache(spec, cache).status == "solved"
     entry = cache.entries[cache.key_for(spec)]
-    capped = DEFAULT.replace(occurrence_part_cap=2)
+    monkeypatch.setattr(STRUCTURE_MODULE, "_PART_CAP", 2)
     with pytest.raises(StructureError) as alone:
-        solve(spec, cfg=capped)
+        solve(spec)
     with pytest.raises(StructureError) as via_cache:
-        solve_with_cache(spec, cache, cfg=capped)
+        solve_with_cache(spec, cache)
     assert entry.misses == 1 and entry.hits == 0
     assert str(via_cache.value) == str(alone.value)
 
