@@ -52,18 +52,20 @@ from .solver import (
 from .structure import StructureError, TypeCatalog, isomorphic
 
 
-def _json(value, indent: str = "\n", seen: dict | None = None) -> str:
+class _Raw(str):
+    """Text that is JSON already, as simplejson's `RawJSON`: `_json` writes
+    it as it is."""
+    __slots__ = ()
+
+
+def _json(value, indent: str = "\n") -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for str keys, joined per
     container: given an indent, CPython's json uses its pure-Python encoder.
-
-    `seen` maps (id, indent) of each container met in this dump to None, or
-    to its text once it is met a second time at that indent: a container
-    shared by several parents of a report (a mined rule's member or
-    consequents) is rendered once per depth.  Ids stay valid because the
-    whole value is alive until the dump ends.
+    A `_Raw` value is written as it is, so it must already be the text
+    json gives at `indent`.
     """
     if isinstance(value, str):
-        return _quote(value)
+        return value if type(value) is _Raw else _quote(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -71,24 +73,16 @@ def _json(value, indent: str = "\n", seen: dict | None = None) -> str:
     if isinstance(value, float):
         return ("NaN" if value != value else "Infinity" if value == inf
                 else "-Infinity" if value == -inf else float.__repr__(value))
-    if seen is None:
-        seen = {}
-    key = (id(value), indent)
-    text = seen.get(key)
-    if text is not None:
-        return text
     inner = indent + "  "
     if isinstance(value, dict):
-        items, ends = [_quote(k) + ": " + _json(value[k], inner, seen)
+        items, ends = [_quote(k) + ": " + _json(value[k], inner)
                        for k in sorted(value)], "{}"
     elif isinstance(value, (list, tuple)):
-        items, ends = [_json(v, inner, seen) for v in value], "[]"
+        items, ends = [_json(v, inner) for v in value], "[]"
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    text = (ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+    return (ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
             if items else ends)
-    seen[key] = text if key in seen else None
-    return text
 
 
 def _dump(payload: dict, out: str | None) -> None:
@@ -99,12 +93,14 @@ def _dump(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# values the pixel layer cannot divide, bin or index by: (test, wanted)
+# values the pixel layer cannot divide, bin or index by, and condition sizes
+# a MicroSituation cannot hold: (test, wanted)
 _CONFIG_RANGES = {
     "orientation_bins": (lambda v: v >= 2, "at least 2"),
     "joint_angle_bins": (lambda v: v >= 1, "at least 1"),
     "straightness_dev_px": (lambda v: v > 0, "positive"),
     "corner_window": (lambda v: v >= 0, "at least 0"),
+    "mining_max_condition": (lambda v: 0 <= v <= 8, "0 to 8"),
 }
 
 
@@ -233,31 +229,44 @@ def parse_recognition_log(text: str) -> list[Recognition]:
     return log
 
 
-def rules_to_json(rules: list[AssociativeRule]) -> list[dict]:
-    """The report's rule list.  Rules with equal members or consequents share
-    their JSON, so `_json` renders it once per depth.  Equal is Python's
-    `==`, so a `min_score` of 1 would take the text of an earlier 1.0;
-    `mine_rules` gives every member of a run the one configured float."""
-    members: dict[MsMember, dict] = {}
-    consequents: dict[tuple, list] = {}
+def _rules_json(rules: list[AssociativeRule], indent: str) -> list[_Raw]:
+    """The report's rule list for `_json` to write at `indent`: per rule,
+    the text json gives for the rule's dict there.  Each distinct member
+    and consequents tuple is rendered once; a member is keyed with the type
+    of its `min_score`, since equal members holding 1 and 1.0 print
+    differently."""
+    rule_in = indent + "  "
+    key_in = rule_in + "  "
+    list_in = key_in + "  "
+    member_in = list_in + "  "
+    members: dict[tuple, str] = {}
+    consequents: dict[tuple, str] = {}
     out = []
     for rule in rules:
         ms = []
         for m in rule.condition.members:
-            d = members.get(m)
-            if d is None:
-                d = members[m] = {
-                    "subject": m.subject, "positive": m.positive,
-                    "min_score": m.min_score, "window": list(m.window)}
-            ms.append(d)
+            key = (m, type(m.min_score))
+            text = members.get(key)
+            if text is None:
+                text = members[key] = _json(
+                    {"subject": m.subject, "positive": m.positive,
+                     "min_score": m.min_score, "window": m.window},
+                    member_in)
+            ms.append(text)
         cs = consequents.get(rule.consequents)
         if cs is None:
-            cs = consequents[rule.consequents] = [
-                {"subject": c.subject, "window": list(c.window)}
-                for c in rule.consequents]
-        out.append({"condition": {"members": ms}, "consequents": cs,
-                    "p": round(rule.p, 6), "support": rule.support,
-                    "n_hit": rule.n_hit, "smoothed": True})
+            cs = consequents[rule.consequents] = _json(
+                [{"subject": c.subject, "window": c.window}
+                 for c in rule.consequents], key_in)
+        # the keys in sorted order, as `_json` writes them
+        out.append(_Raw(
+            f'{{{key_in}"condition": {{{list_in}"members": [{member_in}'
+            f'{("," + member_in).join(ms)}{list_in}]{key_in}}},'
+            f'{key_in}"consequents": {cs},'
+            f'{key_in}"n_hit": {rule.n_hit!r},'
+            f'{key_in}"p": {round(rule.p, 6)!r},'
+            f'{key_in}"smoothed": true,'
+            f'{key_in}"support": {rule.support!r}{rule_in}}}'))
     return out
 
 
@@ -268,7 +277,8 @@ def cmd_mine(args) -> int:
                        min_p=args.min_p, cfg=cfg)
     report = dict(echo)
     report["events"] = len(log)
-    report["rules"] = rules_to_json(rules)
+    # the list is the value of a top-level key, so it sits one level in
+    report["rules"] = _rules_json(rules, "\n  ")
     _dump(report, args.out)
     return 0
 
@@ -277,6 +287,15 @@ def _scored(subject, score) -> bool:
     """A str subject and an int or float score; JSON values have exact
     types, so a bool is no int here."""
     return isinstance(subject, str) and type(score) in (int, float)
+
+
+def _text(obj: dict, key: str, what: str) -> str:
+    """`obj[key]`, which the problem must give as a str: names, structure
+    and schema texts."""
+    text = obj[key]
+    if not isinstance(text, str):
+        raise ParseError(f"problem: malformed {what} {obj}")
+    return text
 
 
 def _micro_from_json(obj: dict) -> MicroSituation:
@@ -304,21 +323,22 @@ def _problem_from_json(obj: dict) -> tuple[ProblemSpec, int]:
             scores[subject] = score
         start = RecognitionState.of(scores)
     elif "struct" in start_obj:
-        start = parse_structure(start_obj["struct"])
+        start = parse_structure(_text(start_obj, "struct", "start"))
     else:
         raise ParseError("start needs 'recognitions' or 'struct'")
     productions = []
     for p in obj["productions"]:
+        name = _text(p, "name", "production")
         guard_obj = p["guard"]
         if "members" in guard_obj:
             guard = _micro_from_json(guard_obj)
         elif "pattern" in guard_obj:
-            guard = parse_structure(guard_obj["pattern"])
+            guard = parse_structure(_text(guard_obj, "pattern", "guard"))
         else:
-            raise ParseError(f"production {p['name']} guard malformed")
+            raise ParseError(f"production {name} guard malformed")
         eff_obj = p["effect"]
         if "schema" in eff_obj:
-            effect = parse_schema(eff_obj["schema"])
+            effect = parse_schema(_text(eff_obj, "schema", "effect"))
         elif "add" in eff_obj or "remove" in eff_obj:
             add, remove = eff_obj.get("add", []), eff_obj.get("remove", [])
             if not (type(add) is list and type(remove) is list
@@ -329,14 +349,13 @@ def _problem_from_json(obj: dict) -> tuple[ProblemSpec, int]:
             effect = SetEffect(tuple((s, float(v)) for s, v in add),
                                tuple(remove))
         else:
-            raise ParseError(f"production {p['name']} effect malformed")
-        productions.append(Production(p["name"], guard, effect))
+            raise ParseError(f"production {name} effect malformed")
+        productions.append(Production(name, guard, effect))
     recognizers = []
     for r in obj.get("recognizers", []):
-        if not isinstance(r["subject"], str):
-            raise ParseError(f"problem: malformed recognizer {r}")
-        recognizers.append(
-            StructRecognizer(r["subject"], parse_structure(r["pattern"])))
+        recognizers.append(StructRecognizer(
+            _text(r, "subject", "recognizer"),
+            parse_structure(_text(r, "pattern", "recognizer"))))
     goal = _micro_from_json(obj["goal"])
     undesired = tuple(_micro_from_json(u) for u in obj.get("undesired", []))
     heuristic = None

@@ -8,8 +8,6 @@ import random
 import time
 from collections import defaultdict
 
-import pytest
-
 from structkit.cli import main as cli_main
 from structkit.corpus import (
     _BASE_SHAPES,

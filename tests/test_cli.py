@@ -8,10 +8,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from structkit.cli import _json, main, parse_recognition_log, rules_to_json
+from structkit.cli import _json, _rules_json, main, parse_recognition_log
 from structkit.io_struct import parse_structure, serialize_structure
 from structkit.rules import (
     AssociativeRule,
@@ -192,7 +192,7 @@ MINE_GOLDEN = {
     "absence-pad8": (lambda: with_distractors(8, absence_rule_log(
         seed=9, cycles=20, wet=4, dry=26), 8),
         ["--window", "5", "--min-support", "30", "--min-p", "0.7"]),
-    # the most shared rule members: about 2,900 rules over 50 subjects
+    # the largest report: about 2,900 rules over 50 subjects
     "absence-pad24": (lambda: with_distractors(24, absence_rule_log(
         seed=9, cycles=20, wet=4, dry=26), 24),
         ["--window", "5", "--min-support", "30", "--min-p", "0.7"]),
@@ -235,6 +235,14 @@ def per_rule_json(rule) -> dict:
     }
 
 
+def assert_rules_json_matches_json_dumps(rules):
+    """The rule writer's list, inside a report, against json's text of the
+    same report built from per-rule dicts."""
+    report = {"events": 1, "rules": _rules_json(rules, "\n  ")}
+    expected = dict(report, rules=[per_rule_json(r) for r in rules])
+    assert _json(report) == json.dumps(expected, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("name", sorted(MINE_GOLDEN))
 def test_rules_to_json_matches_per_rule_dicts(name):
     make, args = MINE_GOLDEN[name]
@@ -243,31 +251,50 @@ def test_rules_to_json_matches_per_rule_dicts(name):
                        min_support=int(opts["--min-support"]),
                        min_p=float(opts["--min-p"]))
     assert rules
-    out = rules_to_json(rules)
-    assert out == [per_rule_json(r) for r in rules]
-    # one dict per distinct member and one list per distinct target
-    members = {id(m) for r in out for m in r["condition"]["members"]}
-    assert len(members) == len({m for r in rules
-                                for m in r.condition.members})
-    assert len({id(r["consequents"]) for r in out}) == len(
-        {r["consequents"][0]["subject"] for r in out})
+    assert_rules_json_matches_json_dumps(rules)
 
 
-def test_rules_to_json_shares_equal_pieces_of_separate_objects():
-    rules = [AssociativeRule(MicroSituation((MsMember("A"),
-                                             MsMember("B", False))),
-                             (Consequent("C", (1, 3)),), n_cond=5, n_hit=4),
-             AssociativeRule(MicroSituation((MsMember("B", False),)),
-                             (Consequent("C", (1, 3)),), n_cond=6, n_hit=5),
-             AssociativeRule(MicroSituation((MsMember("B"),)),
-                             (Consequent("C", (1, 2)),), n_cond=6, n_hit=5)]
-    out = rules_to_json(rules)
-    assert out == [per_rule_json(r) for r in rules]
-    members = [r["condition"]["members"] for r in out]
-    assert members[0][1] is members[1][0]
-    assert members[2][0] is not members[1][0]
-    assert out[0]["consequents"] is out[1]["consequents"]
-    assert out[2]["consequents"] is not out[1]["consequents"]
+# subjects json must escape, windows of either sign and a min_score whose
+# int and float print differently
+RULE_SUBJECTS = (st.text(st.characters(exclude_categories=()), max_size=4)
+                 | st.sampled_from(['"', "\\", "\u00e9", "\x00\n", "Z01"]))
+RULE_WINDOWS = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(
+    lambda w: tuple(sorted(w)))
+RULE_MEMBERS = st.builds(
+    MsMember, RULE_SUBJECTS, st.booleans(),
+    st.sampled_from([1.0, 1, 0, 0.5]) | st.floats(0, 1), RULE_WINDOWS)
+RULE_CONSEQUENTS = st.lists(st.builds(Consequent, RULE_SUBJECTS,
+                                      RULE_WINDOWS), max_size=3).map(tuple)
+
+
+@st.composite
+def rule_lists(draw):
+    """Rules drawn from a few members and consequents, so that rules share
+    them as mined rules do."""
+    members = draw(st.lists(RULE_MEMBERS, min_size=1, max_size=4))
+    consequents = draw(st.lists(RULE_CONSEQUENTS, min_size=1, max_size=3))
+    rules = []
+    for _ in range(draw(st.integers(0, 5))):
+        n_cond = draw(st.integers(0, 10 ** 6))
+        rules.append(AssociativeRule(
+            MicroSituation(tuple(draw(st.lists(
+                st.sampled_from(members), min_size=1, max_size=8)))),
+            draw(st.sampled_from(consequents)), n_cond=n_cond,
+            n_hit=draw(st.integers(0, n_cond))))
+    return rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_lists())
+# equal members whose min_score prints as 1.0 and as 1
+@example([AssociativeRule(MicroSituation((MsMember("A", True, 1.0),)),
+                          (Consequent("C", (1, 3)),), n_cond=5, n_hit=4),
+          AssociativeRule(MicroSituation((MsMember("A", True, 1),
+                                          MsMember("B", False))),
+                          (Consequent("C", (1, 3)),), n_cond=6, n_hit=5)])
+@example([])
+def test_rule_writer_matches_json_dumps(rules):
+    assert_rules_json_matches_json_dumps(rules)
 
 
 # scalars where json's text is easy to get wrong, and any str: non-ASCII,
@@ -503,6 +530,8 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
         "goal": {"members": [{"subject": "grown"}]},
         "productions": [{"name": "noop", "guard": {"pattern": "part a N\n"},
                          "effect": {"add": [], "remove": []}}]}))
+    log = tmp_path / "events.log"
+    log.write_text("t=0 subj=A score=0.9\nt=1 subj=B score=0.9\n")
     for overrides, argv in [
         ({"corner_window": "3"}, ["analyze", str(img)]),
         ({"rule_threshold": None}, ["solve", str(pfile)]),
@@ -517,6 +546,9 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
         ({"straightness_dev_px": 0}, ["analyze", str(tri)]),
         # and a negative corner window indexes outside the stroke
         ({"corner_window": -1}, ["analyze", str(tri)]),
+        # a micro-situation holds at most 8 members; -1 would mine nothing
+        ({"mining_max_condition": -1}, ["mine", str(log)]),
+        ({"mining_max_condition": 9}, ["mine", str(log)]),
     ]:
         cfgfile.write_text(json.dumps(overrides))
         assert main(["--config", str(cfgfile)] + argv) == 2, overrides
@@ -665,6 +697,38 @@ def test_solve_mistyped_problem_field_exit_two(tmp_path, capsys,
     pfile.write_text(json.dumps(problem))
     assert main(["solve", str(pfile)]) == 0
     fields[where][key] = value
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+    assert "problem: malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key", [
+    ("start", "struct"), ("production", "name"), ("guard", "pattern"),
+    ("effect", "schema"), ("recognizer", "pattern"),
+])
+def test_solve_non_string_text_exit_two(tmp_path, capsys, where, key):
+    fields = {
+        "start": {"struct": "part u0 N\n"},
+        "guard": {"pattern": "part a N\n"},
+        "effect": {"schema": ("oriented\npart b BIND\npart m MOVE\n"
+                              "part c COPY\nrel b m next\nrel m c next\n"
+                              "entry b\nbind b BIND t=N\n"
+                              "bind m MOVE first\nbind c COPY t\n")},
+        "recognizer": {"subject": "grown",
+                       "pattern": "part a N\npart b N\nrel a b adj\n"},
+    }
+    fields["production"] = {"name": "grow", "guard": fields["guard"],
+                            "effect": fields["effect"]}
+    problem = {"start": fields["start"],
+               "goal": {"members": [{"subject": "grown"}]},
+               "productions": [fields["production"]],
+               "recognizers": [fields["recognizer"]]}
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    out = tmp_path / "plan.json"
+    assert main(["solve", str(pfile), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["plan"] == ["grow"]
+    fields[where][key] = 7
     pfile.write_text(json.dumps(problem))
     assert main(["solve", str(pfile)]) == 2
     assert "problem: malformed" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from structkit.derivation import (
     quotient,
 )
 from structkit.structure import (
-    Structure,
     StructureError,
     StructType,
     TypeCatalog,

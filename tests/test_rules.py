@@ -33,7 +33,6 @@ from structkit.structure import (
     CanonicalBudgetError,
     SearchBudgetError,
     TypeCatalog,
-    isomorphic,
     structure,
 )
 

@@ -6,7 +6,6 @@ from structkit.schema import (
     Binding,
     NandNet,
     OutOfFuel,
-    Schema,
     SchemaError,
     compile_to_nand,
     execute,
