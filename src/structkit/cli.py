@@ -93,13 +93,20 @@ def _dump(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# values the pixel layer cannot divide, bin or index by, and condition sizes
-# a MicroSituation cannot hold: (test, wanted)
+# values the pixel layer cannot divide, bin or index by, angles, distances
+# and scores outside their domains, and condition sizes a MicroSituation
+# cannot hold: (test, wanted)
 _CONFIG_RANGES = {
     "orientation_bins": (lambda v: v >= 2, "at least 2"),
     "joint_angle_bins": (lambda v: v >= 1, "at least 1"),
     "straightness_dev_px": (lambda v: v > 0, "positive"),
     "corner_window": (lambda v: v >= 0, "at least 0"),
+    "corner_angle_deg": (lambda v: 0 <= v <= 180, "0 to 180"),
+    "joint_radius_px": (lambda v: v >= 0, "at least 0"),
+    "min_segment_px": (lambda v: v >= 0, "at least 0"),
+    "tip_slack_px": (lambda v: v >= 0, "at least 0"),
+    "straight_min_score": (lambda v: 0 <= v <= 1, "0 to 1"),
+    "signature_threshold": (lambda v: 0 <= v <= 1, "0 to 1"),
     "mining_max_condition": (lambda v: 0 <= v <= 8, "0 to 8"),
 }
 
@@ -500,7 +507,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (StructureError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (StructureError, json.JSONDecodeError, FileNotFoundError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # pragma: no cover - defensive

@@ -8,6 +8,12 @@ broken at junctions and corners, straight chains are classified into
 quantized bins, and the segment quotient carries the explicit properties
 forward with their structural references.  Recognition happens by
 converging the per-feature checks of a signature into one score.
+
+The per-pixel work runs in C where it can: P1 digits decode with one
+`bytes.translate`, and the ink pixels are found with `tuple.count` and
+`tuple.index` on each row.  Stroke tracing works on integer pixel ids, not
+(x, y) tuples (see `extract_strokes`); a path turns back into (x, y)
+pixels only where its chains are built.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class RasterStructure:
         return self.values[y][x]
 
     def is_binary(self) -> bool:
-        return len({v for row in self.values for v in row}) <= 2
+        return len(set().union(*self.values)) <= 2
 
     def ink_pixels(self) -> set[Pixel]:
         ink = self.ink
@@ -74,6 +80,10 @@ def _pid(x: int, y: int) -> str:
     return f"p{x}_{y}"
 
 
+# P1 digit byte to pixel value; every other byte to 2, which no P1 pixel is
+_P1_VALUES = bytes({ord("0"): 0, ord("1"): 1}.get(b, 2) for b in range(256))
+
+
 def load_raster(data: bytes | str) -> RasterStructure:
     """Parse ASCII PBM (P1) or PGM (P2); lossless."""
     text = data.decode("ascii") if isinstance(data, bytes) else data
@@ -97,9 +107,11 @@ def load_raster(data: bytes | str) -> RasterStructure:
         digits = "".join(tokens)[:width * height]
         if len(digits) < width * height:
             raise RasterError("truncated pixel data")
-        if not set(digits) <= {"0", "1"}:
+        # a character outside ASCII encodes as "?", which maps to 2 as
+        # every byte but a 0 or 1 digit does
+        flat = digits.encode("ascii", "replace").translate(_P1_VALUES)
+        if 2 in flat:
             raise RasterError("P1 pixels must be 0 or 1")
-        flat = list(map(int, digits))
         ink = 1
     else:
         if not tokens:
@@ -256,35 +268,58 @@ class Chain:
 
 
 def extract_strokes(r: RasterStructure, cfg: Config = DEFAULT) -> list[Chain]:
-    """Chains of stroke pixels, split at junctions and at direction breaks."""
+    """Chains of stroke pixels, split at junctions and at direction breaks.
+
+    Tracing runs on pixel ids (x + 1) * S + (y + 1) with S = height + 2:
+    ids sort as their (x, y) pixels do, the eight neighbours of an id are
+    fixed offsets, and the one-pixel pad around the raster keeps a probe
+    past an edge from wrapping into the next column.
+    """
     if not r.is_binary():
         raise RasterError("stroke extraction requires a binary raster")
-    ink = _thin(r.ink_pixels())
+    s = r.height + 2
+    ink = _thin(_ink_ids(r, s), s)
     if not ink:
         return []
-    ink, adj = _prune_spurs(ink)
-    raw = _trace_chains(ink, adj)
+    ink, adj = _prune_spurs(ink, s)
     out: list[Chain] = []
-    for path, junction_joints, closed in raw:
-        out.extend(_split_at_corners(path, junction_joints, closed, cfg))
+    for path, junction_joints, closed in _trace_chains(ink, adj):
+        out.extend(_split_at_corners(_pixels(path, s),
+                                     _pixels(junction_joints, s), closed, cfg))
     return out
+
+
+def _ink_ids(r: RasterStructure, s: int) -> set[int]:
+    """The ids of the ink pixels; each row is searched by C loops."""
+    ink = r.ink
+    ids = set()
+    for y, row in enumerate(r.values, 1):
+        x = -1
+        for _ in range(row.count(ink)):
+            x = row.index(ink, x + 1)
+            ids.add((x + 1) * s + y)
+    return ids
+
+
+def _pixels(ids: Iterable[int], s: int) -> tuple[Pixel, ...]:
+    """The (x, y) pixels of ids."""
+    return tuple([divmod(p - s - 1, s) for p in ids])
 
 
 _SPUR_LEN = 3   # longest dead-end stub that is pruned, in pixels
 
 
-def _prune_spurs(ink: set[Pixel]
-                 ) -> tuple[set[Pixel], dict[Pixel, list[Pixel]]]:
+def _prune_spurs(ink: set[int], s: int
+                 ) -> tuple[set[int], dict[int, list[int]]]:
     """Drop tiny dead-end stubs hanging off junctions.
 
     Rasterized corners often grow a one or two pixel whisker whose root then
     looks like a junction and breaks cycle tracing.  Returns the kept ink
     and its stroke adjacency.
     """
+    adj = _stroke_adjacency(ink, ink, s)
     while True:
-        adj = _stroke_adjacency(ink)
         degree = {p: len(adj[p]) for p in ink}
-        junctions = {p for p in ink if degree[p] >= 3}
         removed = set()
         for start in sorted(p for p in ink if degree[p] == 1):
             trail = [start]
@@ -294,114 +329,136 @@ def _prune_spurs(ink: set[Pixel]
                 if not nxt:
                     break
                 prev, cur = cur, nxt[0]
-                if cur in junctions:
+                if degree[cur] >= 3:
                     removed.update(trail)
                     break
                 trail.append(cur)
         if not removed:
             return ink, adj
         ink = ink - removed
+        # a pixel's links depend only on its 8 neighbours
+        for p in removed:
+            del adj[p]
+        adj.update(_stroke_adjacency(
+            {p + d for p in removed for d in (-s - 1, -s, -s + 1, -1, 1,
+                                              s - 1, s, s + 1)} & ink,
+            ink, s))
 
 
-def _thin(ink: set[Pixel]) -> set[Pixel]:
+def _zhang_suen_table(*triples: int) -> bytes:
+    """Whether a pixel goes in one phase of a Zhang-Suen pass (CACM 1984),
+    by the bits P2..P9 of its neighbours, clockwise from north: 2 to 6 of
+    them are ink, the circular sequence P2..P9, P2 steps from 0 to 1 once,
+    and no triple of the phase is wholly ink."""
+    return bytes(2 <= bits.bit_count() <= 6
+                 and (~bits & (bits >> 1 | bits << 7) & 255).bit_count() == 1
+                 and all(bits & t != t for t in triples)
+                 for bits in range(256))
+
+
+_P2, _P4, _P6, _P8 = 1, 4, 16, 64
+_ZHANG_SUEN = (_zhang_suen_table(_P2 | _P4 | _P6, _P4 | _P6 | _P8),
+               _zhang_suen_table(_P2 | _P4 | _P8, _P2 | _P6 | _P8))
+
+
+def _thin(ink: set[int], s: int) -> set[int]:
     """Zhang-Suen thinning; no-op unless some 2x2 block is fully inked."""
-    if not any((x + 1, y) in ink and (x, y + 1) in ink and (x + 1, y + 1) in ink
-               for x, y in ink):
-        return set(ink)
+    if not any(p + s in ink and p + 1 in ink and p + s + 1 in ink
+               for p in ink):
+        return ink
     img = set(ink)
-
-    def neighbors(p):
-        x, y = p
-        return [(x, y - 1), (x + 1, y - 1), (x + 1, y), (x + 1, y + 1),
-                (x, y + 1), (x - 1, y + 1), (x - 1, y), (x - 1, y - 1)]
-
     changed = True
     while changed:
         changed = False
-        for phase in (0, 1):
-            to_delete = []
-            for p in img:
-                nb = [1 if q in img else 0 for q in neighbors(p)]
-                b = sum(nb)
-                if not (2 <= b <= 6):
-                    continue
-                a = sum(1 for i in range(8) if nb[i] == 0 and nb[(i + 1) % 8] == 1)
-                if a != 1:
-                    continue
-                p2, p4, p6, p8 = nb[0], nb[2], nb[4], nb[6]
-                if phase == 0:
-                    if p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0:
-                        to_delete.append(p)
-                else:
-                    if p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0:
-                        to_delete.append(p)
+        for deletable in _ZHANG_SUEN:
+            # bit k of the index is P(k + 2): north (p - 1) first, clockwise
+            to_delete = [p for p in img if deletable[
+                (p - 1 in img) | (p + s - 1 in img) << 1
+                | (p + s in img) << 2 | (p + s + 1 in img) << 3
+                | (p + 1 in img) << 4 | (p - s + 1 in img) << 5
+                | (p - s in img) << 6 | (p - s - 1 in img) << 7]]
             if to_delete:
-                img -= set(to_delete)
+                img.difference_update(to_delete)
                 changed = True
     return img
 
 
-def _stroke_adjacency(ink: set[Pixel]) -> dict[Pixel, list[Pixel]]:
-    """8-adjacency, dropping diagonal links that shortcut an orthogonal path."""
-    adj: dict[Pixel, list[Pixel]] = {p: [] for p in ink}
-    for x, y in sorted(ink):
-        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            q = (x + dx, y + dy)
-            if q not in ink:
-                continue
-            if dx and dy:
-                if ((x + dx, y) in ink) or ((x, y + dy) in ink):
-                    continue
-            adj[(x, y)].append(q)
-            adj[q].append((x, y))
-    for p in adj:
-        adj[p].sort()
+def _stroke_adjacency(pixels: Iterable[int], ink: set[int], s: int
+                      ) -> dict[int, list[int]]:
+    """Links of the pixels to their 8 neighbours in ink, in id order,
+    dropping diagonal links that shortcut an orthogonal path."""
+    adj = {}
+    for p in pixels:
+        west, north, south, east = (p - s in ink, p - 1 in ink,
+                                    p + 1 in ink, p + s in ink)
+        nb = []
+        if not (west or north) and p - s - 1 in ink:
+            nb.append(p - s - 1)
+        if west:
+            nb.append(p - s)
+        if not (west or south) and p - s + 1 in ink:
+            nb.append(p - s + 1)
+        if north:
+            nb.append(p - 1)
+        if south:
+            nb.append(p + 1)
+        if not (east or north) and p + s - 1 in ink:
+            nb.append(p + s - 1)
+        if east:
+            nb.append(p + s)
+        if not (east or south) and p + s + 1 in ink:
+            nb.append(p + s + 1)
+        adj[p] = nb
     return adj
 
 
-def _trace_chains(ink: set[Pixel], adj: dict[Pixel, list[Pixel]]
-                  ) -> list[tuple[list[Pixel], tuple[Pixel, ...], bool]]:
+def _trace_chains(ink: set[int], adj: dict[int, list[int]]
+                  ) -> list[tuple[list[int], tuple[int, ...], bool]]:
     degree = {p: len(adj[p]) for p in ink}
-    nodes = sorted(p for p in ink if degree[p] != 2)
-    used_edges: set[tuple[Pixel, Pixel]] = set()
-    claimed: set[Pixel] = set()
-    chains: list[tuple[list[Pixel], bool]] = []
-
-    def edge(a, b):
-        return (a, b) if a <= b else (b, a)
+    order = sorted(ink)
+    used: set[tuple[int, int]] = set()   # walked links (a, b), a < b
+    walked: set[int] = set()             # the pixels of every walked path
+    chains: list[tuple[list[int], bool]] = []
 
     def walk(start, first):
+        """Follow links from start through first and on through pixels of
+        degree 2, up to another pixel or back at the start of a cycle."""
         path = [start, first]
-        used_edges.add(edge(start, first))
-        while degree[path[-1]] == 2:
-            nxts = [q for q in adj[path[-1]] if edge(path[-1], q) not in used_edges]
-            if not nxts:
+        used.add((start, first) if start < first else (first, start))
+        prev, cur = start, first
+        while degree[cur] == 2:
+            a, b = adj[cur]
+            nxt = b if a == prev else a
+            link = (cur, nxt) if cur < nxt else (nxt, cur)
+            if link in used:
                 break
-            used_edges.add(edge(path[-1], nxts[0]))
-            path.append(nxts[0])
+            used.add(link)
+            path.append(nxt)
+            prev, cur = cur, nxt
+        walked.update(path)
         return path
 
-    for node in nodes:
-        for first in adj[node]:
-            if edge(node, first) in used_edges:
-                continue
-            path = walk(node, first)
-            chains.append((path, False))
+    for node in order:
+        if degree[node] != 2:
+            for first in adj[node]:
+                link = (node, first) if node < first else (first, node)
+                if link not in used:
+                    chains.append((walk(node, first), False))
     # leftover pure cycles
-    for p in sorted(ink):
-        if degree[p] == 2 and not any(edge(p, q) in used_edges for q in adj[p]):
+    for p in order:
+        if degree[p] == 2 and p not in walked:
             path = walk(p, adj[p][0])
             if len(path) > 1 and path[-1] == p:
                 path = path[:-1]
             chains.append((path, True))
     # isolated dots
-    for p in sorted(ink):
+    for p in order:
         if degree[p] == 0:
             chains.append(([p], False))
     # junction pixels belong to exactly one chain: drop them from later paths
+    claimed: set[int] = set()
     final = []
-    for path, closed in chains:
-        trimmed = list(path)
+    for trimmed, closed in chains:
         joints = []
         if not closed:
             if degree.get(trimmed[0], 0) >= 3:
@@ -423,19 +480,6 @@ def _d2(a: Pixel, b: Pixel) -> float:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def _turn_angle(path: Sequence[Pixel], i: int, w: int, closed: bool) -> float:
-    n = len(path)
-    if closed:
-        a = path[(i - w) % n]
-        b = path[i]
-        c = path[(i + w) % n]
-    else:
-        if i - w < 0 or i + w >= n:
-            return 0.0
-        a, b, c = path[i - w], path[i], path[i + w]
-    return _angle_deg((b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1]))
-
-
 def _angle_deg(v1: tuple[float, float], v2: tuple[float, float]) -> float:
     """Angle between two vectors in degrees; 0 when either is zero."""
     n1, n2 = math.hypot(*v1), math.hypot(*v2)
@@ -450,18 +494,27 @@ def _corner_indices(path: Sequence[Pixel], closed: bool, cfg: Config) -> list[in
     w = cfg.corner_window
     if n < 2 * w + 1:
         return []
-    turns = {i: _turn_angle(path, i, w, closed) for i in range(n)}
-    candidates = [i for i in range(n) if turns[i] > cfg.corner_angle_deg]
-    corners = []
-    for i in candidates:
-        window = range(i - w, i + w + 1)
-        vals = []
-        for j in window:
-            jj = j % n if closed else j
-            if 0 <= jj < n:
-                vals.append((turns.get(jj, 0.0), -abs(j - i)))
-        if (turns[i], 0) >= max(vals):
-            corners.append(i)
+    # step i runs from path[i - w] to path[i], wrapping; the turn at i is
+    # the angle between steps i and i + w, 0 within w of an open path's
+    # ends.  A path repeats few pairs of steps: each pair's angle is
+    # computed once.
+    back = path[n - w:] + path[:n - w]
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(back, path)]
+    angle: dict[tuple[Pixel, Pixel], float] = {}
+    turns = []
+    for pair in zip(steps, steps[w:] + steps[:w]):
+        if pair not in angle:
+            angle[pair] = _angle_deg(*pair)
+        turns.append(angle[pair])
+    if not closed:
+        turns[:w] = turns[n - w:] = [0.0] * w
+    # a corner turns past the threshold and no less than any turn within w
+    # places of it, around a closed path; an open path's window is padded
+    # with turns of 0, which no turn is below
+    ring = (turns[n - w:] + turns + turns[:w] if closed
+            else [0.0] * w + turns + [0.0] * w)
+    corners = [i for i in range(n) if turns[i] > cfg.corner_angle_deg
+               and turns[i] >= max(ring[i:i + 2 * w + 1])]
     # collapse adjacent picks
     out = []
     for i in corners:
@@ -473,11 +526,12 @@ def _corner_indices(path: Sequence[Pixel], closed: bool, cfg: Config) -> list[in
     return out
 
 
-def _split_at_corners(path: list[Pixel], junction_joints: tuple[Pixel, ...],
+def _split_at_corners(path: tuple[Pixel, ...],
+                      junction_joints: tuple[Pixel, ...],
                       closed: bool, cfg: Config) -> list[Chain]:
     corners = _corner_indices(path, closed, cfg)
     if not corners:
-        return [Chain(tuple(path), tuple(junction_joints), closed)]
+        return [Chain(path, junction_joints, closed)]
     pieces = []
     if closed:
         k = len(corners)
@@ -488,7 +542,7 @@ def _split_at_corners(path: list[Pixel], junction_joints: tuple[Pixel, ...],
             else:
                 seg = path[i:] + path[:j + 1]
             joints = (path[i], path[j])
-            pieces.append(Chain(tuple(seg), joints, False))
+            pieces.append(Chain(seg, joints, False))
     else:
         # a junction joint sits at one of the two original ends; hand it to
         # the piece that still owns that end
@@ -504,7 +558,7 @@ def _split_at_corners(path: list[Pixel], junction_joints: tuple[Pixel, ...],
             if b == len(path) - 1:
                 joints.extend(end_j)
             if len(seg) >= 2:
-                pieces.append(Chain(tuple(seg), tuple(joints), False))
+                pieces.append(Chain(seg, tuple(joints), False))
     # corner pixels sit in two pieces geometrically; ownership goes to the
     # earlier piece, later pieces keep the coordinate only as a joint
     owned: set[Pixel] = set()

@@ -231,6 +231,9 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
 
     if cfg.mining_max_condition >= 1:
         grow(0, every, 0, 0, ())
+    # grow's cell refers to grow itself, a cycle holding `found` until the
+    # cyclic collector runs; emptying the cell frees the rules with the list
+    del grow
     found.sort(key=lambda kv: kv[0])
     return [rule for _, rule in found]
 

@@ -5,13 +5,17 @@ exhaustive subset scans.  None of it shares code with the library paths it
 verifies, except `canonical_order_oracle`, which reuses the library's
 encoding (its refinement is `refine_oracle`, full rounds over a plain
 relation scan), and `occurrences_oracle`, which compares canonical forms
-to check the embedding matcher.
+to check the embedding matcher.  `extract_strokes_oracle` is the stroke
+tracer the library used before it moved to integer pixel ids.
 """
 
 import itertools
+import math
 import random
+from typing import Sequence
 
 from structkit.config import DEFAULT, Config
+from structkit.pixels import Chain, Pixel, RasterError, RasterStructure
 from structkit.rules import Recognition
 from structkit.structure import (
     Relation,
@@ -289,3 +293,278 @@ def mining_oracle(log: list[Recognition], window: int = 5,
                               (members, target, n_cond, n_hit)))
     found.sort(key=lambda kv: kv[0])
     return [rule for _, rule in found]
+
+
+def extract_strokes_oracle(r: RasterStructure,
+                           cfg: Config = DEFAULT) -> list[Chain]:
+    """Chains of stroke pixels, split at junctions and at direction breaks.
+
+    The coordinate-tuple tracer `pixels.extract_strokes` replaced: every
+    pixel and neighbour probe is an (x, y) tuple, and each turn angle
+    recomputes both of its vectors.
+    """
+    if not r.is_binary():
+        raise RasterError("stroke extraction requires a binary raster")
+    ink = _thin_oracle(r.ink_pixels())
+    if not ink:
+        return []
+    ink, adj = _prune_spurs_oracle(ink)
+    raw = _trace_chains_oracle(ink, adj)
+    out: list[Chain] = []
+    for path, junction_joints, closed in raw:
+        out.extend(_split_at_corners_oracle(path, junction_joints, closed,
+                                            cfg))
+    return out
+
+
+_SPUR_LEN_ORACLE = 3   # longest dead-end stub that is pruned, in pixels
+
+
+def _prune_spurs_oracle(ink: set[Pixel]
+                        ) -> tuple[set[Pixel], dict[Pixel, list[Pixel]]]:
+    """Drop tiny dead-end stubs hanging off junctions.
+
+    Rasterized corners often grow a one or two pixel whisker whose root then
+    looks like a junction and breaks cycle tracing.  Returns the kept ink
+    and its stroke adjacency.
+    """
+    while True:
+        adj = _stroke_adjacency_oracle(ink)
+        degree = {p: len(adj[p]) for p in ink}
+        junctions = {p for p in ink if degree[p] >= 3}
+        removed = set()
+        for start in sorted(p for p in ink if degree[p] == 1):
+            trail = [start]
+            cur, prev = start, None
+            while degree[cur] <= 2 and len(trail) <= _SPUR_LEN_ORACLE:
+                nxt = [q for q in adj[cur] if q != prev]
+                if not nxt:
+                    break
+                prev, cur = cur, nxt[0]
+                if cur in junctions:
+                    removed.update(trail)
+                    break
+                trail.append(cur)
+        if not removed:
+            return ink, adj
+        ink = ink - removed
+
+
+def _thin_oracle(ink: set[Pixel]) -> set[Pixel]:
+    """Zhang-Suen thinning; no-op unless some 2x2 block is fully inked."""
+    if not any((x + 1, y) in ink and (x, y + 1) in ink and (x + 1, y + 1) in ink
+               for x, y in ink):
+        return set(ink)
+    img = set(ink)
+
+    def neighbors(p):
+        x, y = p
+        return [(x, y - 1), (x + 1, y - 1), (x + 1, y), (x + 1, y + 1),
+                (x, y + 1), (x - 1, y + 1), (x - 1, y), (x - 1, y - 1)]
+
+    changed = True
+    while changed:
+        changed = False
+        for phase in (0, 1):
+            to_delete = []
+            for p in img:
+                nb = [1 if q in img else 0 for q in neighbors(p)]
+                b = sum(nb)
+                if not (2 <= b <= 6):
+                    continue
+                a = sum(1 for i in range(8) if nb[i] == 0 and nb[(i + 1) % 8] == 1)
+                if a != 1:
+                    continue
+                p2, p4, p6, p8 = nb[0], nb[2], nb[4], nb[6]
+                if phase == 0:
+                    if p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0:
+                        to_delete.append(p)
+                else:
+                    if p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0:
+                        to_delete.append(p)
+            if to_delete:
+                img -= set(to_delete)
+                changed = True
+    return img
+
+
+def _stroke_adjacency_oracle(ink: set[Pixel]
+                             ) -> dict[Pixel, list[Pixel]]:
+    """8-adjacency, dropping diagonal links that shortcut an orthogonal path."""
+    adj: dict[Pixel, list[Pixel]] = {p: [] for p in ink}
+    for x, y in sorted(ink):
+        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            q = (x + dx, y + dy)
+            if q not in ink:
+                continue
+            if dx and dy:
+                if ((x + dx, y) in ink) or ((x, y + dy) in ink):
+                    continue
+            adj[(x, y)].append(q)
+            adj[q].append((x, y))
+    for p in adj:
+        adj[p].sort()
+    return adj
+
+
+def _trace_chains_oracle(ink: set[Pixel], adj: dict[Pixel, list[Pixel]]
+                         ) -> list[tuple[list[Pixel], tuple[Pixel, ...], bool]]:
+    degree = {p: len(adj[p]) for p in ink}
+    nodes = sorted(p for p in ink if degree[p] != 2)
+    used_edges: set[tuple[Pixel, Pixel]] = set()
+    claimed: set[Pixel] = set()
+    chains: list[tuple[list[Pixel], bool]] = []
+
+    def edge(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    def walk(start, first):
+        path = [start, first]
+        used_edges.add(edge(start, first))
+        while degree[path[-1]] == 2:
+            nxts = [q for q in adj[path[-1]] if edge(path[-1], q) not in used_edges]
+            if not nxts:
+                break
+            used_edges.add(edge(path[-1], nxts[0]))
+            path.append(nxts[0])
+        return path
+
+    for node in nodes:
+        for first in adj[node]:
+            if edge(node, first) in used_edges:
+                continue
+            path = walk(node, first)
+            chains.append((path, False))
+    # leftover pure cycles
+    for p in sorted(ink):
+        if degree[p] == 2 and not any(edge(p, q) in used_edges for q in adj[p]):
+            path = walk(p, adj[p][0])
+            if len(path) > 1 and path[-1] == p:
+                path = path[:-1]
+            chains.append((path, True))
+    # isolated dots
+    for p in sorted(ink):
+        if degree[p] == 0:
+            chains.append(([p], False))
+    # junction pixels belong to exactly one chain: drop them from later paths
+    final = []
+    for path, closed in chains:
+        trimmed = list(path)
+        joints = []
+        if not closed:
+            if degree.get(trimmed[0], 0) >= 3:
+                joints.append(trimmed[0])
+                if trimmed[0] in claimed:
+                    trimmed = trimmed[1:]
+            if trimmed and degree.get(trimmed[-1], 0) >= 3:
+                joints.append(trimmed[-1])
+                if trimmed[-1] in claimed:
+                    trimmed = trimmed[:-1]
+        if not trimmed:
+            continue
+        claimed.update(trimmed)
+        final.append((trimmed, tuple(joints), closed))
+    return final
+
+
+def _d2_oracle(a: Pixel, b: Pixel) -> float:
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+
+def _turn_angle_oracle(path: Sequence[Pixel], i: int, w: int,
+                       closed: bool) -> float:
+    n = len(path)
+    if closed:
+        a = path[(i - w) % n]
+        b = path[i]
+        c = path[(i + w) % n]
+    else:
+        if i - w < 0 or i + w >= n:
+            return 0.0
+        a, b, c = path[i - w], path[i], path[i + w]
+    return _angle_deg_oracle((b[0] - a[0], b[1] - a[1]),
+                             (c[0] - b[0], c[1] - b[1]))
+
+
+def _angle_deg_oracle(v1: tuple[float, float],
+                      v2: tuple[float, float]) -> float:
+    """Angle between two vectors in degrees; 0 when either is zero."""
+    n1, n2 = math.hypot(*v1), math.hypot(*v2)
+    if n1 == 0 or n2 == 0:
+        return 0.0
+    dot = (v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)
+    return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
+
+
+def _corner_indices_oracle(path: Sequence[Pixel], closed: bool,
+                           cfg: Config) -> list[int]:
+    n = len(path)
+    w = cfg.corner_window
+    if n < 2 * w + 1:
+        return []
+    turns = {i: _turn_angle_oracle(path, i, w, closed) for i in range(n)}
+    candidates = [i for i in range(n) if turns[i] > cfg.corner_angle_deg]
+    corners = []
+    for i in candidates:
+        window = range(i - w, i + w + 1)
+        vals = []
+        for j in window:
+            jj = j % n if closed else j
+            if 0 <= jj < n:
+                vals.append((turns.get(jj, 0.0), -abs(j - i)))
+        if (turns[i], 0) >= max(vals):
+            corners.append(i)
+    # collapse adjacent picks
+    out = []
+    for i in corners:
+        if out and (i - out[-1]) <= w:
+            continue
+        out.append(i)
+    if closed and out and (out[0] + n - out[-1]) <= w:
+        out.pop()
+    return out
+
+
+def _split_at_corners_oracle(path: list[Pixel],
+                             junction_joints: tuple[Pixel, ...],
+                             closed: bool, cfg: Config) -> list[Chain]:
+    corners = _corner_indices_oracle(path, closed, cfg)
+    if not corners:
+        return [Chain(tuple(path), tuple(junction_joints), closed)]
+    pieces = []
+    if closed:
+        k = len(corners)
+        for idx in range(k):
+            i, j = corners[idx], corners[(idx + 1) % k]
+            if j > i:
+                seg = path[i:j + 1]
+            else:
+                seg = path[i:] + path[:j + 1]
+            joints = (path[i], path[j])
+            pieces.append(Chain(tuple(seg), joints, False))
+    else:
+        # a junction joint sits at one of the two original ends; hand it to
+        # the piece that still owns that end
+        start_j = [j for j in junction_joints
+                   if _d2_oracle(j, path[0]) <= _d2_oracle(j, path[-1])]
+        end_j = [j for j in junction_joints if j not in start_j]
+        bounds = [0] + corners + [len(path) - 1]
+        for a, b in zip(bounds, bounds[1:]):
+            seg = path[a:b + 1]
+            joints = [path[i] for i in (a, b) if i in corners]
+            if a == 0:
+                joints.extend(start_j)
+            if b == len(path) - 1:
+                joints.extend(end_j)
+            if len(seg) >= 2:
+                pieces.append(Chain(tuple(seg), tuple(joints), False))
+    # corner pixels sit in two pieces geometrically; ownership goes to the
+    # earlier piece, later pieces keep the coordinate only as a joint
+    owned: set[Pixel] = set()
+    final = []
+    for ch in pieces:
+        px = tuple(p for p in ch.pixels if p not in owned)
+        owned.update(px)
+        if px:
+            final.append(Chain(px, ch.joints, False))
+    return final

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structkit.cli import _json, _rules_json, main, parse_recognition_log
+from structkit.corpus import _BASE_SHAPES, ROTATIONS, rasterize_polygon
 from structkit.io_struct import parse_structure, serialize_structure
+from structkit.pixels import serialize_raster
 from structkit.rules import (
     AssociativeRule,
     Consequent,
@@ -136,8 +138,6 @@ def test_derive_with_mask_sidecar(tmp_path):
 
 
 def test_analyze_triangle(tmp_path):
-    from structkit.corpus import rasterize_polygon, _BASE_SHAPES
-    from structkit.pixels import serialize_raster
     raster = rasterize_polygon(_BASE_SHAPES[("triangle", "regular")], 0, 2)
     img = tmp_path / "tri.pbm"
     img.write_text(serialize_raster(raster))
@@ -217,6 +217,55 @@ def mine_golden_digests(workdir: Path) -> str:
 
 def test_mine_reports_match_golden_digests(tmp_path):
     assert mine_golden_digests(tmp_path) == MINE_DIGESTS.read_text()
+
+
+# `structkit analyze` reports on the 20 figure families, each drawn at the
+# larger scales 4-8, whose digests are fixed in
+# tests/golden/analyze-large.sha256; `PYTHONPATH=src python tests/test_cli.py`
+# rewrites it along with mine-reports.sha256.
+LARGE_SCALES = (4, 5, 6, 7, 8)
+ANALYZE_DIGESTS = Path(__file__).parent / "golden" / "analyze-large.sha256"
+
+
+def large_rasters() -> dict:
+    return {f"{kind}-{variant}-r{rot:g}-s{scale}":
+            rasterize_polygon(verts, rot, scale)
+            for (kind, variant), verts in sorted(_BASE_SHAPES.items())
+            for rot in ROTATIONS[kind] for scale in LARGE_SCALES}
+
+
+def analyze_golden_digests(workdir: Path) -> str:
+    lines = []
+    for name, raster in sorted(large_rasters().items()):
+        image = workdir / f"{name}.pbm"
+        image.write_text(serialize_raster(raster))
+        out = workdir / f"{name}.json"
+        assert main(["analyze", str(image), "--out", str(out)]) in (0, 1)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}.json\n")
+    return "".join(lines)
+
+
+def test_analyze_large_reports_match_golden_digests(tmp_path):
+    rasters = large_rasters()
+    assert len(rasters) == 100
+    # some pinned raster holds a 2x2 ink block, so thinning runs on it
+    assert any(row[x:x + 2] == below[x:x + 2] == (1, 1)
+               for r in rasters.values()
+               for row, below in zip(r.values, r.values[1:])
+               for x in range(r.width - 1))
+    assert analyze_golden_digests(tmp_path) == ANALYZE_DIGESTS.read_text()
+
+
+def test_demo_reports_match_golden_digests(tmp_path):
+    # every file `demo-polygons` writes, as `sha256sum -c` checks it in CI
+    assert main(["--seed", "42", "demo-polygons", "--out", str(tmp_path)]) == 0
+    expected = Path(__file__).parent / "golden" / "demo-polygons.sha256"
+    names = sorted(p.relative_to(tmp_path).as_posix()
+                   for p in tmp_path.rglob("*") if p.is_file())
+    assert "".join(
+        f"{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  ./{n}\n"
+        for n in names) == expected.read_text()
 
 
 def per_rule_json(rule) -> dict:
@@ -549,6 +598,17 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
         # a micro-situation holds at most 8 members; -1 would mine nothing
         ({"mining_max_condition": -1}, ["mine", str(log)]),
         ({"mining_max_condition": 9}, ["mine", str(log)]),
+        # angles, distances and scores outside their domains, which once
+        # ran: the last two to exit 1, the others to exit 0
+        ({"corner_angle_deg": -35}, ["analyze", str(tri)]),
+        ({"joint_radius_px": -3}, ["analyze", str(tri)]),
+        ({"min_segment_px": -1}, ["analyze", str(tri)]),
+        ({"tip_slack_px": -2}, ["analyze", str(tri)]),
+        ({"signature_threshold": 5}, ["analyze", str(tri)]),
+        ({"signature_threshold": -1}, ["analyze", str(tri)]),
+        ({"straight_min_score": -0.5}, ["analyze", str(tri)]),
+        ({"corner_angle_deg": 400}, ["analyze", str(tri)]),
+        ({"straight_min_score": 2}, ["analyze", str(tri)]),
     ]:
         cfgfile.write_text(json.dumps(overrides))
         assert main(["--config", str(cfgfile)] + argv) == 2, overrides
@@ -745,6 +805,23 @@ def test_solve_struct_naming_undeclared_part_exit_two(tmp_path):
     assert main(["solve", str(pfile)]) == 2
 
 
+@pytest.mark.parametrize("argv, name, data", [
+    (["analyze", "{}"], "raster.pbm", b"P1\n2 1\n1\xe9\n"),
+    (["iso", "{}", "{}"], "a.struct", b"part a T\xff\n"),
+    (["mine", "{}"], "events.log", b"t=0 subj=A\xff score=1.0\n"),
+    (["solve", "{}"], "problem.json", b'{"start": "\xff"}'),
+    (["--config", "{}", "mine", "ok.log"], "cfg.json", b'{"\xff": 1}'),
+])
+def test_undecodable_input_exit_two(tmp_path, monkeypatch, capsys,
+                                    argv, name, data):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    (tmp_path / "ok.log").write_text("t=0 subj=A score=1.0\n")
+    assert main([a.format(name) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte" in err
+
+
 def test_internal_key_error_exit_three(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("bug")
@@ -781,3 +858,4 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         MINE_DIGESTS.write_text(mine_golden_digests(Path(tmp)))
+        ANALYZE_DIGESTS.write_text(analyze_golden_digests(Path(tmp)))

@@ -4,7 +4,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from structkit.config import DEFAULT
 from structkit.corpus import _BASE_SHAPES, rasterize_polygon
 from structkit.derivation import apply_morphism
 from structkit.io_struct import serialize_structure
@@ -29,7 +32,7 @@ from structkit.pixels import (
 )
 from structkit.structure import TypeCatalog, induced, isomorphic, validate
 
-from oracles import connected_components_oracle
+from oracles import connected_components_oracle, extract_strokes_oracle
 
 
 def raster_from_ink(ink, width, height):
@@ -115,6 +118,21 @@ def test_load_p1_digits_and_ink():
     assert load_raster("P1\n3 2\n101011\n1\n") == r
     assert r.values == ((1, 0, 1), (0, 1, 1)) and r.ink == 1
     assert r.ink_pixels() == {(0, 0), (2, 0), (1, 1), (2, 1)}
+    # CRLF line ends and tabs separate tokens like spaces and newlines
+    assert load_raster(b"P1\r\n3\t2\r\n1\t0 1\r\n0\t11\r\n") == r
+    # a comment may end any line, the header's included, and may fall
+    # between two groups of digits
+    assert load_raster("P1 # magic\n3 # width\n2\n10 # split\n1011\n") == r
+    # a digit past width * height is ignored, even one that is no 0 or 1
+    assert load_raster("P1\n3 2\n101011 2\n") == r
+    assert load_raster("P1\n3 2\n1010112\n") == r
+    with pytest.raises(RasterError, match="truncated pixel data"):
+        load_raster("P1\n3 2\n10101 # one short\n")
+    with pytest.raises(RasterError, match="P1 pixels must be 0 or 1"):
+        load_raster("P1\n3 2\n101021\n")
+    # a text input may hold digits outside ASCII, which are no P1 pixels
+    with pytest.raises(RasterError, match="P1 pixels must be 0 or 1"):
+        load_raster("P1\n3 2\n10101\u0661\n")
     rng = random.Random(4)
     for _ in range(20):
         w, h = rng.randint(1, 9), rng.randint(1, 9)
@@ -290,6 +308,73 @@ def test_strokes_need_binary():
     r = RasterStructure(2, 2, ((0, 3), (5, 9)), 0)
     with pytest.raises(RasterError):
         extract_strokes(r)
+
+
+def outline_ink(vertices):
+    return set().union(*(line_ink(a, b)
+                         for a, b in zip(vertices, vertices[1:] + vertices)))
+
+
+@st.composite
+def stroke_rasters(draw):
+    """A binary raster of outlines alone, or of outlines, lines, stubs,
+    blocks and dots, with one-pixel-wide and one-pixel-high rasters drawn
+    often."""
+    # polygon and circle outlines, which are often loops with no junction
+    # when they stand alone
+    alone = draw(st.booleans())
+    side = (st.integers(6, 20) if alone
+            else st.integers(1, 3) | st.integers(1, 20))
+    w, h = draw(side), draw(side)
+    cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    ink = set()
+    radius = min(w, h) // 2 - 1
+    if radius >= 2 and draw(st.booleans()):
+        ink = outline_ink([
+            (w // 2 + round(radius * math.cos(k * math.pi / 12)),
+             h // 2 + round(radius * math.sin(k * math.pi / 12)))
+            for k in range(24)])
+    elif alone or draw(st.booleans()):
+        ink = outline_ink(draw(st.lists(cell, min_size=3, max_size=5)))
+    if alone:
+        return raster_from_ink(ink, w, h)
+    ink |= draw(st.sets(cell, max_size=4))   # isolated dots, mostly
+    # lines: two of them may cross, and a short one ending on another
+    # line is a 1-4 px spur on a junction
+    for a, b in draw(st.lists(st.tuples(cell, cell), max_size=4)):
+        ink |= line_ink(a, b)
+    for (x, y), (dx, dy), n in draw(st.lists(st.tuples(
+            st.sampled_from(sorted(ink)) if ink else cell,
+            st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1),
+                             (-1, 0), (0, -1), (-1, -1), (-1, 1)]),
+            st.integers(1, 4)), max_size=2)):
+        ink |= line_ink((x, y), (min(max(x + n * dx, 0), w - 1),
+                                 min(max(y + n * dy, 0), h - 1)))
+    # 2x2 blocks, which send the raster through thinning
+    for x, y in draw(st.lists(cell, max_size=2)):
+        ink |= {(x + i, y + j) for i in (0, 1) for j in (0, 1)
+                if x + i < w and y + j < h}
+    # whole border rows and columns
+    for edge in draw(st.sets(st.sampled_from("tblr"))):
+        ink |= {"t": line_ink((0, 0), (w - 1, 0)),
+                "b": line_ink((0, h - 1), (w - 1, h - 1)),
+                "l": line_ink((0, 0), (0, h - 1)),
+                "r": line_ink((w - 1, 0), (w - 1, h - 1))}[edge]
+    return raster_from_ink(ink, w, h)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stroke_rasters(), st.integers(0, 4),
+       st.sampled_from([0.0, 20.0, 35.0, 44.9, 90.0, 179.0]))
+@example(raster_from_ink(line_ink((0, 0), (0, 11)), 1, 12), 3, 35.0)
+@example(raster_from_ink(line_ink((0, 0), (11, 0)), 12, 1), 3, 35.0)
+@example(raster_from_ink(outline_ink([(0, 0), (9, 0), (9, 7), (0, 7)]), 10, 8),
+         3, 35.0)
+@example(raster_from_ink(line_ink((0, 5), (10, 5)) | line_ink((5, 0), (5, 10))
+                         | line_ink((5, 5), (7, 3)), 11, 11), 3, 35.0)
+def test_extract_strokes_matches_tuple_oracle(r, window, angle):
+    cfg = DEFAULT.replace(corner_window=window, corner_angle_deg=angle)
+    assert extract_strokes(r, cfg) == extract_strokes_oracle(r, cfg)
 
 
 # --- classify_segment ---------------------------------------------------------

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -154,6 +156,20 @@ def test_always_rule_near_certain():
     assert rule is not None
     assert rule.n_hit == rule.n_cond
     assert rule.p == pytest.approx((rule.n_cond + 1) / (rule.n_cond + 2))
+
+
+def test_mined_rules_freed_without_cycle_collector():
+    # nothing mine_rules leaves behind may keep its rules alive, so they go
+    # when the caller drops them, with no collection pass
+    log = planted_implication(seed=71, n_triggers=80)
+    gc.disable()
+    try:
+        rules = mine_rules(log, window=5, min_support=5, min_p=0.5)
+        condition = weakref.ref(rules[0].condition)
+        del rules
+        assert condition() is None
+    finally:
+        gc.enable()
 
 
 def test_independent_noise_yields_nothing():
