@@ -289,12 +289,12 @@ def rule_subjects(rule: AssociativeRule) -> set[str]:
 
 def update_legitimacy(subjects: Sequence[Subject],
                       validations: Sequence[tuple[AssociativeRule, bool]],
-                      cfg: Config = DEFAULT) -> list[Subject]:
+                      threshold: float = 0.7) -> list[Subject]:
     """Count, per subject, the validated rules that reference it.
 
     A rule counts as validated when its Laplace-smoothed hit rate over the
-    supplied outcomes reaches the validation threshold.  Subjects left at
-    zero stay flagged as candidates: their emergence is not established.
+    supplied outcomes reaches `threshold`.  Subjects left at zero stay
+    flagged as candidates: their emergence is not established.
     """
     tallies: dict[int, list[int]] = {}
     order: dict[int, AssociativeRule] = {}
@@ -305,7 +305,7 @@ def update_legitimacy(subjects: Sequence[Subject],
         tallies[key] = [hits + (1 if outcome else 0), n + 1]
     validated: list[AssociativeRule] = []
     for key, (hits, n) in tallies.items():
-        if (hits + 1) / (n + 2) >= cfg.validation_threshold:
+        if (hits + 1) / (n + 2) >= threshold:
             validated.append(order[key])
     out = []
     for subj in subjects:

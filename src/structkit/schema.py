@@ -532,6 +532,8 @@ def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> 
         else:
             body_lines[lineno - 1] = " ".join(tok)
     body = parse_structure("\n".join(body_lines) + "\n")
+    if not body.parts:
+        raise SchemaError("schema has no part lines")
     parts = tuple((p, binds[p]) for p in body.parts if p in binds)
     if len(parts) != body.n:
         missing = [p for p in body.parts if p not in binds]

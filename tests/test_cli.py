@@ -551,11 +551,14 @@ def test_unknown_config_key_exit_two(tmp_path):
     assert main(["--config", str(cfgfile), "iso", a, a]) == 2
 
 
-# search caps and budgets that are module constants, not Config fields
+# search caps, budgets and thresholds that are module constants or parameter
+# defaults, not Config fields
 @pytest.mark.parametrize("key, value", [
     ("occurrence_part_cap", 64), ("motif_size_cap", 5), ("edit_eps", 0.1),
     ("partition_cap", 8), ("recipe_cap", 64),
     ("solve_budget_default", 100_000),
+    # a parameter default of `update_legitimacy`, which no subcommand calls
+    ("validation_threshold", 0.7),
 ])
 def test_removed_config_key_exit_two(tmp_path, capsys, key, value):
     cfgfile = tmp_path / "cfg.json"
@@ -609,6 +612,12 @@ def test_wrong_typed_config_value_exit_two(tmp_path, capsys):
         ({"straight_min_score": -0.5}, ["analyze", str(tri)]),
         ({"corner_angle_deg": 400}, ["analyze", str(tri)]),
         ({"straight_min_score": 2}, ["analyze", str(tri)]),
+        # fuel and scores outside their domains, which once ran
+        ({"fuel_default": -1}, ["solve", str(pfile)]),
+        ({"rule_threshold": 5}, ["solve", str(pfile)]),
+        ({"rule_threshold": -3}, ["solve", str(pfile)]),
+        ({"recognition_min_score": 2}, ["mine", str(log)]),
+        ({"recognition_min_score": -1}, ["mine", str(log)]),
     ]:
         cfgfile.write_text(json.dumps(overrides))
         assert main(["--config", str(cfgfile)] + argv) == 2, overrides
@@ -792,6 +801,20 @@ def test_solve_non_string_text_exit_two(tmp_path, capsys, where, key):
     pfile.write_text(json.dumps(problem))
     assert main(["solve", str(pfile)]) == 2
     assert "problem: malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n", "oriented\n"])
+def test_solve_schema_without_parts_exit_two(tmp_path, capsys, text):
+    problem = {
+        "start": {"struct": "part u0 N\n"},
+        "goal": {"members": [{"subject": "g"}]},
+        "productions": [{"name": "grow", "guard": {"pattern": "part a N\n"},
+                         "effect": {"schema": text}}],
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+    assert capsys.readouterr().err == "error: schema has no part lines\n"
 
 
 def test_solve_struct_naming_undeclared_part_exit_two(tmp_path):

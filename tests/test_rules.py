@@ -352,6 +352,15 @@ def test_refuted_rule_confers_nothing():
     assert out[0].legitimacy == 0 and out[0].candidate_only
 
 
+def test_legitimacy_threshold_is_a_parameter():
+    rule = AssociativeRule(MicroSituation((MsMember("A"),)),
+                           (Consequent("X"),), n_cond=40, n_hit=36)
+    validations = [(rule, True)] * 9 + [(rule, False)]   # smoothed p 10/12
+    for threshold, legitimacy in [(0.83, 1), (0.84, 0)]:
+        out = update_legitimacy([Subject("A")], validations, threshold)
+        assert out[0].legitimacy == legitimacy, threshold
+
+
 def test_candidate_follows_legitimacy():
     assert Subject("A").candidate_only is True
     assert Subject("A", legitimacy=2).candidate_only is False
