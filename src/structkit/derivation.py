@@ -309,9 +309,9 @@ def _grown_partition(s: Structure, keys: dict[str, str],
 @dataclass(frozen=True)
 class DerivationRecord:
     op: str
-    inputs: tuple[str, ...]
+    inputs: tuple[tuple, ...]
     params: str
-    output: str
+    output: tuple
 
 
 class DerivationStore:
@@ -319,13 +319,13 @@ class DerivationStore:
 
     def __init__(self):
         self._records: list[DerivationRecord] = []
-        self._known: set[str] = set()
+        self._known: set[tuple] = set()
 
     @staticmethod
-    def key(s: Structure) -> str:
-        return canonical_form(s) + "::" + "|".join(s.parts)
+    def key(s: Structure) -> tuple:
+        return (canonical_form(s), s.parts)
 
-    def register(self, s: Structure) -> str:
+    def register(self, s: Structure) -> tuple:
         k = self.key(s)
         self._known.add(k)
         return k
@@ -344,9 +344,9 @@ class DerivationStore:
         self._records.append(rec)
         return rec
 
-    def _path(self, src: str, dst: str) -> Optional[list[DerivationRecord]]:
+    def _path(self, src: tuple, dst: tuple) -> Optional[list[DerivationRecord]]:
         # the fewest records leading from src down to dst, breadth first
-        best: dict[str, tuple[str, DerivationRecord]] = {}
+        best: dict[tuple, tuple[tuple, DerivationRecord]] = {}
         queue = deque([src])
         seen = {src}
         while queue:

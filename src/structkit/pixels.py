@@ -48,9 +48,6 @@ class RasterStructure:
     values: tuple[tuple[int, ...], ...]   # values[y][x]
     ink: int                              # intensity treated as stroke
 
-    def value(self, x: int, y: int) -> int:
-        return self.values[y][x]
-
     def is_binary(self) -> bool:
         return len(set().union(*self.values)) <= 2
 

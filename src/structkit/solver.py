@@ -187,10 +187,10 @@ def expand(state: State, spec: ProblemSpec, cfg: Config = DEFAULT,
     return successors, errors
 
 
-def _state_key(state: State, spec: ProblemSpec) -> str:
+def _state_key(state: State, spec: ProblemSpec) -> tuple:
     if isinstance(state, RecognitionState):
-        return "rec:" + repr(state.recognitions)
-    return "struct:" + canonical_form(state, spec.catalog)
+        return ("rec", state.recognitions)
+    return ("struct", canonical_form(state, spec.catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +285,21 @@ class SolutionCache:
                  catalog: Optional[TypeCatalog] = None):
         self.mask = mask
         self.catalog = catalog if catalog is not None else TypeCatalog()
-        self.entries: dict[tuple[str, str], CacheEntry] = {}
+        self.entries: dict[tuple[tuple, tuple], CacheEntry] = {}
 
-    def abstract_state(self, state: State) -> str:
+    def abstract_state(self, state: State) -> tuple:
         if isinstance(state, RecognitionState):
-            return "rec:" + ",".join(s for s, _ in state.recognitions)
+            return ("rec", tuple(s for s, _ in state.recognitions))
         target = state
         if self.mask is not None:
             target = apply_morphism(state, self.mask, self.catalog)
-        return "struct:" + canonical_form(target, self.catalog)
+        return ("struct", canonical_form(target, self.catalog))
 
     @staticmethod
-    def abstract_goal(goal: MicroSituation) -> str:
-        bits = sorted(f"{'+' if m.positive else '-'}{m.subject}"
-                      for m in goal.members)
-        return "&".join(bits)
+    def abstract_goal(goal: MicroSituation) -> tuple:
+        return tuple(sorted((m.positive, m.subject) for m in goal.members))
 
-    def key_for(self, spec: ProblemSpec) -> tuple[str, str]:
+    def key_for(self, spec: ProblemSpec) -> tuple[tuple, tuple]:
         return (self.abstract_state(spec.start), self.abstract_goal(spec.goal))
 
     def store(self, spec: ProblemSpec, plan: tuple[str, ...]):

@@ -185,8 +185,8 @@ class TypeCatalog:
 
     def __init__(self):
         self._entries: dict[str, object] = {}
-        self._keys: dict[str, str] = {}
-        self._by_key: dict[str, str] = {}
+        self._keys: dict[str, tuple] = {}
+        self._by_key: dict[tuple, str] = {}
         self._named: set[str] = set()   # ids the registered payloads name
         self._counter = 0
 
@@ -238,7 +238,7 @@ class TypeCatalog:
         self._put(type_id, entry, key)
         return type_id
 
-    def _put(self, type_id: str, entry, key: Optional[str] = None):
+    def _put(self, type_id: str, entry, key: Optional[tuple] = None):
         if type_id in self._entries:
             if self._entries[type_id] == entry:
                 return
@@ -256,29 +256,28 @@ class TypeCatalog:
         self._keys[type_id] = key
         self._by_key[key] = type_id
 
-    def _entry_key(self, entry) -> str:
+    def _entry_key(self, entry) -> tuple:
         if isinstance(entry, AtomicType):
-            return "a:" + entry.label
+            return ("a", entry.label)
         if isinstance(entry, AttrType):
-            return "q:" + entry.label + ";" + ";".join(f"{k}={v}" for k, v in entry.attrs)
-        return "s:" + canonical_form(entry.inner, self) + ";" + ";".join(
-            f"{k}={v}" for k, v in entry.attrs)
+            return ("q", entry.label, entry.attrs)
+        return ("s", canonical_form(entry.inner, self), entry.attrs)
 
-    def type_key(self, type_id: str) -> str:
+    def type_key(self, type_id: str) -> tuple:
         """Deep distinguishability key, fixed at registration; unknown ids
         stay opaque."""
         key = self._keys.get(type_id)
-        return key if key is not None else "o:" + type_id
+        return key if key is not None else ("o", type_id)
 
     def unresolved(self, s: Structure) -> list[str]:
         """Type ids of s that do not resolve in this catalog."""
         return sorted({t for t in s.part_types if t not in self._entries})
 
 
-def _key_map(s: Structure, catalog: Optional[TypeCatalog]) -> dict[str, str]:
+def _key_map(s: Structure, catalog: Optional[TypeCatalog]) -> dict[str, tuple]:
     """part -> its type key."""
     if catalog is None:
-        return {p: "o:" + t for p, t in zip(s.parts, s.part_types)}
+        return {p: ("o", t) for p, t in zip(s.parts, s.part_types)}
     return dict(zip(s.parts, map(catalog.type_key, s.part_types)))
 
 
@@ -287,7 +286,7 @@ def _cached(s: Structure, catalog: Optional[TypeCatalog],
     """`build(s, catalog)`, cached on s under `build`'s name, like `types`.
 
     For data derived from s and its type keys.  An unbound id keys as
-    "o:<id>" only until the catalog binds it, and a bound key never
+    `("o", id)` only until the catalog binds it, and a bound key never
     changes, so the value holds while the catalog is the same and its
     `bound_count()` has not grown.  Only the last value built is kept.
     """
@@ -342,10 +341,6 @@ def require_valid(s: Structure):
 # canonical labeling: color refinement + backtracking individualization
 # ---------------------------------------------------------------------------
 
-def _attr_enc(attrs: Attrs) -> str:
-    return ",".join(f"{k}={v}" for k, v in attrs)
-
-
 def _ends(s: Structure) -> dict[str, list[tuple[int, str]]]:
     """part -> [(end, other)] with each incident end as one int, in
     relation order.
@@ -366,10 +361,10 @@ def _ends(s: Structure) -> dict[str, list[tuple[int, str]]]:
     return {p: [(ids[e], q) for e, q in ends] for p, ends in around.items()}
 
 
-def _key_cells(s: Structure, keys: dict[str, str]) -> dict[int, list[str]]:
+def _key_cells(s: Structure, keys: dict[str, tuple]) -> dict[int, list[str]]:
     """The type-key colouring as cells: one per key, in key order, each
     keyed by its start offset."""
-    by_key: dict[str, list[str]] = {}
+    by_key: dict[tuple, list[str]] = {}
     for p in s.parts:
         by_key.setdefault(keys[p], []).append(p)
     cells = {}
@@ -439,28 +434,21 @@ def _individualise(ends: dict[str, list[tuple[int, str]]],
     return colors, cells
 
 
-def _rel_suffixes(s: Structure) -> list[str]:
-    """Each relation's `:{label}{attrs}` tail in `_encode`, in relation
-    order; it does not depend on the part order."""
-    return [f":{r.label}{{{_attr_enc(r.attrs)}}}" for r in s.relations]
-
-
-def _encode(s: Structure, order: list[str], keys: dict[str, str],
-            suffixes: Optional[list[str]] = None) -> str:
-    """s under the part order `order`; `suffixes` is `_rel_suffixes(s)`,
-    passed by a caller that encodes s under many orders."""
-    if suffixes is None:
-        suffixes = _rel_suffixes(s)
+def _encode(s: Structure, order: list[str], keys: dict[str, tuple]) -> tuple:
+    """s under the part order `order`: `(n, oriented, the keys in order,
+    the sorted (i, j, label, attrs) relations)`, with i and j positions in
+    `order`.  Two structures encode equal exactly when `order` maps one
+    onto the other."""
     pos = {p: i for i, p in enumerate(order)}
     rels = []
-    for r, suffix in zip(s.relations, suffixes):
+    for r in s.relations:
         i, j = pos[r.a], pos[r.b]
         if not s.oriented and i > j:
             i, j = j, i
-        rels.append(f"{i}-{j}{suffix}")
+        rels.append((i, j, r.label, r.attrs))
     rels.sort()
-    return (f"n={len(order)};o={int(s.oriented)};"
-            + "|".join(keys[p] for p in order) + ";" + "|".join(rels))
+    return (len(order), s.oriented, tuple(keys[p] for p in order),
+            tuple(rels))
 
 
 # search nodes each canonical_order call may visit; with jump-back K_n takes
@@ -481,12 +469,13 @@ def canonical_order(s: Structure, catalog: Optional[TypeCatalog] = None) -> list
     return _canonical(s, _key_map(s, catalog))[0]
 
 
-def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None) -> str:
-    """The encoding of s under its canonical order."""
+def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None) -> tuple:
+    """The encoding of s under its canonical order, a hashable tuple; equal
+    exactly for isomorphic structures."""
     return _canonical(s, _key_map(s, catalog))[1]
 
 
-def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
+def _canonical(s: Structure, keys: dict[str, tuple]) -> tuple[list[str], tuple]:
     """The canonical order of s and its encoding.
 
     Individualisation-refinement: each search node branches on the parts of
@@ -514,7 +503,6 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
         # refinement alone individualises every part: the root is the leaf
         order = [cells[c][0] for c in sorted(cells)]
         return order, _encode(s, order, keys)
-    suffixes = _rel_suffixes(s)
     best_enc = None
     best_order: list[str] = []
     best_fixed: tuple[str, ...] = ()
@@ -533,7 +521,7 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
         multi = [c for c, cell in cells.items() if len(cell) > 1]
         if not multi:
             order = [cells[c][0] for c in sorted(cells)]
-            enc = _encode(s, order, keys, suffixes)
+            enc = _encode(s, order, keys)
             if best_enc is None or enc < best_enc:
                 best_enc, best_order, best_fixed = enc, order, fixed
                 return None
@@ -541,9 +529,6 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
                 # an automorphism helps only a node with children to try
                 return None
             g = dict(zip(best_order, order))
-            # the check guards against keys or labels holding separators
-            if not _check_witness(s, s, g, keys, keys):
-                return None
             autos.append(g)
             # two leaves never share a whole path, so the paths part below
             # depth d.  A leaf lists its fixed parts first, deepest first,
@@ -591,7 +576,7 @@ def _canonical(s: Structure, keys: dict[str, str]) -> tuple[list[str], str]:
 # ---------------------------------------------------------------------------
 
 def _check_witness(a: Structure, b: Structure, mapping: dict[str, str],
-                   keys_a: dict[str, str], keys_b: dict[str, str]) -> bool:
+                   keys_a: dict[str, tuple], keys_b: dict[str, tuple]) -> bool:
     """Whether `mapping`, a bijection a.parts -> b.parts, carries keys and
     relations onto each other.
 
@@ -626,8 +611,8 @@ def isomorphic(a: Structure, b: Structure,
     return _witness(a, b, _key_map(a, catalog), _key_map(b, catalog))
 
 
-def _witness(a: Structure, b: Structure, keys_a: dict[str, str],
-             keys_b: dict[str, str]) -> Optional[dict[str, str]]:
+def _witness(a: Structure, b: Structure, keys_a: dict[str, tuple],
+             keys_b: dict[str, tuple]) -> Optional[dict[str, str]]:
     """Verified part bijection a -> b preserving keys and relations, or None.
 
     No validity check: schema bodies may carry self-loops.
@@ -665,7 +650,7 @@ def internal_classes(s: Structure,
     """
     require_valid(s)
     keys = _key_map(s, catalog)
-    groups: dict[str, list[str]] = {}
+    groups: dict[tuple, list[str]] = {}
     for p in s.parts:
         groups.setdefault(keys[p], []).append(p)
     return [tuple(groups[k]) for k in sorted(groups)]
@@ -823,12 +808,12 @@ def _pattern_plan(b: Structure,
 
 
 def _host_index(a: Structure, catalog: Optional[TypeCatalog]
-                ) -> tuple[dict[str, str], dict[str, list[str]]]:
+                ) -> tuple[dict[str, tuple], dict[tuple, list[str]]]:
     """a's key map, and its parts grouped by key in part order: all an
     embedding search needs of its host beyond `pairs`.  `_embeddings`
     caches it on a with `_cached`."""
     keys = _key_map(a, catalog)
-    by_key: dict[str, list[str]] = {}
+    by_key: dict[tuple, list[str]] = {}
     for p in a.parts:
         by_key.setdefault(keys[p], []).append(p)
     return keys, by_key

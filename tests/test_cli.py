@@ -80,25 +80,65 @@ def test_iso_malformed_file_exit_two(tmp_path):
     assert main(["iso", str(bad), good]) == 2
 
 
-def test_iso_report_independent_of_hash_seed(tmp_path):
-    # refinement walks sets of cells, so two interpreters with different
-    # string hashing must still pick the same canonical orders and witness
+def test_iso_type_ids_holding_separators(tmp_path):
+    # joined into one string with `|` and `:`, the two sides' type ids and
+    # relations would read alike; the structures are not isomorphic
+    a = tmp_path / "a.struct"
+    a.write_text("part u x|o:y\npart v z\nrel u v L\n")
+    b = tmp_path / "b.struct"
+    b.write_text("part u x\npart v y|o:z\nrel u v L\n")
+    out = tmp_path / "iso.json"
+    assert main(["iso", str(a), str(b), "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["isomorphic"] is False and payload["witness"] is None
+
+
+def run_under_hash_seeds(tmp_path, args) -> list[bytes]:
+    """The reports `structkit ARGS --out FILE` writes in two interpreters
+    that hash strings differently, each run given a minute."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"report-h{seed}.json"
+        subprocess.run([sys.executable, "-m", "structkit.cli", *args,
+                        "--out", str(out)], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(src),
+                            "PYTHONHASHSEED": seed})
+        reports.append(out.read_bytes())
+    return reports
+
+
+def c20_pair():
     ids = [f"v{i}" for i in range(20)]
     names = dict(zip(ids, random.Random(20).sample(ids, 20)))
     rels = [(ids[i], ids[(i + 1) % 20], "L") for i in range(20)]
     copy = [(names[x], names[y], lab) for x, y, lab in rels]
     types = dict.fromkeys(ids, "T")
-    a = write_struct(tmp_path, "a.struct", structure(types, rels))
-    b = write_struct(tmp_path, "b.struct", structure(types, copy))
-    src = Path(__file__).resolve().parents[1] / "src"
-    reports = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"iso{seed}.json"
-        subprocess.run([sys.executable, "-m", "structkit.cli", "iso", a, b,
-                        "--out", str(out)], check=True,
-                       env={**os.environ, "PYTHONPATH": str(src),
-                            "PYTHONHASHSEED": seed})
-        reports.append(out.read_bytes())
+    return structure(types, rels), structure(types, copy)
+
+
+def k30_pair():
+    # K30 takes 465 canonical search nodes; a search gone exponential
+    # fails on the minute's timeout instead of hanging the suite
+    ids = [f"v{i}" for i in range(30)]
+    rels = [(a, b, "L") for i, a in enumerate(ids) for b in ids[i + 1:]]
+    rng = random.Random(30)
+    names = dict(zip(ids, rng.sample([f"w{i}" for i in range(30)], 30)))
+    copy = structure({names[p]: "T" for p in reversed(ids)},
+                     [(names[a], names[b], lab)
+                      for a, b, lab in rng.sample(rels, len(rels))])
+    return structure(dict.fromkeys(ids, "T"), rels), copy
+
+
+@pytest.mark.parametrize("pair", [c20_pair, k30_pair], ids=["C20", "K30"])
+def test_iso_report_independent_of_hash_seed(tmp_path, pair):
+    # refinement walks sets of cells and type keys hash their strings, so
+    # two interpreters with different string hashing must still pick the
+    # same canonical orders and witness
+    a, b = pair()
+    reports = run_under_hash_seeds(tmp_path, [
+        "iso", write_struct(tmp_path, "a.struct", a),
+        write_struct(tmp_path, "b.struct", b)])
     assert json.loads(reports[0])["isomorphic"] is True
     assert reports[0] == reports[1]
 
@@ -120,6 +160,21 @@ def test_derive_quotient_and_mask(tmp_path):
     assert out_struct.read_text() == payload["derived"]
     derived_lines = payload["derived"].splitlines()
     assert sum(1 for ln in derived_lines if ln.startswith("part ")) == 2
+
+
+def test_derive_types_blocks_holding_separators_apart(tmp_path):
+    # the blocks induce x|o:y-L-z and x-L-y|o:z, which are not isomorphic
+    s = tmp_path / "s.struct"
+    s.write_text("part u x|o:y\npart v z\npart w x\npart q y|o:z\n"
+                 "rel u v L\nrel w q L\nrel v w M\n")
+    sidecar = tmp_path / "ops.txt"
+    sidecar.write_text("block u v\nblock w q\n")
+    out_struct = tmp_path / "derived.struct"
+    assert main(["derive", str(s), str(sidecar), "--out",
+                 str(tmp_path / "derive.json"),
+                 "--out-struct", str(out_struct)]) == 0
+    derived = parse_structure(out_struct.read_text())
+    assert derived.n == 2 and len(set(derived.part_types)) == 2
 
 
 def test_derive_with_mask_sidecar(tmp_path):
@@ -459,6 +514,49 @@ def test_solve_structure_state_with_recognizers_and_schema_effect(tmp_path):
     payload = json.loads(out.read_text())
     validate(payload, "plan_report")
     assert payload["status"] == "solved" and payload["plan"] == ["grow"]
+
+
+def grow_problem() -> dict:
+    """A structure-state problem with recognizers, schema effects, an
+    undesired situation and several plans of the least length; the budget
+    bounds the search (34 expansions solve it)."""
+    def grow(t, where):
+        # attach a new part of type t to the first or last part
+        return ("oriented\npart b BIND\npart m MOVE\npart c COPY\n"
+                "rel b m next\nrel m c next\nentry b\n"
+                f"bind b BIND t={t}\nbind m MOVE {where}\n"
+                "bind c COPY t\n")
+
+    productions = [{"name": f"grow-{t}-{w}",
+                    "guard": {"pattern": "part a N\n"},
+                    "effect": {"schema": grow(t, w)}}
+                   for t in "NEW" for w in ("first", "last")]
+    productions.append({"name": "mark",
+                        "guard": {"members": [{"subject": "ne"}]},
+                        "effect": {"schema": grow("M", "last")}})
+    return {
+        "start": {"struct": "part u0 N\npart u1 E\nrel u0 u1 adj\n"},
+        "goal": {"members": [{"subject": "nn"}, {"subject": "ew"},
+                             {"subject": "wm", "positive": False}]},
+        "recognizers": [
+            {"subject": s, "pattern": f"part a {x}\npart b {y}\n"
+                                      "rel a b adj\n"}
+            for s, x, y in (("nn", "N", "N"), ("ne", "N", "E"),
+                            ("ew", "E", "W"), ("wm", "W", "M"))],
+        "undesired": [{"members": [{"subject": "wm"}]}],
+        "productions": productions,
+        "budget": 50,
+    }
+
+
+def test_solve_report_independent_of_hash_seed(tmp_path):
+    # the chosen plan must not follow set or dict iteration order, which
+    # the state keys' string hashes decide
+    pfile = tmp_path / "grow.json"
+    pfile.write_text(json.dumps(grow_problem()))
+    reports = run_under_hash_seeds(tmp_path, ["solve", str(pfile)])
+    assert json.loads(reports[0])["status"] == "solved"
+    assert reports[0] == reports[1]
 
 
 def test_solve_unsolvable_exit_one(tmp_path):

@@ -191,8 +191,8 @@ def assert_labelling_matches_oracle(r):
     got = sorted(frozenset(map(pixel_of, b.members))
                  for b in segment_regions(r).blocks)
     assert got == oracle
-    assert region_sizes(r) == sorted((r.value(*next(iter(c))), len(c))
-                                     for c in oracle)
+    assert region_sizes(r) == sorted(
+        (r.values[y][x], len(c)) for c in oracle for x, y in [next(iter(c))])
 
 
 def test_regions_grey_levels_match_oracle():

@@ -240,6 +240,12 @@ def _symmetric_pairs():
     pairs += [pytest.param(cfi(n, False), cfi(n, True), False,
                            id=f"CFI(K{n})-vs-twisted")
               for n in (3, 4, 5, 6)]
+    # type ids holding `|` and `:`: joined into one string, both sides'
+    # type keys and relations would read alike
+    pairs.append(pytest.param(
+        structure({"u": "x|o:y", "v": "z"}, [("u", "v", "L")]),
+        structure({"u": "x", "v": "y|o:z"}, [("u", "v", "L")]),
+        False, id="separators-in-type-ids"))
     return pairs
 
 
@@ -806,7 +812,7 @@ def test_occurrences_resolve_struct_payloads():
 
 
 def test_compiled_plan_follows_a_binding():
-    # the pattern's plan is compiled while "u" is unbound, so keyed "o:u";
+    # the pattern's plan is compiled while "u" is unbound, so keyed ("o", "u");
     # binding u to the label of w then lets x map to a as well as to c
     cat = TypeCatalog()
     cat.add_atomic("w", "T")
