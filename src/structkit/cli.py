@@ -335,12 +335,12 @@ def _problem_from_json(obj: dict) -> tuple[ProblemSpec, int]:
     if obj.get("heuristic") == "missing-goal-members":
         positives = [m for m in goal.members if m.positive]
 
-        def heuristic(state, _pos=positives):
+        def heuristic(state):
             if isinstance(state, RecognitionState):
                 present = {s for s, v in state.recognitions if v >= 0.5}
             else:
                 present = set()
-            return sum(1 for m in _pos if m.subject not in present)
+            return sum(1 for m in positives if m.subject not in present)
     spec = ProblemSpec(start, goal, tuple(productions),
                        recognizers=tuple(recognizers),
                        undesired=undesired, heuristic=heuristic)

@@ -863,19 +863,19 @@ def evaluate_signature(sig: Signature,
     return score, score >= sig.threshold
 
 
-def build_signature_candidates(examples: Sequence[Iterable[PropertyAssertion]],
-                               subject: str = "candidate",
-                               cfg: Config = DEFAULT) -> list[Signature]:
+def build_signature_candidates(examples: Sequence[Iterable[PropertyAssertion]]
+                               ) -> list[Signature]:
     """Maximal feature sets shared by every example, ranked by specificity."""
     if not examples:
         return []
+    threshold = DEFAULT.signature_threshold
     atom_sets = []
     for ex in examples:
         atoms = set()
         for a in ex:
             if isinstance(a.value, bool) or isinstance(a.value, int):
                 atoms.add((a.feature, a.value))
-            elif isinstance(a.value, float) and a.value >= cfg.signature_threshold:
+            elif isinstance(a.value, float) and a.value >= threshold:
                 atoms.add((a.feature, None))
         atom_sets.append(atoms)
     common = set.intersection(*atom_sets)
@@ -883,12 +883,12 @@ def build_signature_candidates(examples: Sequence[Iterable[PropertyAssertion]],
         return []
     atoms = tuple(SignatureAtom(f, v)
                   for f, v in sorted(common, key=lambda t: (t[0], str(t[1]))))
-    candidates = [Signature(subject, atoms, threshold=cfg.signature_threshold)]
+    candidates = [Signature("candidate", atoms, threshold=threshold)]
     whole = tuple(a for a in atoms if a.feature in
                   ("is-closed-cycle", "side-count", "all-lengths-equal",
                    "all-angles-equal"))
     if whole and len(whole) < len(atoms):
-        candidates.append(Signature(subject + "-whole", whole,
-                                    threshold=cfg.signature_threshold))
+        candidates.append(Signature("candidate-whole", whole,
+                                    threshold=threshold))
     candidates.sort(key=lambda s: -len(s.required))
     return candidates

@@ -246,7 +246,7 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
 class Subject:
     """A recognizable information unit; legitimate once rules depend on it."""
     id: str
-    recognizer: object = None     # Signature, (Structure, mask) or Schema
+    recognizer: object = None     # Signature, Structure or Schema
     legitimacy: int = 0
 
     @property
@@ -254,15 +254,13 @@ class Subject:
         return self.legitimacy == 0
 
 
-def recognize(subject: Subject, observation,
-              catalog: Optional[TypeCatalog] = None,
-              fuel: Optional[int] = None) -> float:
+def recognize(subject: Subject, observation) -> float:
     """Converge the subject's checks into a single score.
 
     Signature recognizers score an assertion list; template recognizers
-    score 1.0 when the pattern occurs in the observed structure (after the
-    mask, if any); schema detectors run on the structure and report 1.0 when
-    the output carries a part typed "1".
+    score 1.0 when the pattern occurs in the observed structure; schema
+    detectors run on the structure and report 1.0 when the output carries a
+    part typed "1".
     """
     rec = subject.recognizer
     if rec is None:
@@ -270,14 +268,10 @@ def recognize(subject: Subject, observation,
     if isinstance(rec, Signature):
         return evaluate_signature(rec, observation)[0]
     if isinstance(rec, Schema):
-        out = execute(rec, observation, fuel)
+        out = execute(rec, observation)
         return 1.0 if "1" in out.part_types else 0.0
-    if isinstance(rec, tuple) and len(rec) == 2:
-        pattern, mask = rec
-        target = observation
-        if mask is not None:
-            target = apply_morphism(observation, mask, catalog)
-        return 1.0 if embeds(target, pattern, catalog) else 0.0
+    if isinstance(rec, Structure):
+        return 1.0 if embeds(observation, rec) else 0.0
     raise RuleError(f"subject {subject.id} has an unsupported recognizer")
 
 
@@ -328,8 +322,7 @@ class RegularityReport:
 _MOTIF_SIZE_CAP = 5
 
 
-def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3,
-                            catalog: Optional[TypeCatalog] = None
+def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3
                             ) -> list[RegularityReport]:
     """Connected motifs of up to k_max parts occurring in >= 2 members."""
     if k_max > _MOTIF_SIZE_CAP:
@@ -339,7 +332,7 @@ def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3,
         for size in range(1, min(k_max, s.n) + 1):
             for members in _connected_subsets(s, size):
                 sub = induced(s, members)
-                key = canonical_form(sub, catalog)
+                key = canonical_form(sub)
                 hits.setdefault(key, {}).setdefault(idx, []).append(
                     tuple(sorted(members)))
     reports = []
@@ -364,8 +357,7 @@ def _element_count(s: Structure) -> int:
     return s.n + len(s.relations) + sum(len(r.attrs) for r in s.relations)
 
 
-def edit_distance(a: Structure, b: Structure,
-                  catalog: Optional[TypeCatalog] = None
+def edit_distance(a: Structure, b: Structure
                   ) -> Optional[tuple[int, list[str]]]:
     """Exact minimal edit script over part-type substitutions and relation
     insert/delete/relabel: empty when the matcher finds an isomorphism,
@@ -376,8 +368,8 @@ def edit_distance(a: Structure, b: Structure,
     `_EDIT_PART_CAP` parts."""
     if a.n != b.n or a.oriented != b.oriented:
         return None
-    keys_a = _key_map(a, catalog)
-    keys_b = _key_map(b, catalog)
+    keys_a = _key_map(a, None)
+    keys_b = _key_map(b, None)
     if _witness(a, b, keys_a, keys_b) is not None:
         return (0, [])
     if a.n > _EDIT_PART_CAP:
@@ -420,13 +412,12 @@ def edit_distance(a: Structure, b: Structure,
     return best
 
 
-def detect_regularity_case2(a: Structure, b: Structure, eps: float = 0.10,
-                            catalog: Optional[TypeCatalog] = None
+def detect_regularity_case2(a: Structure, b: Structure, eps: float = 0.10
                             ) -> Optional[RegularityReport]:
     """Near-identity: the minimal edit stays under the eps fraction."""
     if not 0 < eps <= 0.5:
         raise RuleError("eps must lie in (0, 0.5]")
-    found = edit_distance(a, b, catalog)
+    found = edit_distance(a, b)
     if found is None:
         return None
     cost, script = found
@@ -505,14 +496,13 @@ def detect_regularity_case3(pop: Sequence[Structure],
     return reports
 
 
-def verify_regularity_case4(seq: Sequence[Structure], op: Schema,
-                            fuel: Optional[int] = None) -> bool:
+def verify_regularity_case4(seq: Sequence[Structure], op: Schema) -> bool:
     """True when the operator maps each element onto the next, up to
     isomorphism.  Discovery is out of scope; only verification is offered."""
     if len(seq) < 2:
         raise RuleError("need at least two structures to verify an operator")
     for cur, nxt in zip(seq, seq[1:]):
-        out = execute(op, cur, fuel)
+        out = execute(op, cur)
         if isomorphic(out, nxt) is None:
             return False
     return True

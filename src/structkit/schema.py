@@ -316,19 +316,14 @@ def _relabeled_variant(s: Structure) -> Structure:
     return Structure(parts, s.part_types, rels, s.oriented)
 
 
-def operations_coincide(op1: Schema, op2: Schema,
-                        battery: Optional[list[Structure]] = None,
-                        fuel: int = 50_000) -> bool:
+def operations_coincide(op1: Schema, op2: Schema) -> bool:
     """Extensional test: on isomorphic inputs, all outputs stay isomorphic."""
-    battery = battery if battery is not None else default_battery()
-    if not battery:
-        raise SchemaError("battery must be non-empty")
-    for s in battery:
+    for s in default_battery():
         variants = [s, _relabeled_variant(s)]
         outs = []
         for op in (op1, op2):
             for v in variants:
-                outs.append(canonical_form(execute(op, v, fuel)))
+                outs.append(canonical_form(execute(op, v, 50_000)))
         if len(set(outs)) != 1:
             return False
     return True
@@ -357,8 +352,7 @@ def _wiring(sch: Schema) -> tuple[Structure, dict[str, str]]:
                      tuple(rels), oriented=True), keys
 
 
-def schemas_coincide(a: Schema, b: Schema,
-                     battery: Optional[list[Structure]] = None) -> bool:
+def schemas_coincide(a: Schema, b: Schema) -> bool:
     """Bodies isomorphic with coinciding bindings, confirmed extensionally.
 
     Memory slot names are internal wiring, so a consistent renaming of slots
@@ -369,7 +363,7 @@ def schemas_coincide(a: Schema, b: Schema,
     wb, keys_b = _wiring(fb)
     if _witness(wa, wb, keys_a, keys_b) is None:
         return False
-    return operations_coincide(fa, fb, battery)
+    return operations_coincide(fa, fb)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +395,7 @@ class NandNet:
         return {name: lines[ref] for name, ref in self.outputs}
 
 
-def compile_to_nand(table: Sequence[int], name: str = "f") -> NandNet:
+def compile_to_nand(table: Sequence[int]) -> NandNet:
     """Two-input NAND net computing the given truth table.
 
     The table lists outputs for rows 0..2^k-1 where bit j of the row index is
@@ -451,7 +445,7 @@ def compile_to_nand(table: Sequence[int], name: str = "f") -> NandNet:
         ref = acc
     if ref in inputs:
         ref = inv(inv(ref))   # outputs always leave through gates
-    return NandNet(inputs, tuple(gates), ((name, ref),))
+    return NandNet(inputs, tuple(gates), (("f", ref),))
 
 
 def serialize_nandnet(net: NandNet) -> str:

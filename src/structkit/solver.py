@@ -309,8 +309,7 @@ class SolutionCache:
 
 
 def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
-                     budget: int = _SOLVE_BUDGET,
-                     cfg: Config = DEFAULT) -> SearchResult:
+                     budget: int = _SOLVE_BUDGET) -> SearchResult:
     """Replay a cached skeleton when the abstracted problem is known.
 
     Replay re-grounds each step through the production guards; zero nodes are
@@ -321,7 +320,7 @@ def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
     entry = cache.entries.get(key)
     if entry is not None:
         try:
-            replay(spec, entry.plan, cfg)
+            replay(spec, entry.plan)
         except SearchBudgetError:
             raise
         except (StructureError, OutOfFuel):   # SolverError is a StructureError
@@ -329,7 +328,7 @@ def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
         else:
             entry.hits += 1
             return SearchResult(entry.plan, 0, len(entry.plan), "solved")
-    result = solve(spec, budget, cfg)
+    result = solve(spec, budget)
     if result.status == "solved":
         if entry is None:
             cache.store(spec, result.plan)

@@ -205,6 +205,9 @@ class TypeCatalog:
         return type_id
 
     def intern_attr(self, label: str, attrs: Mapping[str, int] | Attrs = ()) -> str:
+        """The id of an attribute type: `label`, or `label[k=v,...]` with its
+        attrs in key order.  Interning one type twice returns one id; raises
+        StructureError when that id is already bound to another payload."""
         entry = AttrType(label, _freeze_attrs(attrs))
         key = self._entry_key(entry)
         if key in self._by_key:
@@ -217,10 +220,9 @@ class TypeCatalog:
         self._put(type_id, entry, key)
         return type_id
 
-    def add_struct(self, type_id: str, inner: Structure,
-                   attrs: Mapping[str, int] | Attrs = ()) -> str:
+    def add_struct(self, type_id: str, inner: Structure) -> str:
         """Bind an explicit id to a structural payload (no interning)."""
-        self._put(type_id, StructType(inner, _freeze_attrs(attrs)))
+        self._put(type_id, StructType(inner))
         return type_id
 
     def intern_struct(self, inner: Structure,
@@ -664,8 +666,7 @@ def morphism_number(s: Structure) -> int:
 
 def swap_indistinguishable(a: Structure, b: Structure,
                            catalog_a: Optional[TypeCatalog] = None,
-                           catalog_b: Optional[TypeCatalog] = None,
-                           witness: Optional[dict[str, str]] = None) -> bool:
+                           catalog_b: Optional[TypeCatalog] = None) -> bool:
     """Exchange corresponding payloads across the witness and re-check.
 
     The witness comes from plain (shallow) isomorphism; payloads then resolve
@@ -674,10 +675,9 @@ def swap_indistinguishable(a: Structure, b: Structure,
     """
     require_valid(a)
     require_valid(b)
+    witness = _witness(a, b, _key_map(a, None), _key_map(b, None))
     if witness is None:
-        witness = _witness(a, b, _key_map(a, None), _key_map(b, None))
-        if witness is None:
-            raise StructureError("swap test requires isomorphic structures")
+        raise StructureError("swap test requires isomorphic structures")
     deep_a = _key_map(a, catalog_a)
     deep_b = _key_map(b, catalog_b)
     # a' carries b's payloads at corresponding parts, and vice versa
@@ -919,15 +919,14 @@ def _is_connected(s: Structure) -> bool:
     return len(seen) == s.n
 
 
-def difference(a: Structure, b: Structure,
-               catalog: Optional[TypeCatalog] = None) -> list[Structure]:
+def difference(a: Structure, b: Structure) -> list[Structure]:
     """One result per occurrence of b inside a: a minus that portion.
 
     Empty list when b does not embed.  Results may contain isolated parts;
     validate() will say so when it matters.
     """
     results = []
-    for members in occurrences(a, b, catalog):
+    for members in occurrences(a, b):
         rest = [p for p in a.parts if p not in members]
         results.append(induced(a, rest))
     return results

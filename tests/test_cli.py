@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,19 +94,29 @@ def test_iso_type_ids_holding_separators(tmp_path):
     assert payload["isomorphic"] is False and payload["witness"] is None
 
 
-def run_under_hash_seeds(tmp_path, args) -> list[bytes]:
-    """The reports `structkit ARGS --out FILE` writes in two interpreters
-    that hash strings differently, each run given a minute."""
+def run_under_hash_seeds(tmp_path, args) -> list:
+    """What `structkit ARGS --out OUT` writes in two interpreters that hash
+    strings differently, run side by side and each given a minute: the
+    report's bytes, or for a directory each path under it mapped to its
+    file's bytes (None for a directory), so equal results mean `diff -r`
+    finds no difference."""
     src = Path(__file__).resolve().parents[1] / "src"
-    reports = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"report-h{seed}.json"
-        subprocess.run([sys.executable, "-m", "structkit.cli", *args,
-                        "--out", str(out)], check=True, timeout=60,
-                       env={**os.environ, "PYTHONPATH": str(src),
-                            "PYTHONHASHSEED": seed})
-        reports.append(out.read_bytes())
-    return reports
+    seeds = ("1", "2")
+    outs = [tmp_path / f"out-h{seed}" for seed in seeds]
+    runs = [subprocess.Popen([sys.executable, "-m", "structkit.cli", *args,
+                              "--out", str(out)],
+                             env={**os.environ, "PYTHONPATH": str(src),
+                                  "PYTHONHASHSEED": seed})
+            for seed, out in zip(seeds, outs)]
+    try:
+        for run in runs:
+            assert run.wait(timeout=60) == 0
+    finally:
+        for run in runs:
+            run.kill()
+    return [{p.relative_to(out).as_posix():
+             p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+            if out.is_dir() else out.read_bytes() for out in outs]
 
 
 def c20_pair():
@@ -257,12 +268,16 @@ MINE_GOLDEN = {
 MINE_DIGESTS = Path(__file__).parent / "golden" / "mine-reports.sha256"
 
 
+def write_log(path: Path, records) -> Path:
+    path.write_text("".join(f"t={r.t} subj={r.subject} score={r.score}\n"
+                            for r in records))
+    return path
+
+
 def mine_golden_digests(workdir: Path) -> str:
     lines = []
     for name, (make, args) in sorted(MINE_GOLDEN.items()):
-        log = workdir / f"{name}.log"
-        log.write_text("".join(f"t={r.t} subj={r.subject} score={r.score}\n"
-                               for r in make()))
+        log = write_log(workdir / f"{name}.log", make())
         out = workdir / f"{name}.json"
         assert main(["mine", str(log), *args, "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
@@ -272,6 +287,17 @@ def mine_golden_digests(workdir: Path) -> str:
 
 def test_mine_reports_match_golden_digests(tmp_path):
     assert mine_golden_digests(tmp_path) == MINE_DIGESTS.read_text()
+
+
+@pytest.mark.parametrize("name", ["absence-pad8", "absence-pad24"])
+def test_mine_report_independent_of_hash_seed(tmp_path, name):
+    # rule order and members must not follow set or dict iteration order;
+    # 24 distractors give the most rules written from one member text
+    make, args = MINE_GOLDEN[name]
+    log = write_log(tmp_path / f"{name}.log", make())
+    reports = run_under_hash_seeds(tmp_path, ["mine", str(log), *args])
+    assert json.loads(reports[0])["rules"]
+    assert reports[0] == reports[1]
 
 
 # `structkit analyze` reports on the 20 figure families, each drawn at the
@@ -321,6 +347,14 @@ def test_demo_reports_match_golden_digests(tmp_path):
     assert "".join(
         f"{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  ./{n}\n"
         for n in names) == expected.read_text()
+
+
+def test_demo_reports_independent_of_hash_seed(tmp_path):
+    # acceptance criterion 10 compares two runs in one interpreter; this
+    # compares every file of two interpreters that hash strings differently
+    trees = run_under_hash_seeds(tmp_path, ["--seed", "42", "demo-polygons"])
+    assert len([p for p, data in trees[0].items() if data is not None]) == 121
+    assert trees[0] == trees[1]
 
 
 def per_rule_json(rule) -> dict:
@@ -973,6 +1007,158 @@ def test_debug_prints_internal_error_traceback(tmp_path, monkeypatch, capsys):
     assert err.startswith("Traceback (most recent call last):\n")
     assert "in broken" in err
     assert err.endswith("KeyError: 'bug'\ninternal error: 'bug'\n")
+
+
+# --- seeded mutation fuzz over every input format ----------------------------
+
+def mutate_text(text: str, rng: random.Random) -> str:
+    """One edit: truncate, or duplicate, drop or swap a line or a token."""
+    unit = rng.choice(("truncate", "line", "token"))
+    if unit == "truncate":
+        return text[:rng.randrange(len(text))]
+    if unit == "line":
+        pieces = text.splitlines(keepends=True)
+        spots = range(len(pieces))
+    else:   # tokens at the even indices, the whitespace between them odd
+        pieces = re.split(r"(\s+)", text)
+        spots = range(0, len(pieces), 2)
+    i, j = rng.choice(spots), rng.choice(spots)
+    edit = rng.choice(("duplicate", "drop", "swap"))
+    if edit == "duplicate":
+        pieces[i] += pieces[i] if unit == "line" else " " + pieces[i]
+    elif edit == "drop":
+        pieces[i] = ""
+    else:
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    return "".join(pieces)
+
+
+def mutate_json(text: str, rng: random.Random) -> str:
+    """A text edit, or one edit of the parsed document: drop a key or an
+    item, duplicate an item, swap two scalars, or replace a value (the
+    whole document included) with one of another type."""
+    if rng.random() < 0.25:
+        return mutate_text(text, rng)
+    root = [json.loads(text)]
+    spots = []
+    stack = [(root, 0)]
+    while stack:
+        holder, key = stack.pop()
+        spots.append((holder, key))
+        value = holder[key]
+        if isinstance(value, (dict, list)):
+            keys = sorted(value) if isinstance(value, dict) else range(len(value))
+            stack.extend((value, k) for k in keys)
+    holder, key = rng.choice(spots)
+    scalars = [(h, k) for h, k in spots
+               if not isinstance(h[k], (dict, list))]
+    edit = rng.choice(("drop", "duplicate", "swap", "retype"))
+    if edit == "drop" and holder is not root:
+        del holder[key]
+    elif edit == "duplicate" and holder is not root and isinstance(holder, list):
+        holder.insert(key, holder[key])
+    elif edit == "swap" and scalars:
+        (h1, k1), (h2, k2) = rng.choice(scalars), rng.choice(scalars)
+        h1[k1], h2[k2] = h2[k2], h1[k1]
+    else:
+        holder[key] = rng.choice([v for v in (None, True, 7, 0.5, "x", [], {})
+                                  if type(v) is not type(holder[key])])
+    return json.dumps(root[0], indent=1)
+
+
+FUZZ_STRUCT = ("part u A\npart v B\npart w A\npart x C\n"
+               "rel u v L k=2\nrel v w L\nrel w x M\n")
+FUZZ_SIDECAR = "block u v\nblock w x\nmask merge-label L M -> J\n"
+# a square outline at grey level 3
+FUZZ_PGM = "P2\n7 6\n3\n" + "".join(
+    " ".join("3" if 1 <= x <= 5 and 1 <= y <= 4 and (x in (1, 5) or y in (1, 4))
+             else "0" for x in range(7)) + "\n" for y in range(6))
+FUZZ_LOG = "".join(f"t={t} subj={s} score={v}\n" for t, s, v in (
+    (0, "A", 1.0), (1, "B", 0.9), (2, "A", 0.8), (3, "B", 1.0), (3, "C", 0.4),
+    (5, "A", 1.0), (6, "B", 0.7), (8, "C", 1.0), (9, "A", 0.6), (10, "B", 1)))
+# recognition states keep every mutant's search finite; the schema effect
+# is parsed, then poisons its production on such a state
+FUZZ_PROBLEM = json.dumps({
+    "start": {"recognitions": [{"subject": "s0", "score": 1.0}]},
+    "goal": {"members": [{"subject": "s2"},
+                         {"subject": "bad", "positive": False}]},
+    "undesired": [{"members": [{"subject": "bad", "min_score": 0.9}]}],
+    "heuristic": "missing-goal-members",
+    "productions": [
+        {"name": "up", "guard": {"members": [{"subject": "s0"}]},
+         "effect": {"add": [["s1", 1.0]], "remove": ["s0"]}},
+        {"name": "on", "guard": {"members": [{"subject": "s1",
+                                              "window": [0, 0]}]},
+         "effect": {"add": [["s2", 0.75]]}},
+        {"name": "rewrite", "guard": {"pattern": "part a N\n"},
+         "effect": {"schema": ("oriented\npart b BIND\npart c COPY\n"
+                               "rel b c next\nentry b\nbind b BIND t=N\n"
+                               "bind c COPY t\n")}}],
+    "budget": 40}, indent=1)
+FUZZ_CONFIG = json.dumps({"fuel_default": 500, "signature_threshold": 0.8,
+                          "rule_threshold": 0.5}, indent=1)
+
+
+def fuzz_cases(tmp_path):
+    """Per format: its seed text, how to mutate it, and the argv that reads
+    the file written at the given path."""
+    struct = tmp_path / "seed.struct"
+    struct.write_text(FUZZ_STRUCT)
+    sidecar = tmp_path / "seed.sidecar"
+    sidecar.write_text(FUZZ_SIDECAR)
+    pbm = tmp_path / "seed.pbm"
+    pbm.write_text(serialize_raster(
+        rasterize_polygon(_BASE_SHAPES[("triangle", "regular")], 0, 1)))
+    problem = json.loads(FUZZ_PROBLEM)
+    schema_text = problem["productions"][2]["effect"]["schema"]
+
+    def schema_problem(path):
+        # the mutant is the schema text of the problem's effect
+        text = path.read_text()
+        problem["productions"][2]["effect"]["schema"] = text
+        path.write_text(json.dumps(problem))
+        return ["solve", str(path)]
+
+    return {
+        "iso": (FUZZ_STRUCT, mutate_text,
+                lambda f: ["iso", str(f), str(struct)]),
+        "derive-struct": (FUZZ_STRUCT, mutate_text,
+                          lambda f: ["derive", str(f), str(sidecar)]),
+        "derive-sidecar": (FUZZ_SIDECAR, mutate_text,
+                           lambda f: ["derive", str(struct), str(f)]),
+        "analyze-pbm": (pbm.read_text(), mutate_text,
+                        lambda f: ["analyze", str(f)]),
+        "analyze-pgm": (FUZZ_PGM, mutate_text, lambda f: ["analyze", str(f)]),
+        "mine": (FUZZ_LOG, mutate_text,
+                 lambda f: ["mine", str(f), "--window", "3",
+                            "--min-support", "2", "--min-p", "0.5"]),
+        "solve": (FUZZ_PROBLEM, mutate_json, lambda f: ["solve", str(f)]),
+        "solve-schema": (schema_text, mutate_text, schema_problem),
+        "config": (FUZZ_CONFIG, mutate_json,
+                   lambda f: ["--config", str(f), "analyze", str(pbm)]),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["iso", "derive-struct", "derive-sidecar",
+                                 "analyze-pbm", "analyze-pgm", "mine",
+                                 "solve", "solve-schema", "config"])
+def test_mutated_inputs_never_exit_three(tmp_path, fmt):
+    # 0/1 answer, 2 rejects malformed input; 3 is a bug in the program
+    seed_text, mutate, argv = fuzz_cases(tmp_path)[fmt]
+    rng = random.Random(fmt)
+    out = tmp_path / "report.json"
+    codes = {}
+    for i in range(61):
+        text = seed_text if i == 0 else mutate(seed_text, rng)
+        path = tmp_path / f"mutant-{i}"
+        path.write_text(text)
+        code = main(argv(path) + ["--out", str(out)])
+        if i == 0:
+            assert code in (0, 1), "the seed input is valid"
+        codes.setdefault(code, []).append(text)
+    assert 3 not in codes, codes[3]
+    assert set(codes) <= {0, 1, 2}
+    assert 2 in codes   # some mutants are rejected, not all answered
 
 
 if __name__ == "__main__":

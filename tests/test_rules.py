@@ -300,7 +300,7 @@ def test_subject_recognizers_all_three_kinds():
     assert recognize(sig, []) == 0.0
 
     template = Subject("has-ab-edge",
-                       (structure({"u": "A", "v": "B"}, [("u", "v", "L")]), None))
+                       structure({"u": "A", "v": "B"}, [("u", "v", "L")]))
     world = path(3, {"p0": "A", "p1": "B", "p2": "C"})
     assert recognize(template, world) == 1.0
     assert recognize(template, path(3)) == 0.0

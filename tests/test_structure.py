@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from structkit.structure import (
     EMPTY,
+    AttrType,
     CanonicalBudgetError,
     EmbeddingBudgetError,
     Relation,
     SearchBudgetError,
     Structure,
+    StructType,
     StructureError,
     TypeCatalog,
     _encode,
@@ -504,6 +506,20 @@ def test_catalog_rejects_binding_an_id_a_payload_names():
     with pytest.raises(StructureError):
         cat.add_struct("x", path(2, t="y"))
     assert "x" not in cat
+
+
+def test_intern_attr_rejects_an_id_bound_to_another_payload():
+    cat = TypeCatalog()
+    assert cat.intern_attr("a", {"y": 2, "x": 1}) == "a[x=1,y=2]"
+    assert cat.intern_attr("a", {"x": 1, "y": 2}) == "a[x=1,y=2]"
+    with pytest.raises(StructureError, match="already bound"):
+        cat.intern_attr("a[x=1,y=2]")
+    fresh = cat.intern_struct(path(2, t="a"))
+    assert fresh == "t0"
+    with pytest.raises(StructureError, match="already bound"):
+        cat.intern_attr("t0")
+    assert cat.resolve("a[x=1,y=2]") == AttrType("a", (("x", 1), ("y", 2)))
+    assert isinstance(cat.resolve("t0"), StructType)
 
 
 def test_catalog_keys_fixed_at_registration(monkeypatch):
