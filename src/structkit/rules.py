@@ -11,6 +11,7 @@ from a tick-stamped log, including purely negative conditions.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -147,6 +148,11 @@ def eval_rule(rule: AssociativeRule, log: Sequence[Recognition],
 # mining
 # ---------------------------------------------------------------------------
 
+# one bit per tick: a log spanning more ticks is refused before any bitset of
+# that width is built (each would hold span / 8 bytes)
+_TICK_SPAN_CAP = 10**7
+
+
 def mine_rules(log: Sequence[Recognition], window: int = 5,
                min_support: int = 10, min_p: float = 0.7,
                cfg: Config = DEFAULT) -> list[AssociativeRule]:
@@ -167,10 +173,16 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
         raise RuleError(f"min_support must be at least 0, not {min_support}")
     t0 = min(r.t for r in log)
     t1 = max(r.t for r in log)
+    span = t1 - t0 + 1
+    if span > _TICK_SPAN_CAP:
+        raise RuleError(f"log spans {span} ticks, more than the cap of "
+                        f"{_TICK_SPAN_CAP}")
     subjects = sorted({r.subject for r in log})
 
-    # vertical layout: one int bitset per subject, bit i standing for tick t0+i
-    every = (1 << (t1 - t0 + 1)) - 1
+    # vertical layout: one int bitset per subject, bit i standing for tick
+    # t0+i; a window wider than the span sets no more bits than the span
+    every = (1 << span) - 1
+    run = (1 << min(window, span)) - 1
     at = dict.fromkeys(subjects, 0)
     in_window = dict.fromkeys(subjects, 0)
     future = dict.fromkeys(subjects, 0)
@@ -179,13 +191,14 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
             continue
         i = r.t - t0
         at[r.subject] |= 1 << i
-        in_window[r.subject] |= ((1 << window) - 1) << i & every
+        in_window[r.subject] |= run << i & every
         future[r.subject] |= (1 << i) - (1 << max(i - window, 0))
 
     # two literals (member, subject bit, mask, anchor) per subject, in subject
-    # order; targets (count, subject, future, subject bit, consequents) by
-    # count, most first: stop at the first that cannot reach min_p.  Rules
-    # share the member and consequent objects of their literals and target.
+    # order, the positive at an even index; targets (count, subject, future,
+    # subject bit, consequents) by count, most first: stop at the first that
+    # cannot reach min_p.  Rules share the member and consequent objects of
+    # their literals and target.
     lookback = (-(window - 1), 0)
     literals = [lit for b, s in enumerate(subjects) for lit in (
         (MsMember(s, True, cfg.recognition_min_score, lookback), 1 << b,
@@ -195,12 +208,70 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
     targets = sorted([(future[s].bit_count(), s, future[s], 1 << b,
                        (Consequent(s, (1, window)),))
                       for b, s in enumerate(subjects)])[::-1]
+    # the positive literals ranked by |at|, and per subject p the positive
+    # literals of later subjects c ranked by co[p][c] = |in_window[p] & at[c]|:
+    # each most first, as (negated counts, literal indices) for bisect
+    def ranked(pairs):
+        pairs = sorted(pairs, reverse=True)
+        return [-n for n, _ in pairs], [i for _, i in pairs]
+    by_at = ranked((at[s].bit_count(), 2 * c) for c, s in enumerate(subjects))
+    co_rows = [ranked(((in_window[p] & at[s]).bit_count(), 2 * c)
+                      for c, s in enumerate(subjects[b + 1:], b + 1))
+               for b, p in enumerate(subjects)]
+    depth = cfg.mining_max_condition
     found: list[tuple] = []
 
-    def grow(first, masks, anchors, bits, prefix):
-        """Extend `prefix` by each literal of a later subject.  No anchor
-        means no positive literal or an empty mask, and the AND of the masks
-        bounds the n_cond of every extension."""
+    def emit(cond, bits, occur, n_cond):
+        """Keep a rule for each target outside the condition that follows
+        its n_cond occurrences with p >= min_p."""
+        situation = None
+        for most, target, fut, tbit, consequents in targets:
+            if (most + 1) / (n_cond + 2) < min_p:
+                break
+            if tbit & bits:         # the target is in the condition
+                continue
+            n_hit = (occur & fut).bit_count()
+            p = (n_hit + 1) / (n_cond + 2)
+            if p < min_p:
+                continue
+            if situation is None:
+                situation = MicroSituation(cond)
+                key = tuple((m.subject, m.positive) for m in cond)
+            found.append(((-p, -n_cond, key, target), AssociativeRule(
+                situation, consequents, n_cond=n_cond, n_hit=n_hit,
+                threshold=cfg.rule_threshold)))
+
+    def last(first, masks, anchors, bits, prefix, n_prefix, row):
+        """Each literal of a later subject as the condition's last member.
+        It has no extensions, so a bound on its own n_cond bounds its
+        subtree.  `row` is the co row of a positive subject p of the prefix,
+        None when the prefix has none.
+
+        With p, the masks lie inside in_window[p]: a positive member on c
+        adds at most the co[p][c] ticks of at[c] to the prefix's n_prefix,
+        and a negative member adds none.  Without p, a positive member
+        occurs only at its own ticks, and each negative member is tried."""
+        if row is None:
+            (ranks, order), need, negatives = by_at, min_support, True
+        else:
+            (ranks, order), need = row, min_support - n_prefix
+            negatives = need <= 0
+        live = [i for i in order[:bisect_right(ranks, -need)] if i >= first]
+        if negatives:
+            live += range(first + 1, len(literals), 2)
+        for i in live:
+            member, bit, mask, anchor = literals[i]
+            anchors_i = anchors | anchor
+            occur = masks & mask & anchors_i if anchors_i else masks & mask
+            n_cond = occur.bit_count()
+            if n_cond >= min_support:
+                emit(prefix + (member,), bits | bit, occur, n_cond)
+
+    def grow(first, masks, anchors, bits, prefix, row):
+        """Extend `prefix` by each literal of a later subject, short of the
+        last member.  No anchor means no positive literal or an empty mask,
+        and the AND of the masks bounds the n_cond of every extension.
+        `row` is as in `last`."""
         for i in range(first, len(literals)):
             member, bit, mask, anchor = literals[i]
             cond = prefix + (member,)
@@ -208,29 +279,20 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
             bits_i = bits | bit
             occur = masks_i & anchors_i if anchors_i else masks_i
             n_cond = occur.bit_count()
-            situation = None
-            for most, target, fut, tbit, consequents in (
-                    targets if n_cond >= min_support else ()):
-                if (most + 1) / (n_cond + 2) < min_p:
-                    break
-                if tbit & bits_i:       # the target is in the condition
-                    continue
-                n_hit = (occur & fut).bit_count()
-                p = (n_hit + 1) / (n_cond + 2)
-                if p < min_p:
-                    continue
-                if situation is None:
-                    situation = MicroSituation(cond)
-                    key = tuple((m.subject, m.positive) for m in cond)
-                found.append(((-p, -n_cond, key, target), AssociativeRule(
-                    situation, consequents, n_cond=n_cond, n_hit=n_hit,
-                    threshold=cfg.rule_threshold)))
-            if len(cond) < cfg.mining_max_condition and (
-                    n_cond >= min_support or masks_i.bit_count() >= min_support):
-                grow(i + 2 - i % 2, masks_i, anchors_i, bits_i, cond)
+            if n_cond >= min_support:
+                emit(cond, bits_i, occur, n_cond)
+            if n_cond >= min_support or masks_i.bit_count() >= min_support:
+                nxt = i + 2 - i % 2
+                row_i = row if i % 2 else co_rows[i // 2]
+                if len(cond) + 1 < depth:
+                    grow(nxt, masks_i, anchors_i, bits_i, cond, row_i)
+                else:
+                    last(nxt, masks_i, anchors_i, bits_i, cond, n_cond, row_i)
 
-    if cfg.mining_max_condition >= 1:
-        grow(0, every, 0, 0, ())
+    if depth >= 2:
+        grow(0, every, 0, 0, (), None)
+    elif depth == 1:
+        last(0, every, 0, 0, (), span, None)
     # grow's cell refers to grow itself, a cycle holding `found` until the
     # cyclic collector runs; emptying the cell frees the rules with the list
     del grow

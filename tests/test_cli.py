@@ -774,6 +774,16 @@ def test_mine_threshold_out_of_domain_exit_two(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_mine_tick_span_past_cap_exit_two(tmp_path, capsys):
+    # one bit per tick: three billion ticks would need bitsets of 375 MB
+    log_file = tmp_path / "events.log"
+    log_file.write_text("t=0 subj=A score=0.9\nt=3000000000 subj=B score=0.9\n")
+    out = tmp_path / "rules.json"
+    assert main(["mine", str(log_file), "--out", str(out)]) == 2
+    assert "more than the cap of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_config_value_exit_two(tmp_path, capsys, text):
     # json reads these, but they are no RFC 8259 JSON to echo into a report

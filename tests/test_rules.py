@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -252,7 +253,7 @@ def assert_mined_like_oracle(log, window, min_support, min_p, cfg=DEFAULT):
 @pytest.mark.parametrize("kind", sorted(MINING_LOGS))
 @pytest.mark.parametrize("n_distractors", [0, 8])
 @pytest.mark.parametrize("window", [3, 5])
-@pytest.mark.parametrize("min_support", [0, 5, 30])
+@pytest.mark.parametrize("min_support", [0, 5, 24, 25, 30])
 def test_mined_rules_match_exhaustive_oracle(kind, n_distractors, window,
                                              min_support):
     log = with_distractors(n_distractors, MINING_LOGS[kind], n_distractors)
@@ -261,10 +262,23 @@ def test_mined_rules_match_exhaustive_oracle(kind, n_distractors, window,
     faint = [Recognition("Q", 0.3, r.t) for r in log[::7]]
     # at 0.7 and 0.9 the target-count bound stops the target loop early; at
     # min_support 0 every condition passes, and one that never occurs has
-    # p = 1/2 for every target
+    # p = 1/2 for every target; on the 600-tick logs each distractor is
+    # recognized at 24 ticks, one side or the other of min_support 24 and 25
     for min_p in (0.5, 0.7, 0.9):
         assert_mined_like_oracle(log, window, min_support, min_p)
     assert_mined_like_oracle(log + faint, window, min_support, 0.5)
+
+
+def rule_counts(rules):
+    """(members as (subject, positive), target) -> (n_cond, n_hit)"""
+    return {(tuple((m.subject, m.positive) for m in r.condition.members),
+             r.consequents[0].subject): (r.n_cond, r.n_hit) for r in rules}
+
+
+def ticks_log(ticks):
+    """A log recognizing each subject at each of its ticks, score 1."""
+    return sorted((Recognition(s, 1.0, t) for s, ts in ticks.items()
+                   for t in ts), key=lambda r: (r.t, r.subject))
 
 
 def test_mined_rules_extend_a_prefix_below_support():
@@ -273,8 +287,7 @@ def test_mined_rules_extend_a_prefix_below_support():
     log = [Recognition(s, 1.0, 10 * k + d) for k in range(5)
            for s, d in (("A", 0), ("B", 0), ("C", 0), ("C", 1), ("D", 2))]
     rules = assert_mined_like_oracle(log, 2, 10, 0.5)
-    counts = {(tuple((m.subject, m.positive) for m in r.condition.members),
-               r.consequents[0].subject): (r.n_cond, r.n_hit) for r in rules}
+    counts = rule_counts(rules)
     assert counts[(("A", True), ("B", True), ("C", True)), "D"] == (10, 10)
 
 
@@ -285,6 +298,67 @@ def test_mined_rules_match_oracle_up_to_max_condition(max_condition):
     rules = assert_mined_like_oracle(log, 5, 5, 0.5, cfg)
     sizes = {len(r.condition.members) for r in rules}
     assert sizes == set(range(1, max_condition + 1))
+
+
+@pytest.mark.parametrize("max_condition", [2, 3])
+def test_last_member_reaches_support_through_co(max_condition):
+    # (A+) and (A+, ¬B) occur at A's 3 ticks, one short of min_support 4; C
+    # is in window there and adds tick 22, its one tick in A's window
+    # (co = 1), so n_C + co = 4 is met exactly, and every negative last
+    # member is cut.  B's window holds no tick of C, so after ¬B only A's
+    # co row bounds C.
+    log = ticks_log({"A": (1, 11, 21), "B": (50,), "C": (0, 10, 20, 22),
+                     "X": (2, 12, 22, 23)})
+    cfg = DEFAULT.replace(mining_max_condition=max_condition)
+    counts = rule_counts(assert_mined_like_oracle(log, 2, 4, 0.5, cfg))
+    assert counts[(("A", True), ("C", True)), "X"] == (4, 4)
+    if max_condition == 3:
+        assert counts[(("A", True), ("B", False), ("C", True)), "X"] == (4, 4)
+
+
+@pytest.mark.parametrize("max_condition", [1, 2])
+def test_anchorless_last_member_needs_its_own_ticks(max_condition):
+    # with no positive literal before it, a positive last member occurs only
+    # at its own ticks: B's 4 reach min_support 4, C's 3 do not
+    log = ticks_log({"A": (30,), "B": (0, 10, 20, 40), "C": (5, 15, 25),
+                     "X": (1, 11, 21, 41, 6, 16, 26)})
+    cfg = DEFAULT.replace(mining_max_condition=max_condition)
+    counts = rule_counts(assert_mined_like_oracle(log, 2, 4, 0.5, cfg))
+    prefix = (("A", False),) * (max_condition - 1)
+    assert counts[prefix + (("B", True),), "X"] == (4, 4)
+    assert not any(("C", True) in members for members, _ in counts)
+
+
+def test_last_member_after_two_positive_subjects():
+    # (A+, B+) occurs at 11, 21, 31 and 41, one short of min_support 5; C is
+    # in window at each and adds tick 42, its one tick in A's or B's window
+    log = ticks_log({"A": (11, 21, 31, 41), "B": (11, 21, 31, 41),
+                     "C": (10, 20, 30, 40, 42), "X": (12, 22, 32, 42, 43)})
+    counts = rule_counts(assert_mined_like_oracle(log, 2, 5, 0.5))
+    assert ((("A", True), ("B", True)), "X") not in counts
+    assert counts[(("A", True), ("B", True), ("C", True)), "X"] == (5, 5)
+
+
+def test_mine_window_wider_than_the_log():
+    # the bitsets are built span-wide whatever the window; the rules keep
+    # the window given, and count as under a window of the span.  S, seen
+    # only at the first tick, is in window at the last
+    log = planted_implication(seed=3, n_triggers=30, p=1.0, window=4)
+    log.insert(0, Recognition("S", 1.0, log[0].t))
+    span = log[-1].t - log[0].t + 1
+    start = time.monotonic()
+    wide = mine_rules(log, window=10**9, min_support=0, min_p=0.5)
+    assert time.monotonic() - start < 5.0
+    assert wide == assert_mined_like_oracle(log, 10**9, 0, 0.5)
+    assert rule_counts(wide) == rule_counts(
+        mine_rules(log, window=span, min_support=0, min_p=0.5))
+
+
+def test_mine_tick_span_capped(monkeypatch):
+    monkeypatch.setattr("structkit.rules._TICK_SPAN_CAP", 100)
+    mine_rules([Recognition("A", 1.0, 7), Recognition("B", 1.0, 106)])
+    with pytest.raises(RuleError, match="spans 101 ticks"):
+        mine_rules([Recognition("A", 1.0, 7), Recognition("B", 1.0, 107)])
 
 
 # --- subject recognizers ----------------------------------------------------------
