@@ -332,7 +332,9 @@ def _problem_from_json(obj: dict) -> tuple[ProblemSpec, int]:
     goal = _micro_from_json(obj["goal"])
     undesired = tuple(_micro_from_json(u) for u in obj.get("undesired", []))
     heuristic = None
-    if obj.get("heuristic") == "missing-goal-members":
+    if "heuristic" in obj:
+        if obj["heuristic"] != "missing-goal-members":
+            raise ParseError(f"problem: unknown heuristic {obj['heuristic']!r}")
         positives = [m for m in goal.members if m.positive]
 
         def heuristic(state):

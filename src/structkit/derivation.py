@@ -267,7 +267,7 @@ def _blocks_key(blocks: list[list[str]]) -> tuple:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _grown_partition(s: Structure, keys: dict[str, str],
+def _grown_partition(s: Structure, keys: dict[str, tuple],
                      by_type: bool, by_label: bool) -> list[list[str]]:
     index = {p: i for i, p in enumerate(s.parts)}
     pairs = s.pairs

@@ -58,6 +58,8 @@ def parse_structure(text: str) -> Structure:
                 if "=" not in item:
                     raise ParseError(f"line {lineno}: attribute must be name=int")
                 k, v = item.split("=", 1)
+                if k in attrs:
+                    raise ParseError(f"line {lineno}: duplicate attribute {k}")
                 try:
                     attrs[k] = int(v)
                 except ValueError:
@@ -125,26 +127,3 @@ def parse_sidecar(text: str) -> dict:
         "blocks": blocks,
     }
 
-
-def serialize_sidecar(*, drop_part_attrs=(), drop_rel_attrs=(),
-                      merge_types=None, merge_labels=None, blocks=()) -> str:
-    lines = []
-    for name in sorted(drop_part_attrs):
-        lines.append(f"mask drop-attr {name}")
-    for name in sorted(drop_rel_attrs):
-        lines.append(f"mask drop-rel-attr {name}")
-    for table, kw in ((merge_types or {}, "merge-type"),
-                      (merge_labels or {}, "merge-label")):
-        grouped: dict[str, list[str]] = {}
-        for src, dst in table.items():
-            grouped.setdefault(dst, []).append(src)
-        for dst in sorted(grouped):
-            srcs = sorted(grouped[dst])
-            while len(srcs) >= 2:
-                lines.append(f"mask {kw} {srcs[0]} {srcs[1]} -> {dst}")
-                srcs = srcs[2:]
-            if srcs:
-                lines.append(f"mask {kw} {srcs[0]} {srcs[0]} -> {dst}")
-    for block in blocks:
-        lines.append("block " + " ".join(block))
-    return "\n".join(lines) + "\n"

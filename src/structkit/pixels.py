@@ -24,7 +24,7 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT, Config
-from .derivation import MorphismMask, Partition, Portion
+from .derivation import Partition, Portion
 from .io_struct import _tokens
 from .structure import (Relation, Structure, StructureError, TypeCatalog,
                         _find, _is_connected)
@@ -50,11 +50,6 @@ class RasterStructure:
 
     def is_binary(self) -> bool:
         return len(set().union(*self.values)) <= 2
-
-    def ink_pixels(self) -> set[Pixel]:
-        ink = self.ink
-        return {(x, y) for y, row in enumerate(self.values)
-                for x, v in enumerate(row) if v == ink}
 
     def to_structure(self) -> Structure:
         parts = []
@@ -654,11 +649,6 @@ def classify_segment(chain: Chain, part: str = "chain",
 # ---------------------------------------------------------------------------
 # polygon quotient
 # ---------------------------------------------------------------------------
-
-SUPPRESS_LENGTH = MorphismMask.make(drop_part_attrs={"length-bin"})
-SUPPRESS_ANGLES = MorphismMask.make(drop_part_attrs={"orientation-bin"},
-                                    drop_rel_attrs={"angle-bin"})
-
 
 @dataclass
 class PolygonAnalysis:

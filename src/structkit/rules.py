@@ -389,7 +389,7 @@ def detect_regularity_case1(pop: Sequence[Structure], k_max: int = 3
     """Connected motifs of up to k_max parts occurring in >= 2 members."""
     if k_max > _MOTIF_SIZE_CAP:
         raise RuleError(f"k_max exceeds the motif cap of {_MOTIF_SIZE_CAP}")
-    hits: dict[str, dict[int, list[tuple[str, ...]]]] = {}
+    hits: dict[tuple, dict[int, list[tuple[str, ...]]]] = {}
     for idx, s in enumerate(pop):
         for size in range(1, min(k_max, s.n) + 1):
             for members in _connected_subsets(s, size):
@@ -527,7 +527,7 @@ def detect_regularity_case3(pop: Sequence[Structure],
 
     reports = []
     for recipe in recipes:
-        forms: dict[str, list[int]] = {}
+        forms: dict[tuple, list[int]] = {}
         for idx, s in enumerate(pop):
             derived = s
             try:

@@ -11,12 +11,13 @@ reduction of boolean tables to two-input NAND networks.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import DEFAULT, Config
-from .io_struct import _tokens, parse_structure, serialize_structure
+from .io_struct import _tokens, parse_structure
 from .structure import (
     Relation,
     Structure,
@@ -27,6 +28,9 @@ from .structure import (
 )
 
 PRIMITIVE_OPS = ("MEM_STORE", "MEM_LOAD", "COMPARE", "MOVE", "COPY", "BIND")
+# a MOVE literal: an end of the part order, a step along it, or the k-th
+# neighbour of the cursor
+_MOVE_MODE = re.compile(r"first|last|next|prev|nbr:[0-9]+")
 
 
 class SchemaError(StructureError):
@@ -49,15 +53,6 @@ class Binding:
     fresh: bool = False              # COPY onto a new support
     callee: Optional["Schema"] = None
 
-    def operand_text(self) -> str:
-        if self.op == "MOVE":
-            return self.literal or ""
-        if self.op == "BIND":
-            return f"{self.slot}={self.literal}"
-        if self.op == "COPY" and self.fresh:
-            return f"fresh {self.slot}"
-        return self.slot or ""
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -79,6 +74,9 @@ class Schema:
                 raise SchemaError(f"part {part} typed {t} but bound to {b.op}")
             if b.op not in PRIMITIVE_OPS and b.op != "CALL":
                 raise SchemaError(f"unknown operation {b.op}")
+            if b.op == "MOVE" and not _MOVE_MODE.fullmatch(b.literal or ""):
+                raise SchemaError(f"part {part}: bad MOVE operand"
+                                  f" {b.literal!r}")
 
     @cached_property
     def binding_of(self) -> dict[str, Binding]:
@@ -212,7 +210,7 @@ def _load(memory: dict, slot: str) -> str:
 
 
 def _move(work: _Work, cursor: Optional[str], b: Binding) -> str:
-    mode = b.literal or ""
+    mode = b.literal
     if not work.parts:
         raise SchemaError("MOVE on empty structure")
     if mode == "first":
@@ -226,15 +224,14 @@ def _move(work: _Work, cursor: Optional[str], b: Binding) -> str:
         if not 0 <= i < len(work.parts):
             raise SchemaError(f"MOVE {mode} fell off the structure")
         return work.parts[i]
-    if mode.startswith("nbr:"):
-        if cursor is None:
-            raise SchemaError("MOVE nbr with no cursor")
-        k = int(mode.split(":", 1)[1])
-        nbrs = work.neighbors(cursor)
-        if k >= len(nbrs):
-            raise SchemaError(f"cursor has no neighbor {k}")
-        return nbrs[k]
-    raise SchemaError(f"unknown MOVE mode {mode!r}")
+    # Schema admits no other literal than nbr:<k>
+    if cursor is None:
+        raise SchemaError("MOVE nbr with no cursor")
+    k = int(mode.split(":", 1)[1])
+    nbrs = work.neighbors(cursor)
+    if k >= len(nbrs):
+        raise SchemaError(f"cursor has no neighbor {k}")
+    return nbrs[k]
 
 
 def _next_part(out_edges: list[Relation], op: str, flag: int) -> Optional[str]:
@@ -448,46 +445,9 @@ def compile_to_nand(table: Sequence[int]) -> NandNet:
     return NandNet(inputs, tuple(gates), (("f", ref),))
 
 
-def serialize_nandnet(net: NandNet) -> str:
-    lines = [f"input {x}" for x in net.inputs]
-    lines += [f"gate {gid} = NAND({a},{b})" for gid, a, b in net.gates]
-    lines += [f"output {name} = {ref}" for name, ref in net.outputs]
-    return "\n".join(lines) + "\n"
-
-
-def parse_nandnet(text: str) -> NandNet:
-    inputs: list[str] = []
-    gates: list[tuple[str, str, str]] = []
-    outputs: list[tuple[str, str]] = []
-    for lineno, tok in _tokens(text):
-        if tok[0] == "input" and len(tok) == 2:
-            inputs.append(tok[1])
-        elif tok[0] == "gate" and len(tok) == 4 and tok[2] == "=":
-            expr = tok[3]
-            if not (expr.startswith("NAND(") and expr.endswith(")")):
-                raise SchemaError(f"line {lineno}: bad gate expression")
-            a, _, b = expr[5:-1].partition(",")
-            gates.append((tok[1], a.strip(), b.strip()))
-        elif tok[0] == "output" and len(tok) == 4 and tok[2] == "=":
-            outputs.append((tok[1], tok[3]))
-        else:
-            raise SchemaError(f"line {lineno}: bad netlist directive")
-    return NandNet(tuple(inputs), tuple(gates), tuple(outputs))
-
-
 # ---------------------------------------------------------------------------
 # schema text format
 # ---------------------------------------------------------------------------
-
-def serialize_schema(sch: Schema) -> str:
-    lines = [serialize_structure(sch.body).rstrip("\n")]
-    lines.append(f"entry {sch.entry}")
-    for part, b in sch.bindings:
-        op = b.op
-        operand = b.operand_text()
-        lines.append(f"bind {part} {op} {operand}".rstrip())
-    return "\n".join(lines) + "\n"
-
 
 def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> Schema:
     # body lines stay in place, so a body error names the file's line

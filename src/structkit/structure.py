@@ -109,17 +109,6 @@ class Structure:
                 around[q] = tuple(sorted(ends))
         return pairs
 
-    def neighbors(self, part: str) -> list[str]:
-        # a plain relation scan, kept off the pairs index: the test
-        # oracles call it and must not share code with the matcher they check
-        out = []
-        for r in self.relations:
-            if r.a == part:
-                out.append(r.b)
-            elif r.b == part:
-                out.append(r.a)
-        return out
-
     def with_types(self, types: Mapping[str, str]) -> "Structure":
         return Structure(self.parts, tuple(types[p] for p in self.parts),
                          self.relations, self.oriented)
@@ -629,17 +618,6 @@ def _witness(a: Structure, b: Structure, keys_a: dict[str, tuple],
     if not _check_witness(a, b, mapping, keys_a, keys_b):
         raise AssertionError("canonical witness failed verification")
     return mapping
-
-
-def same_structure(a: Structure, b: Structure) -> bool:
-    """Pointwise equality: same parts carrying the same types and relations."""
-    if set(a.parts) != set(b.parts) or a.oriented != b.oriented:
-        return False
-    if a.types != b.types:
-        return False
-    ra = sorted(r.key(a.oriented) for r in a.relations)
-    rb = sorted(r.key(b.oriented) for r in b.relations)
-    return ra == rb
 
 
 def internal_classes(s: Structure,

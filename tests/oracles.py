@@ -29,14 +29,31 @@ from structkit.structure import (
 )
 
 
+def neighbors(s: Structure, part: str) -> list[str]:
+    """The other end of each relation at part, by a plain relation scan."""
+    out = []
+    for r in s.relations:
+        if r.a == part:
+            out.append(r.b)
+        elif r.b == part:
+            out.append(r.a)
+    return out
+
+
+def ink_pixels(r: RasterStructure) -> set[Pixel]:
+    """The (x, y) pixels holding r's ink value."""
+    return {(x, y) for y, row in enumerate(r.values)
+            for x, v in enumerate(row) if v == r.ink}
+
+
 def iso_oracle(a: Structure, b: Structure) -> bool:
     """All-permutations isomorphism test on opaque type ids."""
     if a.n != b.n or a.oriented != b.oriented:
         return False
     if sorted(a.part_types) != sorted(b.part_types):
         return False
-    deg_a = sorted(len(a.neighbors(p)) for p in a.parts)
-    deg_b = sorted(len(b.neighbors(p)) for p in b.parts)
+    deg_a = sorted(len(neighbors(a, p)) for p in a.parts)
+    deg_b = sorted(len(neighbors(b, p)) for p in b.parts)
     if deg_a != deg_b:
         return False
     rels_b = {}
@@ -144,7 +161,7 @@ def occurrences_oracle(a: Structure, b: Structure,
     seen = {b.parts[0]}
     stack = [b.parts[0]]
     while stack:
-        for q in b.neighbors(stack.pop()):
+        for q in neighbors(b, stack.pop()):
             if q not in seen:
                 seen.add(q)
                 stack.append(q)
@@ -305,7 +322,7 @@ def extract_strokes_oracle(r: RasterStructure,
     """
     if not r.is_binary():
         raise RasterError("stroke extraction requires a binary raster")
-    ink = _thin_oracle(r.ink_pixels())
+    ink = _thin_oracle(ink_pixels(r))
     if not ink:
         return []
     ink, adj = _prune_spurs_oracle(ink)

@@ -17,12 +17,7 @@ from structkit.corpus import (
     rasterize_polygon,
 )
 from structkit.derivation import MorphismMask, apply_morphism
-from structkit.pixels import (
-    SUPPRESS_ANGLES,
-    SUPPRESS_LENGTH,
-    evaluate_signature,
-    polygon_quotient,
-)
+from structkit.pixels import evaluate_signature, polygon_quotient
 from structkit.rules import eval_rule, mine_rules
 from structkit.schema import compile_to_nand
 from structkit.solver import (
@@ -42,6 +37,11 @@ from structkit.structure import (
 from loggen import absence_rule_log, independent_noise, planted_implication
 from oracles import iso_oracle, random_structure, relabeled_copy
 from test_solver import bfs_oracle, block_spec, machine_spec
+
+# the masks that forget a polygon's side lengths and its angles
+SUPPRESS_LENGTH = MorphismMask.make(drop_part_attrs={"length-bin"})
+SUPPRESS_ANGLES = MorphismMask.make(drop_part_attrs={"orientation-bin"},
+                                    drop_rel_attrs={"angle-bin"})
 
 
 def verdict(n, ok, detail=""):

@@ -79,6 +79,11 @@ def test_iso_malformed_file_exit_two(tmp_path):
     bad.write_text("part a\n")
     good = write_struct(tmp_path, "g.struct", path3(["a", "b", "c"]))
     assert main(["iso", str(bad), good]) == 2
+    # no value of w is the one the file means, so neither may be kept
+    bad.write_text("part a T\npart b T\nrel a b L w=1 w=2\n")
+    good = tmp_path / "w2.struct"
+    good.write_text("part a T\npart b T\nrel a b L w=2\n")
+    assert main(["iso", str(bad), str(good)]) == 2
 
 
 def test_iso_type_ids_holding_separators(tmp_path):
@@ -968,6 +973,61 @@ def test_solve_struct_naming_undeclared_part_exit_two(tmp_path):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps(problem))
     assert main(["solve", str(pfile)]) == 2
+
+
+def nbr_problem(operand: str) -> dict:
+    """A problem solved by one schema effect that attaches an X part to the
+    first part's neighbour `MOVE nbr:0` reaches."""
+    return {
+        "start": {"struct": "part u0 N\npart u1 E\nrel u0 u1 adj\n"},
+        "goal": {"members": [{"subject": "ex"}]},
+        "recognizers": [{"subject": "ex",
+                         "pattern": "part a E\npart b X\nrel a b adj\n"}],
+        "productions": [{
+            "name": "grow", "guard": {"pattern": "part a N\n"},
+            "effect": {"schema": (
+                "oriented\npart b BIND\npart f MOVE\npart m MOVE\n"
+                "part c COPY\nrel b f next\nrel f m next\nrel m c next\n"
+                f"bind b BIND t=X\nbind f MOVE first\nbind m MOVE {operand}\n"
+                "bind c COPY t\n")},
+        }],
+    }
+
+
+@pytest.mark.parametrize("operand", ["nbr:x", "nbr:", "nbr:1.5", "nbr:-1"])
+def test_solve_bad_move_operand_exit_two(tmp_path, capsys, operand):
+    # nbr:-1 would wrap to the last neighbour; the others would fail only
+    # once the MOVE ran, as an internal error
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(nbr_problem("nbr:0")))
+    out = tmp_path / "plan.json"
+    assert main(["solve", str(pfile), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["plan"] == ["grow"]
+    pfile.write_text(json.dumps(nbr_problem(operand)))
+    assert main(["solve", str(pfile)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: part m: bad MOVE operand {operand!r}\n"
+
+
+@pytest.mark.parametrize("heuristic", ["missing-goal-member", "", 3, None])
+def test_solve_unknown_heuristic_exit_two(tmp_path, capsys, heuristic):
+    # a typo must not quietly solve with no heuristic at all
+    problem = {
+        "start": {"recognitions": [{"subject": "a", "score": 1.0}]},
+        "goal": {"members": [{"subject": "a"}]},
+        "productions": [{"name": "noop",
+                         "guard": {"members": [{"subject": "a"}]},
+                         "effect": {"add": [], "remove": []}}],
+        "heuristic": heuristic,
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: problem: unknown heuristic {heuristic!r}\n"
+    problem["heuristic"] = "missing-goal-members"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile), "--out", str(tmp_path / "o.json")]) == 0
 
 
 @pytest.mark.parametrize("argv, name, data", [

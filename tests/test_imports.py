@@ -1,13 +1,19 @@
-"""Every module under src/ and tests/ uses each name it imports, and every
+"""Every module under src/ and tests/ uses each name it imports; every
 defaulted parameter of a function in src/structkit is passed by some call in
-src/, tests/ or perfbench/ (a default no caller overrides is a constant)."""
+src/, tests/ or perfbench/ (a default no caller overrides is a constant);
+every public top-level name in src/structkit is used in src/ or exported;
+and every function perfbench traces by name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import structkit
+
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "structkit"
 # a package's __init__ imports names to re-export them
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
@@ -134,3 +140,72 @@ def test_unpassed_default_check_sees_each_form():
               "g(*[1, 2])\nK.s(**{})\n")
     assert unpassed_defaults({"m": source}, [source]) == [
         "m:1 f(c)", "m:1 f(d)", "m:4 K(y)", "m:5 m(q)", "m:12 h(k)"]
+
+
+def _top_level(tree: ast.Module):
+    """(name, statement) for each function, class and constant a module
+    defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def uncalled_public_names(modules: dict[str, str],
+                          exported: list[str]) -> list[str]:
+    """`module.name` for each top-level name without a leading `_` that is
+    not exported and that no top-level statement of the modules references,
+    its own definition aside."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    statements = [(node, {ref.id if isinstance(ref, ast.Name) else ref.attr
+                          for ref in ast.walk(node)
+                          if isinstance(ref, (ast.Name, ast.Attribute))})
+                  for tree in trees.values() for node in tree.body]
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name, node in _top_level(tree)
+            if not name.startswith("_") and name not in exported
+            and not any(name in refs for other, refs in statements
+                        if other is not node)]
+
+
+def test_every_public_name_has_a_caller():
+    # the package's __init__ only re-exports, so its imports call nothing
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert {"cli", "structure"} <= set(modules)
+    assert uncalled_public_names(modules, structkit.__all__) == []
+
+
+def test_uncalled_public_name_check_sees_each_form():
+    modules = {
+        "a": ("LIMIT = 3\nSPARE: int = 4\n"
+              "def used(k): return LIMIT\n"
+              "def lonely(): return lonely()\n"
+              "class Ghost:\n    pass\n"
+              "class Kept:\n    pass\n"
+              "def _private(): pass\n"
+              "def exported(): pass\n"),
+        "b": ("from . import a\nfrom .a import used\n"
+              "if __name__ == '__main__':\n    used(a.Kept)\n"),
+    }
+    assert uncalled_public_names(modules, ["exported"]) == [
+        "a.SPARE", "a.lonely", "a.Ghost"]
+
+
+def test_every_traced_name_resolves():
+    # perfbench wraps these by name; read the table without running perfbench
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["TRACED"])
+    assert traced
+    assert [f"{module}.{name}" for module, name in traced
+            if not callable(getattr(importlib.import_module(
+                f"structkit.{module}"), name, None))] == []

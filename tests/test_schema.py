@@ -11,12 +11,9 @@ from structkit.schema import (
     execute,
     flatten,
     operations_coincide,
-    parse_nandnet,
     parse_schema,
     schema,
     schemas_coincide,
-    serialize_nandnet,
-    serialize_schema,
 )
 from structkit.structure import morphism_number, structure
 
@@ -123,6 +120,18 @@ def test_move_to_neighbor_k_in_part_order():
     assert [type_of_neighbor(k) for k in range(3)] == [("X",), ("Y",), ("Z",)]
     with pytest.raises(SchemaError):
         type_of_neighbor(3)
+
+
+@pytest.mark.parametrize("literal", [
+    "", "nbr:", "nbr:x", "nbr:1.5", "nbr:-1", "nbr:1x", "up", "First",
+    "nbr:\u0661"])
+def test_bad_move_operand_rejected(literal):
+    # a negative index would wrap to the last neighbour, and one that is
+    # no integer would fail only when the MOVE runs
+    with pytest.raises(SchemaError, match="^part m: bad MOVE operand"):
+        schema([("m", Binding("MOVE", literal=literal or None))])
+    with pytest.raises(SchemaError, match="^part m: bad MOVE operand"):
+        parse_schema(f"part m MOVE\nbind m MOVE {literal}\n")
 
 
 def test_unbound_slot_errors():
@@ -293,8 +302,20 @@ def test_schemas_coincide_is_equivalence_on_population():
 # --- schema text format -----------------------------------------------------------
 
 def test_schema_text_round_trip():
+    # the text of compare_emit_schema parses back to the built schema, so
+    # every bind form is read: MOVE, MEM_STORE, COMPARE, BIND, COPY fresh
+    text = (
+        "oriented\n"
+        "part m1 MOVE\npart st MEM_STORE\npart m2 MOVE\npart cp COMPARE\n"
+        "part b1 BIND\npart b0 BIND\npart e1 COPY\npart e0 COPY\n"
+        "rel m1 st next\nrel st m2 next\nrel m2 cp next\n"
+        "rel cp b1 then\nrel cp b0 else\nrel b1 e1 next\nrel b0 e0 next\n"
+        "entry m1\n"
+        "bind m1 MOVE first\nbind st MEM_STORE m\nbind m2 MOVE last\n"
+        "bind cp COMPARE m\nbind b1 BIND r=1\nbind b0 BIND r=0\n"
+        "bind e1 COPY fresh r\nbind e0 COPY fresh r\n"
+    )
     sch = compare_emit_schema()
-    text = serialize_schema(sch)
     again = parse_schema(text)
     assert again == sch
     assert execute(again, path(3)) == execute(sch, path(3))
@@ -364,12 +385,6 @@ def test_all_two_input_functions():
 def test_reject_more_than_four_inputs():
     with pytest.raises(SchemaError):
         compile_to_nand([0] * 32)
-
-
-def test_netlist_round_trip():
-    net = compile_to_nand([0, 1, 1, 0])
-    again = parse_nandnet(serialize_nandnet(net))
-    assert again == net
 
 
 def test_nandnet_rejects_forward_references():

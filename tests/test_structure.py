@@ -34,7 +34,6 @@ from structkit.structure import (
     isomorphic,
     morphism_number,
     occurrences,
-    same_structure,
     structure,
     swap_indistinguishable,
     validate,
@@ -471,7 +470,7 @@ def test_internal_classes_triangle_red_red_blue():
         return s.with_types(t)
 
     same = {(p, q) for p in s.parts for q in s.parts
-            if same_structure(s, swapped(s, p, q))}
+            if s == swapped(s, p, q)}
     assert ("p0", "p1") in same and ("p0", "p2") not in same
 
 
@@ -588,9 +587,9 @@ def test_within_class_swap_identical_cross_class_distinguishable():
                 t[p], t[q] = t[q], t[p]
                 swapped = s.with_types(t)
                 if cls_of[p] == cls_of[q]:
-                    assert same_structure(s, swapped)
+                    assert s == swapped
                 else:
-                    assert not same_structure(s, swapped)
+                    assert s != swapped
 
 
 # --- swap indistinguishability ----------------------------------------------
