@@ -239,7 +239,7 @@ def _rules_json(rules: list[AssociativeRule], indent: str) -> list[_Raw]:
             f'{key_in}"n_hit": {rule.n_hit!r},'
             f'{key_in}"p": {round(rule.p, 6)!r},'
             f'{key_in}"smoothed": true,'
-            f'{key_in}"support": {rule.support!r}{rule_in}}}'))
+            f'{key_in}"support": {rule.n_cond!r}{rule_in}}}'))
     return out
 
 

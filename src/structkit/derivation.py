@@ -230,7 +230,7 @@ def _dedup(rels: list[Relation], oriented: bool) -> tuple[Relation, ...]:
     seen = set()
     out = []
     for r in rels:
-        k = r.key(oriented)
+        k = (r.ends(oriented), r.label)     # as `validate` keys them
         if k not in seen:
             seen.add(k)
             out.append(r)

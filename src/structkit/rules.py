@@ -99,10 +99,6 @@ class AssociativeRule:
     def p(self) -> float:
         return (self.n_hit + 1) / (self.n_cond + 2)
 
-    @property
-    def support(self) -> int:
-        return self.n_cond
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -241,38 +237,28 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
                 situation, consequents, n_cond=n_cond, n_hit=n_hit,
                 threshold=cfg.rule_threshold)))
 
-    def last(first, masks, anchors, bits, prefix, n_prefix, row):
-        """Each literal of a later subject as the condition's last member.
-        It has no extensions, so a bound on its own n_cond bounds its
-        subtree.  `row` is the co row of a positive subject p of the prefix,
-        None when the prefix has none.
+    def grow(first, masks, anchors, bits, prefix, n_prefix, row):
+        """Extend `prefix` by each literal of a later subject, at the last
+        level only by those a bound lets through.  No anchor means no
+        positive literal or an empty mask, and the AND of the masks bounds
+        the n_cond of every extension.  `row` is the co row of a positive
+        subject p of the prefix, by_at when it has none.
 
-        With p, the masks lie inside in_window[p]: a positive member on c
-        adds at most the co[p][c] ticks of at[c] to the prefix's n_prefix,
-        and a negative member adds none.  Without p, a positive member
-        occurs only at its own ticks, and each negative member is tried."""
-        if row is None:
-            (ranks, order), need, negatives = by_at, min_support, True
+        A last member has no extensions, so a bound on its own n_cond
+        bounds its subtree.  With p, the masks lie inside in_window[p]: a
+        positive member on c adds at most co[p][c] ticks of at[c] to
+        n_prefix, a negative member none.  Without p, n_prefix is 0, a
+        positive member occurs only at its own ticks, and each negative
+        member is tried."""
+        if len(prefix) + 1 == depth:
+            ranks, order = row
+            need = min_support - n_prefix
+            live = [i for i in order[:bisect_right(ranks, -need)] if i >= first]
+            if need <= 0 or not anchors:
+                live += range(first + 1, len(literals), 2)
         else:
-            (ranks, order), need = row, min_support - n_prefix
-            negatives = need <= 0
-        live = [i for i in order[:bisect_right(ranks, -need)] if i >= first]
-        if negatives:
-            live += range(first + 1, len(literals), 2)
+            live = range(first, len(literals))
         for i in live:
-            member, bit, mask, anchor = literals[i]
-            anchors_i = anchors | anchor
-            occur = masks & mask & anchors_i if anchors_i else masks & mask
-            n_cond = occur.bit_count()
-            if n_cond >= min_support:
-                emit(prefix + (member,), bits | bit, occur, n_cond)
-
-    def grow(first, masks, anchors, bits, prefix, row):
-        """Extend `prefix` by each literal of a later subject, short of the
-        last member.  No anchor means no positive literal or an empty mask,
-        and the AND of the masks bounds the n_cond of every extension.
-        `row` is as in `last`."""
-        for i in range(first, len(literals)):
             member, bit, mask, anchor = literals[i]
             cond = prefix + (member,)
             masks_i, anchors_i = masks & mask, anchors | anchor
@@ -281,18 +267,14 @@ def mine_rules(log: Sequence[Recognition], window: int = 5,
             n_cond = occur.bit_count()
             if n_cond >= min_support:
                 emit(cond, bits_i, occur, n_cond)
-            if n_cond >= min_support or masks_i.bit_count() >= min_support:
-                nxt = i + 2 - i % 2
-                row_i = row if i % 2 else co_rows[i // 2]
-                if len(cond) + 1 < depth:
-                    grow(nxt, masks_i, anchors_i, bits_i, cond, row_i)
-                else:
-                    last(nxt, masks_i, anchors_i, bits_i, cond, n_cond, row_i)
+            if len(cond) < depth and (n_cond >= min_support
+                                      or masks_i.bit_count() >= min_support):
+                grow(i + 2 - i % 2, masks_i, anchors_i, bits_i, cond,
+                     n_cond if anchors_i else 0,
+                     row if i % 2 else co_rows[i // 2])
 
-    if depth >= 2:
-        grow(0, every, 0, 0, (), None)
-    elif depth == 1:
-        last(0, every, 0, 0, (), span, None)
+    if depth:
+        grow(0, every, 0, 0, (), 0, by_at)
     # grow's cell refers to grow itself, a cycle holding `found` until the
     # cyclic collector runs; emptying the cell frees the rules with the list
     del grow
@@ -515,18 +497,23 @@ def detect_regularity_case3(pop: Sequence[Structure],
     """Derivation recipes (quotient rank x mask subset) that make members
     coincide.  The search space is capped; overflow flags partial results."""
     catalog = catalog if catalog is not None else TypeCatalog()
-    recipes: list[Recipe] = []
-    mask_subsets = []
-    for k in range(0, len(masks) + 1):
-        mask_subsets.extend(itertools.combinations(range(len(masks)), k))
-    for rank in (None, 0, 1):
-        for subset in mask_subsets:
-            recipes.append(Recipe(rank, tuple(subset)))
+    # built lazily: one recipe past the cap shows the results are partial
+    recipes = list(itertools.islice(
+        (Recipe(rank, subset) for rank in (None, 0, 1)
+         for k in range(len(masks) + 1)
+         for subset in itertools.combinations(range(len(masks)), k)),
+        _RECIPE_CAP + 1))
     partial = len(recipes) > _RECIPE_CAP
-    recipes = recipes[:_RECIPE_CAP]
+    del recipes[_RECIPE_CAP:]
 
     reports = []
     for recipe in recipes:
+        mask = MorphismMask.make()
+        try:
+            for i in recipe.mask_indices:
+                mask = mask.union(masks[i])
+        except StructureError:      # the masks conflict: no member derives
+            continue
         forms: dict[tuple, list[int]] = {}
         for idx, s in enumerate(pop):
             derived = s
@@ -537,9 +524,6 @@ def detect_regularity_case3(pop: Sequence[Structure],
                         continue
                     derived = quotient(derived, parts[recipe.partition_rank],
                                        catalog)
-                mask = MorphismMask.make()
-                for i in recipe.mask_indices:
-                    mask = mask.union(masks[i])
                 if not mask.is_empty():
                     derived = apply_morphism(derived, mask, catalog)
             except SearchBudgetError:

@@ -454,6 +454,7 @@ def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> 
     body_lines = [""] * len(text.splitlines())
     entry = None
     binds: dict[str, Binding] = {}
+    bind_lines: dict[str, int] = {}
     for lineno, tok in _tokens(text):
         if tok[0] == "entry" and len(tok) == 2:
             entry = tok[1]
@@ -463,6 +464,14 @@ def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> 
                                   " [operand]")
             part, op = tok[1], tok[2]
             operand = tok[3:]
+            if part in binds:
+                raise SchemaError(f"line {lineno}: second bind for part {part}")
+            # one operand, or `fresh <slot>` for COPY
+            if len(operand) > (2 if op == "COPY" and operand[:1] == ["fresh"]
+                               else 1):
+                raise SchemaError(f"line {lineno}: too many operands for"
+                                  f" {op}: {' '.join(operand)}")
+            bind_lines[part] = lineno
             if op == "CALL":
                 if not operand or registry is None or operand[0] not in registry:
                     raise SchemaError(f"line {lineno}: CALL target {operand}"
@@ -488,6 +497,9 @@ def parse_schema(text: str, registry: Optional[Mapping[str, Schema]] = None) -> 
     body = parse_structure("\n".join(body_lines) + "\n")
     if not body.parts:
         raise SchemaError("schema has no part lines")
+    for part, lineno in bind_lines.items():
+        if part not in body.types:
+            raise SchemaError(f"line {lineno}: bind for undeclared part {part}")
     parts = tuple((p, binds[p]) for p in body.parts if p in binds)
     if len(parts) != body.n:
         missing = [p for p in body.parts if p not in binds]

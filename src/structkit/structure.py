@@ -58,9 +58,6 @@ class Relation:
     def __post_init__(self):
         object.__setattr__(self, "attrs", _freeze_attrs(self.attrs))
 
-    def key(self, oriented: bool) -> tuple:
-        return (self.ends(oriented), self.label, self.attrs)
-
     def ends(self, oriented: bool) -> tuple[str, str]:
         return (self.a, self.b) if oriented else tuple(sorted((self.a, self.b)))
 

@@ -58,7 +58,8 @@ def iso_oracle(a: Structure, b: Structure) -> bool:
         return False
     rels_b = {}
     for r in b.relations:
-        rels_b[r.key(b.oriented)] = rels_b.get(r.key(b.oriented), 0) + 1
+        k = (r.ends(b.oriented), r.label, r.attrs)
+        rels_b[k] = rels_b.get(k, 0) + 1
     # enumerate bijections respecting the type classes; a permutation sending
     # a part onto a differently typed one can never satisfy the definition
     by_type_a = {}

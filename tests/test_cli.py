@@ -372,7 +372,7 @@ def per_rule_json(rule) -> dict:
         "consequents": [{"subject": c.subject, "window": list(c.window)}
                         for c in rule.consequents],
         "p": round(rule.p, 6),
-        "support": rule.support,
+        "support": rule.n_cond,
         "n_hit": rule.n_hit,
         "smoothed": True,
     }
@@ -1007,6 +1007,21 @@ def test_solve_bad_move_operand_exit_two(tmp_path, capsys, operand):
     assert main(["solve", str(pfile)]) == 2
     assert capsys.readouterr().err == \
         f"error: part m: bad MOVE operand {operand!r}\n"
+
+
+@pytest.mark.parametrize("operand, extra, error", [
+    ("nbr:0", "bind zz COPY q\n", "line 13: bind for undeclared part zz"),
+    ("nbr:0", "bind m MOVE last\n", "line 13: second bind for part m"),
+    ("nbr:0 last", "", "line 11: too many operands for MOVE: nbr:0 last"),
+], ids=["undeclared", "second", "operands"])
+def test_solve_misread_bind_exit_two(tmp_path, capsys, operand, extra, error):
+    # each would run an effect other than the schema text states
+    problem = nbr_problem(operand)
+    problem["productions"][0]["effect"]["schema"] += extra
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main(["solve", str(pfile)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("heuristic", ["missing-goal-member", "", 3, None])

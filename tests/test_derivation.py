@@ -19,6 +19,7 @@ from structkit.structure import (
     internal_classes,
     isomorphic,
     structure,
+    validate,
 )
 
 from oracles import random_structure, relabeled_copy
@@ -218,6 +219,17 @@ def test_merge_labels_and_drop_rel_attrs():
     out = apply_morphism(s, m)
     assert {r.label for r in out.relations} == {"y"}
     assert all(r.attrs == () for r in out.relations)
+
+
+def test_merged_labels_keep_the_first_relation_between_two_parts():
+    # the two relations differ in attrs, but a structure holds one relation
+    # per ends and label, whatever its attrs
+    s = structure({"a": "T", "b": "T"},
+                  [("a", "b", "L", {"w": 1}), ("a", "b", "M", {"w": 2})])
+    out = apply_morphism(s, MorphismMask.make(merge_labels={"M": "L"}))
+    assert validate(out) == []
+    assert [(r.label, r.attrs) for r in out.relations] == [("L", (("w", 1),))]
+    assert isomorphic(out, out) == {"a": "a", "b": "b"}
 
 
 def test_drop_rel_attrs_requires_known_name():

@@ -17,10 +17,12 @@ from structkit.rules import (
     Consequent,
     MicroSituation,
     MsMember,
+    Recipe,
     Recognition,
     RuleError,
     Subject,
     _EDIT_PART_CAP,
+    _RECIPE_CAP,
     detect_regularity_case1,
     detect_regularity_case2,
     detect_regularity_case3,
@@ -291,13 +293,26 @@ def test_mined_rules_extend_a_prefix_below_support():
     assert counts[(("A", True), ("B", True), ("C", True)), "D"] == (10, 10)
 
 
-@pytest.mark.parametrize("max_condition", [0, 1, 2])
+@pytest.mark.parametrize("max_condition", [0, 1, 2, 4])
 def test_mined_rules_match_oracle_up_to_max_condition(max_condition):
     cfg = DEFAULT.replace(mining_max_condition=max_condition)
     log = with_distractors(8, MINING_LOGS["planted"], 8)
     rules = assert_mined_like_oracle(log, 5, 5, 0.5, cfg)
     sizes = {len(r.condition.members) for r in rules}
     assert sizes == set(range(1, max_condition + 1))
+
+
+@pytest.mark.parametrize("kind", sorted(MINING_LOGS))
+@pytest.mark.parametrize("max_condition", [4, 5, 8])
+def test_mined_rules_match_oracle_past_depth_three(kind, max_condition):
+    # with 2 distractors the planted and noise logs have 6 subjects, so a
+    # rule's condition holds at most 5 (its target is not in it): depth 5
+    # bounds a last member of 5, depth 8 never reaches its last level
+    log = with_distractors(2, MINING_LOGS[kind], 2)
+    cfg = DEFAULT.replace(mining_max_condition=max_condition)
+    for min_support in (0, 5, 24):
+        for min_p in (0.5, 0.7):
+            assert_mined_like_oracle(log, 5, min_support, min_p, cfg)
 
 
 @pytest.mark.parametrize("max_condition", [2, 3])
@@ -654,6 +669,52 @@ def test_case3_quotient_rank_recipe():
     reports = detect_regularity_case3([a, b], catalog=cat)
     assert any("quotient by canonical partition 0" == r.evidence["recipe"]
                and r.evidence["members"] == [0, 1] for r in reports)
+
+
+def typed_path(types, label="L"):
+    return path(len(types), dict(zip([f"p{i}" for i in range(len(types))],
+                                     types)), label=label)
+
+
+def test_case3_reports_on_up_to_four_masks():
+    # mask 2 conflicts with mask 0, so no recipe holding both derives
+    pop = [typed_path("AABB"), typed_path("BBBB"), typed_path("AACC", "M"),
+           typed_path("BBCC")]
+    masks = [MorphismMask.make(merge_types={"A": "B"}),
+             MorphismMask.make(merge_types={"C": "B"}),
+             MorphismMask.make(merge_types={"A": "C"}),
+             MorphismMask.make(merge_labels={"M": "L"})]
+    four = [("mask 0", [0, 1]), ("mask 1", [1, 3]), ("mask 2", [0, 3]),
+            ("mask 0+1", [0, 1, 3]), ("mask 0+3", [0, 1]),
+            ("mask 0+3", [2, 3]), ("mask 1+2", [1, 3]), ("mask 1+3", [0, 2]),
+            ("mask 1+3", [1, 3]), ("mask 2+3", [0, 3]),
+            ("mask 0+1+3", [0, 1, 2, 3]), ("mask 1+2+3", [1, 3]),
+            ("mask 1+2+3", [0, 2])]
+    for k in range(5):
+        reports = detect_regularity_case3(pop, masks[:k], TypeCatalog())
+        assert [(r.evidence["recipe"], r.evidence["members"])
+                for r in reports] == [
+            (recipe, members) for recipe, members in four
+            if all(int(i) < k for i in recipe[5:].split("+"))]
+        assert not any(r.evidence["partial"] for r in reports)
+
+
+def test_case3_builds_one_recipe_past_the_cap(monkeypatch):
+    # listing all 3 x 2^30 recipes first would take gigabytes
+    built = []
+
+    def counted(*args):
+        built.append(Recipe(*args))
+        return built[-1]
+
+    monkeypatch.setattr("structkit.rules.Recipe", counted)
+    masks = [MorphismMask.make(merge_types={f"T{i}": "U"}) for i in range(30)]
+    reports = detect_regularity_case3(
+        [typed_path(["T0", "T1"]), typed_path("UU")], masks)
+    assert len(built) == _RECIPE_CAP + 1
+    # the first 64: identity, the 30 single masks, then pairs from 0+1 on
+    assert [r.evidence for r in reports] == [
+        {"recipe": "mask 0+1", "members": [0, 1], "partial": True}]
 
 
 def test_case3_canonical_budget_is_not_a_skipped_member(monkeypatch):

@@ -321,6 +321,35 @@ def test_schema_text_round_trip():
     assert execute(again, path(3)) == execute(sch, path(3))
 
 
+def test_bind_for_undeclared_part_rejected():
+    # the binding would be dropped, and the schema run without it
+    with pytest.raises(SchemaError,
+                       match="^line 3: bind for undeclared part zz$"):
+        parse_schema("part a MOVE\nbind a MOVE first\nbind zz COPY q\n")
+
+
+def test_second_bind_for_a_part_rejected():
+    # the second would replace the first
+    with pytest.raises(SchemaError, match="^line 3: second bind for part a$"):
+        parse_schema("part a MOVE\nbind a MOVE first\nbind a MOVE last\n")
+
+
+@pytest.mark.parametrize("line, operands", [
+    ("bind a MOVE first last", "MOVE: first last"),
+    ("bind a MEM_STORE m n", "MEM_STORE: m n"),
+    ("bind a BIND t=X u=Y", "BIND: t=X u=Y"),
+    ("bind a COPY q r", "COPY: q r"),
+    ("bind a COPY fresh r s", "COPY: fresh r s"),
+])
+def test_bind_operands_past_what_the_op_takes_rejected(line, operands):
+    # each op takes one operand, COPY `fresh <slot>`; the rest was ignored
+    op = line.split()[2]
+    with pytest.raises(SchemaError,
+                       match=f"^line 2: too many operands for {operands}$"):
+        parse_schema(f"part a {op}\n{line}\n")
+    assert parse_schema(f"part a {op}\n{line.rsplit(' ', 1)[0]}\n")
+
+
 def test_parse_schema_with_registry():
     text = (
         "oriented\n"

@@ -256,9 +256,10 @@ def test_symmetric_families(a, b, iso):
     assert (w is not None) == iso
     assert (canonical_form(a) == canonical_form(b)) == iso
     if iso:
-        mapped = sorted(Relation(w[r.a], w[r.b], r.label, r.attrs).key(a.oriented)
-                        for r in a.relations)
-        assert mapped == sorted(r.key(b.oriented) for r in b.relations)
+        mapped = sorted((Relation(w[r.a], w[r.b], r.label).ends(a.oriented),
+                         r.label, r.attrs) for r in a.relations)
+        assert mapped == sorted((r.ends(b.oriented), r.label, r.attrs)
+                                for r in b.relations)
     if a.n <= 7:
         assert iso_oracle(a, b) == iso
     # the form is the winning leaf's encoding, under bound type keys too
