@@ -131,7 +131,7 @@ def cmd_derive(args) -> int:
     derived = s
     steps = []
     if sidecar["blocks"]:
-        k = partition(s, sidecar["blocks"], allow_disconnected=True)
+        k = partition(s, sidecar["blocks"])
         derived = quotient(derived, k, catalog)
         steps.append(f"quotient into {len(k.blocks)} blocks")
     mask = MorphismMask.make(sidecar["merge_types"], sidecar["drop_part_attrs"],
@@ -192,6 +192,9 @@ def cmd_analyze(args) -> int:
 def parse_recognition_log(text: str) -> list[Recognition]:
     log = []
     for lineno, tok in _tokens(text):
+        if len(tok) != 3:   # three keys found in three fields: none repeats
+            raise ParseError(
+                f"log line {lineno}: needs t=, subj= and score= once each")
         try:
             fields = dict(item.split("=", 1) for item in tok)
             log.append(Recognition(fields["subj"], float(fields["score"]),

@@ -21,7 +21,6 @@ from .structure import (
     StructureError,
     TypeCatalog,
     canonical_form,
-    induced,
     require_valid,
     _is_connected,
     _key_map,
@@ -39,9 +38,6 @@ class Portion:
 class Partition:
     parent: Structure
     blocks: tuple[Portion, ...]
-
-    def member_sets(self) -> list[frozenset]:
-        return [b.members for b in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -102,32 +98,50 @@ def portion(s: Structure, members: Iterable[str],
             allow_disconnected: bool = False) -> Portion:
     """Induced sub-structure on the given members, connected by default."""
     require_valid(s)
-    members = frozenset(members)
-    if not members:
-        raise StructureError("portion needs at least one member")
-    unknown = members - set(s.parts)
-    if unknown:
-        raise StructureError(f"portion members not in parent: {sorted(unknown)}")
-    sub = induced(s, members)
-    if not allow_disconnected and not _is_connected(sub):
+    [por] = _cut(s, [members])
+    if not allow_disconnected and not _is_connected(por.induced):
         raise StructureError("portion members are not connected "
                              "(pass allow_disconnected to permit)")
-    return Portion(s, members, sub)
+    return por
 
 
-def partition(s: Structure, member_sets: Iterable[Iterable[str]],
-              allow_disconnected: bool = False) -> Partition:
-    blocks = []
-    covered: set[str] = set()
-    for ms in member_sets:
-        block = portion(s, ms, allow_disconnected)
-        if covered & block.members:
-            raise StructureError("partition blocks overlap")
-        covered |= block.members
-        blocks.append(block)
-    if covered != set(s.parts):
+def partition(s: Structure, member_sets: Iterable[Iterable[str]]) -> Partition:
+    """Disjoint blocks covering s; a block need not be connected."""
+    require_valid(s)
+    blocks = _cut(s, member_sets)
+    # _cut keeps blocks disjoint and known, so they cover s when sizes sum to n
+    if sum(len(b.members) for b in blocks) != s.n:
         raise StructureError("partition does not cover every part")
     return Partition(s, tuple(blocks))
+
+
+def _cut(s: Structure, member_sets: Iterable[Iterable[str]]) -> list[Portion]:
+    """Portions of s on non-empty, known and disjoint member sets, each
+    induced as `induced` does, from one pass over the parts and one over
+    the relations."""
+    owner: dict[str, int] = {}
+    blocks: list[tuple[frozenset, list[str], list[Relation]]] = []
+    for ms in member_sets:
+        members = frozenset(ms)
+        if not members:
+            raise StructureError("portion needs at least one member")
+        unknown = members.difference(s.types)
+        if unknown:
+            raise StructureError(
+                f"portion members not in parent: {sorted(unknown)}")
+        if not owner.keys().isdisjoint(members):
+            raise StructureError("partition blocks overlap")
+        owner.update(dict.fromkeys(members, len(blocks)))
+        blocks.append((members, [], []))
+    for p in s.parts:
+        if p in owner:
+            blocks[owner[p]][1].append(p)
+    for r in s.relations:
+        if r.a in owner and owner[r.a] == owner.get(r.b):
+            blocks[owner[r.a]][2].append(r)
+    return [Portion(s, members, Structure(
+                tuple(ps), tuple(map(s.types.get, ps)), tuple(rs), s.oriented))
+            for members, ps, rs in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +161,7 @@ def quotient(s: Structure, k: Partition,
     if k.parent != s:
         raise StructureError("partition does not belong to this structure")
     catalog = catalog if catalog is not None else TypeCatalog()
-    owner: dict[str, int] = {}
-    for i, block in enumerate(k.blocks):
-        for p in block.members:
-            owner[p] = i
+    owner = {p: i for i, block in enumerate(k.blocks) for p in block.members}
     parts = tuple(f"b{i}" for i in range(len(k.blocks)))
     types = tuple(catalog.intern_struct(block.induced) for block in k.blocks)
     crossing: dict[tuple[int, int], list[str]] = {}
@@ -260,7 +271,7 @@ def canonical_partitions(s: Structure, catalog: Optional[TypeCatalog] = None
     for blocks in candidates:
         uniq.setdefault(_blocks_key(blocks), blocks)
     ranked = sorted(uniq.values(), key=lambda bl: (-len(bl), _blocks_key(bl)))
-    return [partition(s, blocks, allow_disconnected=True) for blocks in ranked]
+    return [partition(s, blocks) for blocks in ranked]
 
 
 def _blocks_key(blocks: list[list[str]]) -> tuple:

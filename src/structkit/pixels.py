@@ -24,7 +24,7 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT, Config
-from .derivation import Partition, Portion
+from .derivation import Partition, _cut
 from .io_struct import _tokens
 from .structure import (Relation, Structure, StructureError, TypeCatalog,
                         _find, _is_connected)
@@ -57,14 +57,13 @@ class RasterStructure:
         rels = []
         for y in range(self.height):
             for x in range(self.width):
-                parts.append(_pid(x, y))
+                p = _pid(x, y)
+                parts.append(p)
                 types.append(f"v{self.values[y][x]}")
-        for y in range(self.height):
-            for x in range(self.width):
                 if x + 1 < self.width:
-                    rels.append(Relation(_pid(x, y), _pid(x + 1, y), "adj"))
+                    rels.append(Relation(p, _pid(x + 1, y), "adj"))
                 if y + 1 < self.height:
-                    rels.append(Relation(_pid(x, y), _pid(x, y + 1), "adj"))
+                    rels.append(Relation(p, _pid(x, y + 1), "adj"))
         return Structure(tuple(parts), tuple(types), tuple(rels))
 
 
@@ -210,29 +209,15 @@ def segment_regions(r: RasterStructure) -> Partition:
     """Blocks are the 4-connected components of equal intensity.
 
     Blocks follow the row-major order of their first pixel.  This builds the
-    per-pixel base structure; callers that need only each region's value and
-    size use `region_sizes`.
+    per-pixel base structure and cuts it along the region runs; callers that
+    need only each region's value and size use `region_sizes`.
     """
     base = r.to_structure()
     pid = base.parts   # row-major: pixel (x, y) is pid[y * width + x]
     w = r.width
-    blocks = []
-    for v, runs in _regions(r):
-        ids: list[str] = []
-        rels: list[Relation] = []
-        # parts and relations in the parent's order, as `induced` keeps them
-        for y, x0, x1 in runs:
-            below = r.values[y + 1] if y + 1 < r.height else None
-            for x in range(x0, x1):
-                p = pid[y * w + x]
-                ids.append(p)
-                if x + 1 < x1:
-                    rels.append(Relation(p, pid[y * w + x + 1], "adj"))
-                if below is not None and below[x] == v:
-                    rels.append(Relation(p, pid[(y + 1) * w + x], "adj"))
-        sub = Structure(tuple(ids), (f"v{v}",) * len(ids), tuple(rels))
-        blocks.append(Portion(base, frozenset(ids), sub))
-    return Partition(base, tuple(blocks))
+    regions = ([p for y, x0, x1 in runs for p in pid[y * w + x0:y * w + x1]]
+               for _, runs in _regions(r))
+    return Partition(base, tuple(_cut(base, regions)))
 
 
 # ---------------------------------------------------------------------------

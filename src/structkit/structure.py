@@ -673,7 +673,7 @@ def compose(a: Structure, b: Structure,
 
     Parts are prefixed "a." and "b.".  Gluing relations must reference the
     prefixed ids and connect the two operands (unless one operand is empty).
-    The part count of the result is the sum of the operands'.
+    The result must be valid; its part count is the sum of the operands'.
     """
     if a.oriented != b.oriented and a.n and b.n:
         raise StructureError("cannot compose oriented with unoriented structure")
@@ -687,10 +687,7 @@ def compose(a: Structure, b: Structure,
     types.update({"b." + p: t for p, t in b.types.items()})
     rels = [Relation("a." + r.a, "a." + r.b, r.label, r.attrs) for r in a.relations]
     rels += [Relation("b." + r.a, "b." + r.b, r.label, r.attrs) for r in b.relations]
-    glue = []
-    for g in gluing:
-        r = g if isinstance(g, Relation) else Relation(*g)
-        glue.append(r)
+    glue = [g if isinstance(g, Relation) else Relation(*g) for g in gluing]
     if not glue:
         raise StructureError("gluing must connect the operands")
     known = set(parts)
@@ -703,8 +700,10 @@ def compose(a: Structure, b: Structure,
             crossing = True
     if not crossing:
         raise StructureError("gluing must connect a part of a with a part of b")
-    return Structure(parts, tuple(types[p] for p in parts),
-                     tuple(rels + glue), oriented)
+    c = Structure(parts, tuple(types[p] for p in parts), tuple(rels + glue),
+                  oriented)
+    require_valid(c)   # a glue relation may loop a part or repeat a relation
+    return c
 
 
 def _connected_subsets(s: Structure, size: int) -> Iterable[frozenset]:

@@ -343,6 +343,81 @@ def test_analyze_large_reports_match_golden_digests(tmp_path):
     assert analyze_golden_digests(tmp_path) == ANALYZE_DIGESTS.read_text()
 
 
+# `structkit derive` reports on structures built here, whose digests are fixed
+# in tests/golden/derive-reports.sha256; `PYTHONPATH=src python
+# tests/test_cli.py` rewrites it along with mine-reports.sha256.
+def grid(width, height):
+    """An unoriented width x height grid, typed by (x + 2y) mod 3."""
+    ids = [f"p{x}_{y}" for y in range(height) for x in range(width)]
+    types = {p: f"T{(i % width + 2 * (i // width)) % 3}"
+             for i, p in enumerate(ids)}
+    rels = [(ids[i], ids[i + 1], "L") for i in range(len(ids))
+            if (i + 1) % width]
+    rels += [(ids[i], ids[i + width], "M")
+             for i in range(len(ids) - width)]
+    return structure(types, rels), ids
+
+
+def pair_blocks(width=40, height=40):
+    s, ids = grid(width, height)
+    return s, [(ids[i], ids[i + 1]) for i in range(0, len(ids), 2)], ""
+
+
+def far_pair_blocks(width=40, height=40):
+    # each block pairs a part with the one half the grid below it
+    s, ids = grid(width, height)
+    half = len(ids) // 2
+    return s, [(ids[i], ids[i + half]) for i in range(half)], ""
+
+
+def oriented_attr_blocks():
+    # an oriented 6x6 grid with weighted relations, some running back
+    n = 6
+    ids = [f"q{i}" for i in range(n * n)]
+    rels = []
+    for i in range(n * n):
+        if (i + 1) % n:
+            rels.append((ids[i], ids[i + 1], "L", {"w": i % 3}))
+        if i + n < n * n:
+            rels.append((ids[i + n], ids[i], "M", {"w": i % 2, "h": i % 4})
+                        if i % 5 == 0 else (ids[i], ids[i + n], "M"))
+    s = structure({p: f"T{i % 2}" for i, p in enumerate(ids)}, rels,
+                  oriented=True)
+    blocks = [(ids[i], ids[i + 1], ids[i + n]) for i in range(0, n * n, 2 * n)]
+    blocks += [(ids[i + 1 + n],) for i in range(0, n * n, 2 * n)]
+    blocks += [tuple(ids[i + n + 2:i + 2 * n]) for i in range(0, n * n, 2 * n)]
+    blocks += [tuple(ids[i + 2:i + n]) for i in range(0, n * n, 2 * n)]
+    return s, blocks, "mask merge-label adj link -> J\n"
+
+
+DERIVE_GOLDEN = {
+    "grid-pairs": pair_blocks,
+    "grid-far-pairs": far_pair_blocks,
+    "oriented-attrs": oriented_attr_blocks,
+}
+DERIVE_DIGESTS = Path(__file__).parent / "golden" / "derive-reports.sha256"
+
+
+def derive_golden_digests(workdir: Path) -> str:
+    lines = []
+    for name, make in sorted(DERIVE_GOLDEN.items()):
+        s, blocks, mask = make()
+        spath = write_struct(workdir, f"{name}.struct", s)
+        sidecar = workdir / f"{name}.ops"
+        sidecar.write_text(mask + "".join(f"block {' '.join(b)}\n"
+                                          for b in blocks))
+        out = workdir / f"{name}.json"
+        assert main(["derive", spath, str(sidecar), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}.json\n")
+    return "".join(lines)
+
+
+def test_derive_reports_match_golden_digests(tmp_path):
+    assert len(pair_blocks()[1]) == len(far_pair_blocks()[1]) == 800
+    assert derive_golden_digests(tmp_path) == DERIVE_DIGESTS.read_text()
+
+
 def test_demo_reports_match_golden_digests(tmp_path):
     # every file `demo-polygons` writes, as `sha256sum -c` checks it in CI
     assert main(["--seed", "42", "demo-polygons", "--out", str(tmp_path)]) == 0
@@ -809,6 +884,17 @@ def test_mine_log_token_without_equals_exit_two(tmp_path):
     assert main(["mine", str(log_file)]) == 2
 
 
+@pytest.mark.parametrize("line", ["t=3 subj=A subj=B score=1",
+                                  "t=3 subj=A score=1 extra=9"])
+def test_mine_log_repeated_or_unknown_field_exit_two(tmp_path, capsys, line):
+    log_file = tmp_path / "events.log"
+    log_file.write_text(f"t=0 subj=A score=1.0\n{line}\n")
+    out = tmp_path / "rules.json"
+    assert main(["mine", str(log_file), "--out", str(out)]) == 2
+    assert "log line 2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pgm_non_integer_maxval_exit_two(tmp_path):
     img = tmp_path / "bad.pgm"
     img.write_text("P2\n2 2\nwhite\n0 1\n1 0\n")
@@ -1251,3 +1337,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         MINE_DIGESTS.write_text(mine_golden_digests(Path(tmp)))
         ANALYZE_DIGESTS.write_text(analyze_golden_digests(Path(tmp)))
+        DERIVE_DIGESTS.write_text(derive_golden_digests(Path(tmp)))

@@ -16,8 +16,10 @@ from structkit.structure import (
     StructType,
     TypeCatalog,
     canonical_form,
+    induced,
     internal_classes,
     isomorphic,
+    require_valid,
     structure,
     validate,
 )
@@ -81,6 +83,51 @@ def test_partition_cover_and_disjoint_enforced():
     assert len(k.blocks) == 2
 
 
+def test_partition_and_portion_error_messages():
+    s = path(4)
+    for blocks, message in [
+            ([["p0", "p1"], [], ["p2", "p3"]], "portion needs at least one member"),
+            ([["p0", "zz", "yy"]], r"portion members not in parent: \['yy', 'zz'\]"),
+            ([["p0", "p1"], ["p1", "p2", "p3"]], "partition blocks overlap"),
+            ([["p0", "p1"], ["p3"]], "partition does not cover every part")]:
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            partition(s, blocks)
+    with pytest.raises(StructureError, match="^portion members are not "
+                       r"connected \(pass allow_disconnected to permit\)$"):
+        portion(s, ["p0", "p2"])
+    with pytest.raises(StructureError, match="^invalid structure: "):
+        partition(structure({"a": "T", "b": "T"}), [["a"], ["b"]])
+
+
+def test_partition_blocks_are_induced_random():
+    # blocks in any order and of any shape, disconnected ones included
+    rng = random.Random(2718)
+    for trial in range(300):
+        s = random_structure(rng, max_n=10, oriented=trial % 2 == 1)
+        parts = list(s.parts)
+        rng.shuffle(parts)
+        cuts = sorted(rng.sample(range(1, s.n), rng.randint(0, s.n - 1)))
+        blocks = [parts[i:j] for i, j in zip([0] + cuts, cuts + [s.n])]
+        k = partition(s, blocks)
+        assert k.parent is s
+        assert [b.members for b in k.blocks] == list(map(frozenset, blocks))
+        for block, members in zip(k.blocks, blocks):
+            assert block.induced == induced(s, members)
+
+
+def test_partition_validates_the_parent_once(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return require_valid(s)
+    monkeypatch.setattr("structkit.derivation.require_valid", counting)
+    s = path(60)
+    k = partition(s, [s.parts[i:i + 2] for i in range(0, 60, 2)])
+    assert len(k.blocks) == 30
+    assert calls == [s]
+
+
 # --- quotient -----------------------------------------------------------------
 
 def test_quotient_single_block():
@@ -140,9 +187,8 @@ def test_quotient_functoriality_random():
         cut = rng.randint(1, len(parts) - 1) if len(parts) > 1 else 1
         blocks = [parts[:cut], parts[cut:]]
         blocks = [b_ for b_ in blocks if b_]
-        ka = partition(a, blocks, allow_disconnected=True)
-        kb = partition(b, [[w[p] for p in blk] for blk in blocks],
-                       allow_disconnected=True)
+        ka = partition(a, blocks)
+        kb = partition(b, [[w[p] for p in blk] for blk in blocks])
         qa = quotient(a, ka, cat)
         qb = quotient(b, kb, cat)
         assert isomorphic(qa, qb, cat) is not None
@@ -324,7 +370,7 @@ def test_canonical_partitions_oriented_pair_with_two_labels():
     s = structure({"a": "T", "b": "T", "c": "T", "d": "U"},
                   [("b", "a", "y"), ("a", "b", "x"), ("b", "c", "y"),
                    ("c", "d", "x"), ("d", "c", "y")], oriented=True)
-    got = [[sorted(m) for m in p.member_sets()]
+    got = [[sorted(b.members) for b in p.blocks]
            for p in canonical_partitions(s)]
     assert got == [[["a", "b"], ["c"], ["d"]],
                    [["a", "b"], ["c", "d"]],

@@ -148,3 +148,13 @@ def test_recognition_log_ignores_comments_blanks_and_indentation():
     assert lineno > 2
     with pytest.raises(ParseError, match=f"^log line {lineno}: "):
         parse_recognition_log(bad_text)
+
+
+@pytest.mark.parametrize("line", [
+    "t=3 subj=A subj=B score=1",      # the last subj= used to win
+    "t=3 subj=A score=1 extra=9",     # the unknown field used to be ignored
+    "t=3 t=4 subj=A score=1",
+    "t=3 subj=A score=1 score=2"])
+def test_recognition_log_takes_each_field_once(line):
+    with pytest.raises(ParseError, match="^log line 2: .*once each"):
+        parse_recognition_log(f"t=0 subj=A score=1.0\n{line}\n")

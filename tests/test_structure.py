@@ -665,6 +665,33 @@ def test_compose_requires_crossing_gluing():
         compose(path(2), path(2), [("a.p0", "a.p1", "glue")])
 
 
+@pytest.mark.parametrize("oriented", [False, True])
+@pytest.mark.parametrize("extra, message", [
+    (("a.x", "b.z", "G"), r"duplicate relation \(a.x,b.z,G\)"),
+    (("a.x", "a.y", "L"), r"duplicate relation \(a.x,a.y,L\)"),
+    (("b.z", "b.z", "G"), "self-loop on part b.z")])
+def test_compose_rejects_glue_that_validate_would(oriented, extra, message):
+    # each of these used to return a structure `validate` rejects
+    a = structure({"x": "S", "y": "T"}, [("x", "y", "L")], oriented=oriented)
+    b = structure({"z": "S"}, oriented=oriented)
+    glue = [("a.x", "b.z", "G")]
+    assert validate(compose(a, b, glue)) == []
+    with pytest.raises(StructureError, match=message):
+        compose(a, b, glue + [extra])
+
+
+def test_compose_glue_repeat_follows_orientation():
+    # y->x repeats x-y only when the relations are unoriented
+    a = structure({"x": "S", "y": "T"}, [("x", "y", "L")])
+    b = structure({"z": "S"})
+    glue = [("a.x", "b.z", "G"), ("a.y", "a.x", "L")]
+    with pytest.raises(StructureError, match="duplicate relation"):
+        compose(a, b, glue)
+    c = compose(structure(a.types, a.relations, oriented=True),
+                structure(b.types, oriented=True), glue)
+    assert validate(c) == []
+
+
 def test_difference_counts():
     a, b = path(5), path(2)
     results = difference(a, b)
