@@ -24,6 +24,9 @@ from .structure import (
     Structure,
     StructureError,
     TypeCatalog,
+    _cached,
+    _plan_trie,
+    _search,
     canonical_form,
     embeds,
 )
@@ -99,22 +102,44 @@ class SearchResult:
 # state inspection
 # ---------------------------------------------------------------------------
 
+def _recognizer_tries(spec: ProblemSpec, catalog: Optional[TypeCatalog]
+                      ) -> list[tuple]:
+    """Per distinct mask (None for none), in order of first use: the mask,
+    the plan trie of its recognizers' patterns and their positions among
+    the recognizers.  `state_recognitions` caches it on the spec with
+    `_cached`."""
+    members: dict = {}
+    for i, rec in enumerate(spec.recognizers):
+        members.setdefault(rec.mask, []).append(i)
+    return [(mask, _plan_trie([spec.recognizers[i].pattern for i in idx],
+                              catalog), idx)
+            for mask, idx in members.items()]
+
+
 def state_recognitions(state: State, spec: ProblemSpec) -> list[Recognition]:
     """The recognizers that fire on the state, in recognizer order.
 
     A masked recognizer tests its pattern on the state under its mask.
+    Each distinct mask is applied once, in order of first use; then one
+    search (`_search`) per distinct mask runs all of its recognizers.  A
+    mask binds only types of fresh keys (`intern_attr`, `intern_struct`),
+    which match no other type, so a recognizer fires as it would if tested
+    before the masks after it had run.
     """
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
     catalog = spec.catalog
-    recs = []
+    targets: dict = {None: state}
     for rec in spec.recognizers:
-        target = state
-        if rec.mask is not None:
-            target = apply_morphism(state, rec.mask, catalog)
-        if embeds(target, rec.pattern, catalog):
-            recs.append(Recognition(rec.subject, 1.0, 0))
-    return recs
+        if rec.mask not in targets:
+            targets[rec.mask] = apply_morphism(state, rec.mask, catalog)
+    fired = [False] * len(spec.recognizers)
+    for mask, trie, idx in _cached(spec, catalog, _recognizer_tries):
+        hits = _search(targets[mask], trie, catalog, lambda j, images: True)
+        for i, hit in zip(idx, hits):
+            fired[i] = hit
+    return [Recognition(rec.subject, 1.0, 0)
+            for rec, hit in zip(spec.recognizers, fired) if hit]
 
 
 def _fires(ms, recs: list[Recognition], cfg: Config) -> bool:

@@ -269,14 +269,15 @@ def _key_map(s: Structure, catalog: Optional[TypeCatalog]) -> dict[str, tuple]:
     return dict(zip(s.parts, map(catalog.type_key, s.part_types)))
 
 
-def _cached(s: Structure, catalog: Optional[TypeCatalog],
-            build: Callable[[Structure, Optional[TypeCatalog]], object]):
+def _cached(s, catalog: Optional[TypeCatalog],
+            build: Callable[[object, Optional[TypeCatalog]], object]):
     """`build(s, catalog)`, cached on s under `build`'s name, like `types`.
 
-    For data derived from s and its type keys.  An unbound id keys as
-    `("o", id)` only until the catalog binds it, and a bound key never
-    changes, so the value holds while the catalog is the same and its
-    `bound_count()` has not grown.  Only the last value built is kept.
+    For data derived from s (a structure, or a frozen dataclass such as
+    the solver's `ProblemSpec`) and the type keys it names.  An unbound id
+    keys as `("o", id)` only until the catalog binds it, and a bound key
+    never changes, so the value holds while the catalog is the same and
+    its `bound_count()` has not grown.  Only the last value built is kept.
     """
     count = catalog.bound_count() if catalog is not None else 0
     cached = s.__dict__.get(build.__name__)
@@ -480,15 +481,19 @@ def _canonical(s: Structure, keys: dict[str, tuple]) -> tuple[list[str], tuple]:
       automorphisms found so far that fix the node's individualised parts,
       roots an automorphic image of that sibling's subtree.
     Either way each skipped leaf encodes like an earlier one, so the result
-    is that of the unpruned search (`tests/oracles.py`).
+    is that of the unpruned search (`tests/oracles.py`).  When the type
+    keys alone give every part its own cell, refinement could split
+    nothing, so it is skipped and the key order is the leaf.
     Raises CanonicalBudgetError past `_CANON_NODE_CAP` search nodes.
     """
-    ends = _ends(s)
     cells = _key_cells(s, keys)
-    colors = {p: c for c, cell in cells.items() for p in cell}
-    _refine(ends, colors, cells, set(cells))
+    if len(cells) < s.n:
+        # the keys leave some cell with two parts or more: refine by relations
+        ends = _ends(s)
+        colors = {p: c for c, cell in cells.items() for p in cell}
+        _refine(ends, colors, cells, set(cells))
     if len(cells) == s.n:
-        # refinement alone individualises every part: the root is the leaf
+        # keys or refinement individualise every part: the root is the leaf
         order = [cells[c][0] for c in sorted(cells)]
         return order, _encode(s, order, keys)
     best_enc = None
@@ -740,7 +745,9 @@ def induced(s: Structure, members: Iterable[str]) -> Structure:
 
 # recursion steps each embedding search may take; the largest search seen
 # on the tests, the demo and the benchmark workloads takes 1,537 (2K2 in a
-# 4x4 grid), and listing every P7 in an 8x8 grid takes 19,793 (0.1 s)
+# 4x4 grid; the benchmark's largest, one recognition pass of 16 recognizers
+# over a 5-part state, takes 9), and listing every P7 in an 8x8 grid takes
+# 19,793 (0.04 s)
 _EMBED_NODE_CAP = 100_000
 
 
@@ -753,8 +760,7 @@ def _pattern_plan(b: Structure,
     component.  A part's anchor is the position of the neighbour it was
     reached from, or -1 for a component's first part; its pairs are its
     `Structure.pairs` entries, `()` where no relation runs.  The plan
-    depends only on b and its type keys; `_embeddings` caches it on b with
-    `_cached`.
+    depends only on b and its type keys; `_plan_trie` merges plans.
     """
     pairs = b.pairs
     order: list[str] = []
@@ -781,11 +787,81 @@ def _pattern_plan(b: Structure,
         for i, p in enumerate(order))
 
 
+# operand size cap of occurrences (so of difference), of embeds (so of
+# pattern guards), of the solver's recognizers and of convolution
+_PART_CAP = 64
+
+
+def _check_part_cap(*operands: Structure):
+    if any(s.n > _PART_CAP for s in operands):
+        raise StructureError(
+            f"operand exceeds occurrence cap of {_PART_CAP} parts")
+
+
+class _TrieNode:
+    """A plan trie node: the patterns whose plans end here, and the next
+    steps grouped as `groups[(anchor, key)] = table`.
+
+    An anchored group (anchor >= 0, key None) holds every next step with
+    that anchor, an anchorless one (anchor -1) every anchorless next step
+    with that key.  `table` maps a step's `(key, self pair, pairs towards
+    earlier positions)` to its child node.
+    """
+    __slots__ = ("index", "ends", "groups")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.ends: list[int] = []
+        self.groups: dict[tuple[int, Optional[tuple]], dict] = {}
+
+
+def _plan_trie(patterns: Sequence[Structure],
+               catalog: Optional[TypeCatalog]) -> tuple:
+    """The plans of `patterns` (`_pattern_plan`) merged into one trie.
+
+    Plans that start with equal steps share those nodes.  Returns
+    `(root, under, paths, shapes)`: per node index, the number of patterns
+    whose path runs through it; per pattern, its path as node indexes from
+    the root to the node its plan ends at, and its `(oriented, n)`.
+    Raises StructureError when a pattern exceeds `_PART_CAP` parts.
+    """
+    _check_part_cap(*patterns)
+    root = _TrieNode(0)
+    n_nodes = 1
+    paths = []
+    for j, b in enumerate(patterns):
+        node = root
+        path = [0]
+        for key, self_pair, towards, anchor in _pattern_plan(b, catalog):
+            table = node.groups.setdefault(
+                (anchor, None if anchor >= 0 else key), {})
+            step = (key, self_pair, towards)
+            child = table.get(step)
+            if child is None:
+                child = table[step] = _TrieNode(n_nodes)
+                n_nodes += 1
+            node = child
+            path.append(node.index)
+        node.ends.append(j)
+        paths.append(tuple(path))
+    under = [0] * n_nodes
+    for path in paths:
+        for i in path:
+            under[i] += 1
+    return root, under, paths, [(b.oriented, b.n) for b in patterns]
+
+
+def _pattern_trie(b: Structure, catalog: Optional[TypeCatalog]) -> tuple:
+    """b's plan as a one-pattern trie; `embeds` and `occurrences` cache it
+    on b with `_cached`."""
+    return _plan_trie((b,), catalog)
+
+
 def _host_index(a: Structure, catalog: Optional[TypeCatalog]
                 ) -> tuple[dict[str, tuple], dict[tuple, list[str]]]:
     """a's key map, and its parts grouped by key in part order: all an
-    embedding search needs of its host beyond `pairs`.  `_embeddings`
-    caches it on a with `_cached`."""
+    embedding search needs of its host beyond `pairs`.  `_search` caches it
+    on a with `_cached`."""
     keys = _key_map(a, catalog)
     by_key: dict[tuple, list[str]] = {}
     for p in a.parts:
@@ -793,77 +869,90 @@ def _host_index(a: Structure, catalog: Optional[TypeCatalog]
     return keys, by_key
 
 
-def _embeddings(a: Structure, b: Structure, catalog: Optional[TypeCatalog],
-                found: Callable[[list[str]], object]) -> bool:
-    """Search the induced embeddings of b in a, the one matcher.
+def _search(a: Structure, trie: tuple, catalog: Optional[TypeCatalog],
+            found: Callable[[int, list[str]], object]) -> list[bool]:
+    """Search the induced embeddings in a of every pattern of a plan trie
+    (`_plan_trie`) at once, the one matcher; which patterns `found` ended.
 
-    Follows b's plan (`_pattern_plan`).  A part with an anchor draws its
-    candidates from its anchor's image's relations, any other from the
-    parts of a with its key (`_host_index`).  Plan and host index are
-    cached on b and a (`_cached`), so asking many patterns of one host, or
-    one pattern of many hosts, builds each once.  A candidate must carry
-    the part's key and the same (dir, label, attrs) multiset as the part
-    towards itself and towards every part mapped so far, relations absent
-    included.  Each complete map goes to `found` as the list of images in
-    plan order; the search stops, and returns True, at the first map for
-    which `found` returns a true value.
-    Raises EmbeddingBudgetError past `_EMBED_NODE_CAP` recursion steps.
+    A pattern takes part when it agrees with a on orientation and has
+    between 1 and a.n parts.  At each trie node the search maps the next
+    part of every pattern below it.  An anchored group draws its
+    candidates from its anchor's image's relations, an anchorless one from
+    the parts of a with its key (`_host_index`, cached on a with
+    `_cached`).  A candidate is looked up in the group's table by its key
+    and its (dir, label, attrs) multisets towards itself and towards every
+    part mapped so far, relations absent included, so it must match a
+    step exactly.  Each complete map of pattern j goes to `found(j,
+    images)`, the images in j's plan order; j is done at the first map for
+    which `found` returns a true value, and the search leaves a subtree
+    once every pattern below it is done.
+    Raises StructureError when a exceeds `_PART_CAP` parts (`_plan_trie`
+    checks the patterns), and EmbeddingBudgetError past `_EMBED_NODE_CAP`
+    recursion steps.  A step is one node visit, so a one-pattern trie
+    takes the steps of a search for that pattern alone, and a trie at most
+    the sum of its patterns' steps.
     """
-    if a.oriented != b.oriented or not b.parts or b.n > a.n:
-        return False
-    plan = _cached(b, catalog, _pattern_plan)
+    root, under, paths, shapes = trie
+    _check_part_cap(a)
+    oriented, size = a.oriented, a.n
+    pending = [o == oriented and 0 < n <= size for o, n in shapes]
+    left = list(under)
+    for j, live in enumerate(pending):
+        if not live:
+            for i in paths[j]:
+                left[i] -= 1
+    done = [False] * len(paths)
+    if not left[0]:
+        return done
     keys_a, by_key = _cached(a, catalog, _host_index)
     pairs_a = a.pairs
-    last = len(plan)
     images: list[str] = []
     nodes = 0
     cap = _EMBED_NODE_CAP
 
-    def rec(i: int) -> bool:
+    def rec(node: _TrieNode) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > cap:
             raise EmbeddingBudgetError(
                 f"embedding search exceeds node cap of {cap}")
-        if i == last:
-            return bool(found(images))
-        key, self_pair, towards, anchor = plan[i]
-        pool = pairs_a[images[anchor]] if anchor >= 0 else \
-            by_key.get(key, ())
-        for c in pool:
-            if c in images or keys_a[c] != key:
-                continue
-            around = pairs_a[c]
-            if around.get(c, ()) != self_pair or any(
-                    around.get(x, ()) != t for x, t in zip(images, towards)):
-                continue
-            images.append(c)
-            if rec(i + 1):
-                return True
-            images.pop()
-        return False
+        if node.ends:
+            for j in node.ends:
+                if pending[j] and found(j, images):
+                    pending[j] = False
+                    done[j] = True
+                    for i in paths[j]:
+                        left[i] -= 1
+            if not left[node.index]:
+                return
+        for (anchor, key), table in node.groups.items():
+            pool = pairs_a[images[anchor]] if anchor >= 0 else \
+                by_key.get(key, ())
+            for c in pool:
+                if c in images:
+                    continue
+                around = pairs_a[c]
+                child = table.get((keys_a[c], around.get(c, ()),
+                                   tuple([around.get(x, ()) for x in images])))
+                if child is None or not left[child.index]:
+                    continue
+                images.append(c)
+                rec(child)
+                images.pop()
+                if not left[node.index]:
+                    return
 
-    return rec(0)
-
-
-# operand size cap of occurrences (so of difference), of embeds (so of the
-# solver's recognizers and pattern guards) and of convolution
-_PART_CAP = 64
-
-
-def _check_part_cap(a: Structure, b: Structure):
-    if a.n > _PART_CAP or b.n > _PART_CAP:
-        raise StructureError(
-            f"operand exceeds occurrence cap of {_PART_CAP} parts")
+    rec(root)
+    return done
 
 
 def occurrences(a: Structure, b: Structure,
                 catalog: Optional[TypeCatalog] = None) -> list[frozenset]:
     """Part subsets of a whose induced structure is isomorphic to b."""
-    _check_part_cap(a, b)
     found: set[frozenset] = set()
     # set.add returns None, so the search visits every embedding
-    _embeddings(a, b, catalog, lambda images: found.add(frozenset(images)))
+    _search(a, _cached(b, catalog, _pattern_trie), catalog,
+            lambda j, images: found.add(frozenset(images)))
     return sorted(found, key=lambda m: tuple(sorted(m)))
 
 
@@ -871,12 +960,11 @@ def embeds(a: Structure, b: Structure,
            catalog: Optional[TypeCatalog] = None) -> bool:
     """Whether some part subset of a induces a structure isomorphic to b.
 
-    Stops at the first embedding.  b's plan and a's host index are built on
-    first use and cached on the instances, so a caller asking many patterns
-    of one host just calls `embeds` for each.
+    Stops at the first embedding.  b's one-pattern trie and a's host index
+    are built on first use and cached on the instances.
     """
-    _check_part_cap(a, b)
-    return _embeddings(a, b, catalog, lambda images: True)
+    return _search(a, _cached(b, catalog, _pattern_trie), catalog,
+                   lambda j, images: True)[0]
 
 
 def _is_connected(s: Structure) -> bool:

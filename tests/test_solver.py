@@ -225,6 +225,25 @@ def test_embedding_budget_in_a_guard_is_not_a_broken_production(monkeypatch):
     assert cache.entries[cache.key_for(spec)].misses == 0
 
 
+def test_embedding_budget_of_a_recognition_pass_reaches_expand(monkeypatch):
+    # each lone part maps in 2 steps, but the one pass over all three
+    # recognizers takes 4: the root and a step per part
+    state = structure({"a": "A", "b": "B", "c": "C"},
+                      [("a", "b", "L"), ("b", "c", "L")])
+    lone = [structure({"x": t}) for t in "ABC"]
+    spec = ProblemSpec(state, ms("A"),
+                       (Production("noop", ms("A"), SetEffect()),),
+                       recognizers=tuple(StructRecognizer(t, p)
+                                         for t, p in zip("ABC", lone)))
+    monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 3)
+    assert all(embeds(state, p) for p in lone)
+    with pytest.raises(EmbeddingBudgetError, match="node cap of 3"):
+        expand(state, spec)
+    monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 4)
+    assert [r.subject for r in state_recognitions(state, spec)] == \
+        ["A", "B", "C"]
+
+
 def test_effect_failure_poisons_only_its_production():
     state = RecognitionState.of({"s0": 1.0})
     good = Production("good", ms("s0"),
@@ -513,6 +532,36 @@ def test_masked_recognizers_match_the_loop():
     recs = state_recognitions(state, spec)
     assert [r.subject for r in recs] == ["stacked", "grounded"]
     assert recs == recognitions_by_loop(state, spec)
+
+
+def test_recognizers_sharing_a_mask_share_its_morphism(monkeypatch):
+    # two recognizers behind one mask: the state is coarsened once
+    calls = []
+
+    def counting(state, mask, catalog):
+        calls.append(mask)
+        return apply_morphism(state, mask, catalog)
+
+    monkeypatch.setattr(sys.modules["structkit.solver"], "apply_morphism",
+                        counting)
+    catalog = TypeCatalog()
+    small = catalog.intern_attr("blk", {"size": 1})
+    state = structure({"a": small, "b": small, "t": "TBL"},
+                      [("a", "b", "on"), ("b", "t", "on")], oriented=True)
+    stacked = structure({"u": "blk", "v": "blk"}, [("u", "v", "on")],
+                        oriented=True)
+    grounded = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
+                         oriented=True)
+    mask = MorphismMask.make(drop_part_attrs={"size"})
+    spec = ProblemSpec(state, ms("stacked"),
+                       (Production("noop", ms("stacked"), SetEffect()),),
+                       recognizers=(StructRecognizer("stacked", stacked, mask),
+                                    StructRecognizer("grounded", grounded,
+                                                     mask)),
+                       catalog=catalog)
+    assert [r.subject for r in state_recognitions(state, spec)] == \
+        ["stacked", "grounded"]
+    assert calls == [mask]
 
 
 def test_recognition_follows_a_binding_made_by_a_mask():

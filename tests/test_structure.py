@@ -430,6 +430,23 @@ def test_canonical_node_cap(monkeypatch):
     assert canonical_order(typed) == ["a", "b"]
 
 
+def test_canonical_skips_refinement_when_keys_split_every_part(monkeypatch):
+    # every part has a key of its own, so no relation needs reading
+    typed = structure({"c": "C", "a": "A", "b": "B"},
+                      [("a", "b", "L"), ("b", "c", "L"), ("c", "a", "M")],
+                      oriented=True)
+    expected = canonical_order_oracle(typed)
+
+    def refuse(s):
+        raise AssertionError("refinement ran")
+
+    monkeypatch.setattr(STRUCTURE_MODULE, "_ends", refuse)
+    assert canonical_order(typed) == expected == ["a", "b", "c"]
+    assert isomorphic(typed, relabeled_copy(random.Random(4), typed))
+    with pytest.raises(AssertionError, match="refinement ran"):
+        canonical_order(path(3))
+
+
 @pytest.mark.parametrize("n", [12, 20, 30])
 def test_complete_graph_search_within_n_squared_nodes(monkeypatch, n):
     # an automorphism between two leaves sends the search back to the
@@ -813,6 +830,67 @@ def test_occurrences_match_oracle(seed, n_types, n_labels, oriented, attrs):
     for pattern in (sub, fresh):
         assert_matches_oracle(host, pattern)
         assert_matches_oracle(pattern, host)
+
+
+def with_self_loops(rng, s, n_labels):
+    loops = tuple(Relation(p, p, f"L{rng.randrange(n_labels)}")
+                  for p in s.parts if rng.random() < 0.3)
+    return Structure(s.parts, s.part_types, s.relations + loops, s.oriented)
+
+
+def recognition_patterns(rng, host, n_types, n_labels, oriented):
+    """Patterns for one recognition pass over host: shared plan prefixes,
+    duplicates, disconnected and single-part ones, one larger than the host
+    and one of the other orientation."""
+    k = rng.randint(1, min(4, host.n))
+    sub = induced(host, rng.sample(host.parts, k))
+    # a part added after sub's own keeps sub's plan as a prefix
+    t = f"T{rng.randrange(n_types)}"
+    grown = Structure(sub.parts + ("new",), sub.part_types + (t,),
+                      sub.relations + (Relation(rng.choice(sub.parts), "new",
+                                                "L0"),), oriented)
+    lone = Structure(("x",), (t,), (), oriented)
+    larger = Structure(host.parts + ("new",), host.part_types + (t,),
+                       host.relations + (Relation(host.parts[0], "new",
+                                                  "L0"),), oriented)
+    flipped = Structure(sub.parts, sub.part_types, sub.relations,
+                        not oriented)
+    fresh = random_structure(rng, max_n=4, n_types=n_types,
+                             n_labels=n_labels, oriented=oriented)
+    copy = Structure(sub.parts, sub.part_types, sub.relations, oriented)
+    return [sub, grown, relabeled_copy(rng, sub), sub, copy, lone,
+            induced(host, rng.sample(host.parts, k)), larger, flipped,
+            fresh, with_self_loops(rng, lone, n_labels)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.booleans())
+def test_recognition_pass_matches_oracle(seed, n_types, n_labels, oriented,
+                                         attrs):
+    # one search over the patterns' shared plan trie fires exactly the
+    # recognizers whose pattern the oracle finds in the host
+    from structkit.rules import MicroSituation, MsMember
+    from structkit.solver import (Production, ProblemSpec, SetEffect,
+                                  StructRecognizer, state_recognitions)
+    rng = random.Random(seed)
+    host = random_structure(rng, max_n=7, n_types=n_types,
+                            n_labels=n_labels, oriented=oriented)
+    host = with_self_loops(rng, host, n_labels)
+    if attrs:
+        host = with_random_attrs(rng, host)
+    patterns = recognition_patterns(rng, host, n_types, n_labels, oriented)
+    hit = [bool(occurrences_oracle(host, p)) for p in patterns]
+    any_r0 = MicroSituation((MsMember("r0", True),))
+    spec = ProblemSpec(host, any_r0,
+                       (Production("noop", any_r0, SetEffect()),),
+                       recognizers=tuple(StructRecognizer(f"r{j}", p)
+                                         for j, p in enumerate(patterns)))
+    assert [r.subject for r in state_recognitions(host, spec)] == \
+        [f"r{j}" for j, h in enumerate(hit) if h]
+    assert hit[0] and hit[3] and not hit[7] and not hit[8]
+    for p in patterns:
+        assert_matches_oracle(host, p)
 
 
 two_k2 = structure({"a": "T", "b": "T", "c": "T", "d": "T"},
