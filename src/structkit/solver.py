@@ -102,18 +102,46 @@ class SearchResult:
 # state inspection
 # ---------------------------------------------------------------------------
 
+# recognizer plan tries kept for the whole process (`_recognizer_tries`);
+# past this many entries the oldest is evicted
+_TRIE_CACHE_CAP = 128
+_TRIE_CACHE: dict[tuple, tuple] = {}
+
+
 def _recognizer_tries(spec: ProblemSpec, catalog: Optional[TypeCatalog]
                       ) -> list[tuple]:
     """Per distinct mask (None for none), in order of first use: the mask,
     the plan trie of its recognizers' patterns and their positions among
     the recognizers.  `state_recognitions` caches it on the spec with
-    `_cached`."""
+    `_cached`.
+
+    Behind that, one process-wide cache (`_TRIE_CACHE`, at most
+    `_TRIE_CACHE_CAP` tries, the oldest evicted first) serves every spec
+    and catalog.  A trie's key is, per pattern, its parts, the type key of
+    each part in part order, its relations and its orientation: all that
+    `_plan_trie` reads.  A bound type key never changes and an unbound id
+    keys as `("o", id)`, so equal keys give the trie a fresh compile would
+    build, in any catalog.  `_search` never mutates a trie, so specs share
+    it.
+    """
+    type_key = catalog.type_key if catalog is not None else \
+        (lambda t: ("o", t))
     members: dict = {}
     for i, rec in enumerate(spec.recognizers):
         members.setdefault(rec.mask, []).append(i)
-    return [(mask, _plan_trie([spec.recognizers[i].pattern for i in idx],
-                              catalog), idx)
-            for mask, idx in members.items()]
+    tries = []
+    for mask, idx in members.items():
+        patterns = [spec.recognizers[i].pattern for i in idx]
+        key = tuple((b.parts, tuple(map(type_key, b.part_types)),
+                     b.relations, b.oriented) for b in patterns)
+        trie = _TRIE_CACHE.get(key)
+        if trie is None:
+            trie = _plan_trie(patterns, catalog)
+            if len(_TRIE_CACHE) >= _TRIE_CACHE_CAP:
+                del _TRIE_CACHE[next(iter(_TRIE_CACHE))]
+            _TRIE_CACHE[key] = trie
+        tries.append((mask, trie, idx))
+    return tries
 
 
 def state_recognitions(state: State, spec: ProblemSpec) -> list[Recognition]:
@@ -356,7 +384,7 @@ def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
     result = solve(spec, budget)
     if result.status == "solved":
         if entry is None:
-            cache.store(spec, result.plan)
+            cache.entries[key] = CacheEntry(result.plan)
         else:
             entry.plan = result.plan
     return result

@@ -278,6 +278,8 @@ def _cached(s, catalog: Optional[TypeCatalog],
     keys as `("o", id)` only until the catalog binds it, and a bound key
     never changes, so the value holds while the catalog is the same and
     its `bound_count()` has not grown.  Only the last value built is kept.
+    It is the fast path: the solver's recognizer tries have a process-wide
+    cache behind it (`solver._recognizer_tries`), keyed by content.
     """
     count = catalog.bound_count() if catalog is not None else 0
     cached = s.__dict__.get(build.__name__)
@@ -823,6 +825,10 @@ def _plan_trie(patterns: Sequence[Structure],
     `(root, under, paths, shapes)`: per node index, the number of patterns
     whose path runs through it; per pattern, its path as node indexes from
     the root to the node its plan ends at, and its `(oriented, n)`.
+    The trie depends only on each pattern's parts, the type key of each
+    part, its relations and its orientation, so patterns equal in those
+    give equal tries in any catalog; `solver._recognizer_tries` shares one
+    trie across specs by that content.
     Raises StructureError when a pattern exceeds `_PART_CAP` parts.
     """
     _check_part_cap(*patterns)
@@ -890,7 +896,9 @@ def _search(a: Structure, trie: tuple, catalog: Optional[TypeCatalog],
     checks the patterns), and EmbeddingBudgetError past `_EMBED_NODE_CAP`
     recursion steps.  A step is one node visit, so a one-pattern trie
     takes the steps of a search for that pattern alone, and a trie at most
-    the sum of its patterns' steps.
+    the sum of its patterns' steps.  The trie is only read: the counts go
+    to `left`, a copy of `under`, so one trie serves any number of
+    searches and specs.
     """
     root, under, paths, shapes = trie
     _check_part_cap(a)

@@ -31,12 +31,16 @@ from structkit.structure import (
     Structure,
     StructureError,
     TypeCatalog,
+    _plan_trie,
     embeds,
     structure,
 )
 
+from oracles import occurrences_oracle
+
 # the package re-exports the function `structure` under the module's name
 STRUCTURE_MODULE = sys.modules["structkit.structure"]
+SOLVER_MODULE = sys.modules["structkit.solver"]
 
 
 def ms(*members):
@@ -738,3 +742,157 @@ def test_cache_stale_entry_falls_back():
     cache.entries[cache.key_for(spec)] = CacheEntry(("e9:none",))
     result = solve_with_cache(spec, cache)
     assert result.status == "solved" and len(result.plan) == 2
+
+
+def test_a_cache_miss_abstracts_its_start_once(monkeypatch):
+    # the key computed on entry is the key a solved miss is stored under
+    calls = []
+
+    def counting(state, mask, catalog):
+        calls.append(state)
+        return apply_morphism(state, mask, catalog)
+
+    monkeypatch.setattr(SOLVER_MODULE, "apply_morphism", counting)
+    catalog = TypeCatalog()
+    cache = SolutionCache(MorphismMask.make(drop_part_attrs={"size"}), catalog)
+    small = block_spec({"A": "B", "B": "T", "C": "T"}, [("A", "C")],
+                       catalog=catalog, sizes={"A": 1, "B": 1, "C": 1})
+    big = block_spec({"A": "B", "B": "T", "C": "T"}, [("A", "C")],
+                     catalog=catalog, sizes={"A": 2, "B": 2, "C": 2})
+    assert solve_with_cache(small, cache).visited > 0
+    assert len(calls) == 1 and calls[0] is small.start
+    assert list(cache.entries) == [cache.key_for(small)]
+    calls.clear()
+    assert solve_with_cache(big, cache).visited == 0
+    assert len(calls) == 1 and calls[0] is big.start
+
+
+# --- recognizer tries shared across specs and catalogs -----------------------
+
+def trie_shape(node):
+    """A plan trie node and everything below it as plain nested data."""
+    return (node.index, tuple(node.ends),
+            {group: {step: trie_shape(child) for step, child in table.items()}
+             for group, table in node.groups.items()})
+
+
+def same_trie(trie, fresh):
+    root, under, paths, shapes = trie
+    return (trie_shape(root) == trie_shape(fresh[0])
+            and (under, paths, shapes) == fresh[1:])
+
+
+def only_trie(spec):
+    [(mask, trie, _)] = SOLVER_MODULE._recognizer_tries(spec, spec.catalog)
+    assert mask is None
+    return trie
+
+
+def test_equal_recognizers_in_two_catalogs_share_one_trie():
+    supports = ({"A": "B", "B": "T", "C": "T"}, {"A": "T", "B": "T", "C": "T"},
+                {"A": "T", "B": "C", "C": "A"})
+    sizes = {"A": 1, "B": 2, "C": 1}
+    one, two = (block_spec(supports[0], [("A", "C")], TypeCatalog(), sizes)
+                for _ in range(2))
+    assert one.catalog is not two.catalog
+    shared = only_trie(one)
+    assert only_trie(two) is shared
+    assert same_trie(shared, _plan_trie([r.pattern for r in two.recognizers],
+                                        two.catalog))
+    # states of both specs, interleaved, answer as one embeds per recognizer
+    for start in supports:
+        for spec in (one, two):
+            state = block_state(start, spec.catalog, sizes)
+            assert state_recognitions(state, spec) == \
+                recognitions_by_loop(state, spec)
+
+
+def test_a_trie_for_an_unbound_id_is_not_reused_once_it_is_bound():
+    catalog = TypeCatalog()
+    state = structure({"a": "blk", "t": "TBL"}, [("a", "t", "on")],
+                      oriented=True)
+
+    def spec_of():
+        pattern = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
+                            oriented=True)
+        return ProblemSpec(state, ms("grounded"),
+                           (Production("noop", ms("grounded"), SetEffect()),),
+                           recognizers=(StructRecognizer("grounded", pattern),),
+                           catalog=catalog)
+
+    before = spec_of()
+    unbound = only_trie(before)
+    assert [r.subject for r in state_recognitions(state, before)] == \
+        ["grounded"]
+    catalog.add_atomic("blk")
+    after = spec_of()
+    bound = only_trie(after)
+    assert bound is not unbound
+    assert same_trie(bound, _plan_trie([after.recognizers[0].pattern],
+                                       catalog))
+    for spec in (after, before):
+        assert state_recognitions(state, spec) == \
+            recognitions_by_loop(state, spec) == [Recognition("grounded", 1.0, 0)]
+
+
+def test_catalogs_binding_one_id_apart_get_their_own_tries():
+    # "blk" keys as the state's "X" in one catalog only
+    tries, answers = [], []
+    for label in ("same", "other"):
+        catalog = TypeCatalog()
+        catalog.add_atomic("X", "same")
+        catalog.add_atomic("blk", label)
+        state = structure({"a": "X", "t": "TBL"}, [("a", "t", "on")],
+                          oriented=True)
+        pattern = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
+                            oriented=True)
+        spec = ProblemSpec(state, ms("grounded"),
+                           (Production("noop", ms("grounded"), SetEffect()),),
+                           recognizers=(StructRecognizer("grounded", pattern),),
+                           catalog=catalog)
+        tries.append(only_trie(spec))
+        recs = state_recognitions(state, spec)
+        assert recs == recognitions_by_loop(state, spec)
+        answers.append([r.subject for r in recs])
+    assert tries[0] is not tries[1]
+    assert answers == [["grounded"], []]
+
+
+def test_trie_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(SOLVER_MODULE, "_TRIE_CACHE_CAP", 3)
+    monkeypatch.setattr(SOLVER_MODULE, "_TRIE_CACHE", {})
+    catalog = TypeCatalog()
+    catalog.add_atomic("N")
+    state = structure({"a": "N", "b": "M", "c": "N", "d": "N"},
+                      [("a", "b", "adj"), ("b", "c", "adj"), ("c", "d", "adj")])
+    patterns = [structure({"x": "N"}),
+                structure({"x": "N", "y": "M"}, [("x", "y", "adj")]),
+                structure({"x": "M", "y": "N", "z": "N"},
+                          [("x", "y", "adj"), ("y", "z", "adj")]),
+                structure({"x": "N", "y": "N"}, [("x", "y", "adj")]),
+                structure({"x": "M", "y": "M"}, [("x", "y", "adj")]),
+                structure({"x": "N", "y": "N", "z": "N"},
+                          [("x", "y", "adj"), ("y", "z", "adj"),
+                           ("z", "x", "adj")])]
+
+    def spec_of(k):
+        recognizers = tuple(
+            StructRecognizer(f"r{j}", patterns[j])
+            for j in (k, (k + 1) % len(patterns)))
+        return ProblemSpec(state, ms("r0"),
+                           (Production("noop", ms("r0"), SetEffect()),),
+                           recognizers=recognizers, catalog=catalog)
+
+    tries = []
+    for _ in range(2):
+        for k in range(len(patterns)):
+            spec = spec_of(k)
+            recs = state_recognitions(state, spec)
+            assert [r.subject for r in recs] == [
+                rec.subject for rec in spec.recognizers
+                if occurrences_oracle(state, rec.pattern, catalog)]
+            tries.append(only_trie(spec))
+            # every set is new to the cache: it holds the latest three
+            cached = list(SOLVER_MODULE._TRIE_CACHE.values())
+            assert len(cached) == min(len(tries), 3)
+            assert all(c is t for c, t in zip(cached, tries[-3:]))
