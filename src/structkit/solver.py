@@ -355,11 +355,6 @@ class SolutionCache:
     def key_for(self, spec: ProblemSpec) -> tuple[tuple, tuple]:
         return (self.abstract_state(spec.start), self.abstract_goal(spec.goal))
 
-    def store(self, spec: ProblemSpec, plan: tuple[str, ...]):
-        key = self.key_for(spec)
-        if key not in self.entries:
-            self.entries[key] = CacheEntry(plan)
-
 
 def solve_with_cache(spec: ProblemSpec, cache: SolutionCache,
                      budget: int = _SOLVE_BUDGET) -> SearchResult:

@@ -745,11 +745,15 @@ def induced(s: Structure, members: Iterable[str]) -> Structure:
     return Structure(parts, tuple(s.types[p] for p in parts), rels, s.oriented)
 
 
-# recursion steps each embedding search may take; the largest search seen
-# on the tests, the demo and the benchmark workloads takes 1,537 (2K2 in a
-# 4x4 grid; the benchmark's largest, one recognition pass of 16 recognizers
-# over a 5-part state, takes 9), and listing every P7 in an 8x8 grid takes
-# 19,793 (0.04 s)
+# recursion steps each embedding search may take, the matcher's one bound:
+# no operand size is checked, since a search's cost is its steps.  The
+# largest search seen on the tests, the demo and the benchmark workloads
+# takes 1,537 (2K2 in a 4x4 grid; the benchmark's largest, one recognition
+# pass of 16 recognizers over a 5-part state, takes 9); listing every P7 in
+# an 8x8 grid takes 19,793 (0.04 s).  On a 100x100 grid (10,000 parts)
+# `embeds` finds a P7 in 8 steps and 0.06 s, nearly all of it indexing the
+# host, while listing every P7 in a 40x40 grid stops at this cap in 0.4 s
+# (Python 3.11, 2-vCPU host)
 _EMBED_NODE_CAP = 100_000
 
 
@@ -789,17 +793,6 @@ def _pattern_plan(b: Structure,
         for i, p in enumerate(order))
 
 
-# operand size cap of occurrences (so of difference), of embeds (so of
-# pattern guards), of the solver's recognizers and of convolution
-_PART_CAP = 64
-
-
-def _check_part_cap(*operands: Structure):
-    if any(s.n > _PART_CAP for s in operands):
-        raise StructureError(
-            f"operand exceeds occurrence cap of {_PART_CAP} parts")
-
-
 class _TrieNode:
     """A plan trie node: the patterns whose plans end here, and the next
     steps grouped as `groups[(anchor, key)] = table`.
@@ -829,9 +822,7 @@ def _plan_trie(patterns: Sequence[Structure],
     part, its relations and its orientation, so patterns equal in those
     give equal tries in any catalog; `solver._recognizer_tries` shares one
     trie across specs by that content.
-    Raises StructureError when a pattern exceeds `_PART_CAP` parts.
     """
-    _check_part_cap(*patterns)
     root = _TrieNode(0)
     n_nodes = 1
     paths = []
@@ -892,16 +883,14 @@ def _search(a: Structure, trie: tuple, catalog: Optional[TypeCatalog],
     images)`, the images in j's plan order; j is done at the first map for
     which `found` returns a true value, and the search leaves a subtree
     once every pattern below it is done.
-    Raises StructureError when a exceeds `_PART_CAP` parts (`_plan_trie`
-    checks the patterns), and EmbeddingBudgetError past `_EMBED_NODE_CAP`
-    recursion steps.  A step is one node visit, so a one-pattern trie
-    takes the steps of a search for that pattern alone, and a trie at most
-    the sum of its patterns' steps.  The trie is only read: the counts go
-    to `left`, a copy of `under`, so one trie serves any number of
-    searches and specs.
+    Raises EmbeddingBudgetError past `_EMBED_NODE_CAP` recursion steps,
+    its one bound, whatever the sizes of a and the patterns.  A step is one
+    node visit, so a one-pattern trie takes the steps of a search for that
+    pattern alone, and a trie at most the sum of its patterns' steps.  The
+    trie is only read: the counts go to `left`, a copy of `under`, so one
+    trie serves any number of searches and specs.
     """
     root, under, paths, shapes = trie
-    _check_part_cap(a)
     oriented, size = a.oriented, a.n
     pending = [o == oriented and 0 < n <= size for o, n in shapes]
     left = list(under)
@@ -1002,14 +991,21 @@ def difference(a: Structure, b: Structure) -> list[Structure]:
     return results
 
 
+# parts a convolution may build (64 x 64)
+_CONVOLUTION_CAP = 4096
+
+
 def convolution(a: Structure, b: Structure) -> Structure:
     """Substitute every part of b with a copy of a.
 
     Each relation of b is replicated across the corresponding parts of the
     two copies (k-th part with k-th part), so the result inherits one glue
-    relation per relation of b per part of a.  Part count multiplies.
+    relation per relation of b per part of a.  Part count multiplies, and
+    a result over `_CONVOLUTION_CAP` parts is refused.
     """
-    _check_part_cap(a, b)
+    if a.n * b.n > _CONVOLUTION_CAP:
+        raise StructureError(
+            f"convolution exceeds output cap of {_CONVOLUTION_CAP} parts")
     if a.oriented != b.oriented:
         raise StructureError("convolution operands must agree on orientation")
     if a.n == 0 or b.n == 0:

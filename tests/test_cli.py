@@ -630,6 +630,27 @@ def test_solve_structure_state_with_recognizers_and_schema_effect(tmp_path):
     assert payload["status"] == "solved" and payload["plan"] == ["grow"]
 
 
+def test_solve_structure_state_over_64_parts(tmp_path):
+    # a 70-part path state and a one-part recognizer that fires on it
+    text = "".join(f"part p{i} T\n" for i in range(70)) + \
+        "".join(f"rel p{i} p{i + 1} L\n" for i in range(69))
+    problem = {
+        "start": {"struct": text},
+        "goal": {"members": [{"subject": "hasT"}]},
+        "recognizers": [{"subject": "hasT", "pattern": "part a T\n"}],
+        "productions": [{"name": "noop",
+                         "guard": {"members": [{"subject": "hasT"}]},
+                         "effect": {"add": [], "remove": []}}],
+    }
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    out = tmp_path / "plan.json"
+    assert main(["solve", str(pfile), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    validate(payload, "plan_report")
+    assert payload["status"] == "solved" and payload["plan"] == []
+
+
 def grow_problem() -> dict:
     """A structure-state problem with recognizers, schema effects, an
     undesired situation and several plans of the least length; the budget

@@ -154,39 +154,45 @@ def test_determinism():
     assert solve(spec) == solve(spec)
 
 
+def long_path(n):
+    return structure({f"p{i}": "T" for i in range(n)},
+                     [(f"p{i}", f"p{i+1}", "L") for i in range(n - 1)])
+
+
+# a mask that drops part attributes needs a catalog to re-intern them
+NEEDS_CATALOG = MorphismMask.make(drop_part_attrs={"size"})
+
+
 def test_guard_failure_poisons_only_its_production():
-    # a pattern guard on an oversized structure trips the occurrence cap;
-    # that production drops out, the search itself survives
-    from structkit.structure import structure
-    big = structure({f"p{i}": "T" for i in range(70)},
-                    [(f"p{i}", f"p{i+1}", "L") for i in range(69)])
-    pattern = structure({"a": "T"})
-    sick = Production("sick", pattern, SetEffect())
+    # a guard of no supported kind fails; that production drops out, the
+    # others still fire
+    state = RecognitionState.of({"s0": 1.0})
+    sick = Production("sick", "no guard", SetEffect())
     fine = Production("fine", ms("s0"), SetEffect(add=(("s1", 1.0),)))
-    spec = ProblemSpec(big, ms("s1"), (sick, fine))
-    succ, errors = expand(big, spec)
-    assert succ == []
-    assert errors and errors[0][0] == "sick" and "cap" in errors[0][1]
+    spec = ProblemSpec(state, ms("s1"), (sick, fine))
+    succ, errors = expand(state, spec)
+    assert [name for name, _ in succ] == ["fine"]
+    assert errors == [("sick", "unsupported guard on production sick")]
 
 
 def test_guard_failures_under_shared_recognitions_poison_each_production():
-    # the recognitions shared by the micro-situation guards trip the cap, and
-    # so does the pattern guard: every production reports its own error
-    big = structure({f"p{i}": "T" for i in range(70)},
-                    [(f"p{i}", f"p{i+1}", "L") for i in range(69)])
+    # the recognitions shared by the micro-situation guards fail on their
+    # masked recognizer, and each of those productions reports its own
+    # error; the pattern guard embeds in the 70-part state and fires
+    big = long_path(70)
     pattern = structure({"a": "T"})
     prods = (Production("first", ms("hasT"), SetEffect()),
-             Production("pattern", pattern, SetEffect()),
+             Production("pattern", pattern, lambda state: state),
              Production("second", ms("!hasT"), SetEffect()))
-    spec = ProblemSpec(big, ms("done"), prods,
-                       recognizers=(StructRecognizer("hasT", pattern),))
+    spec = ProblemSpec(big, ms("done"), prods, recognizers=(
+        StructRecognizer("hasT", pattern, NEEDS_CATALOG),))
     succ, errors = expand(big, spec)
-    assert succ == []
-    assert [name for name, _ in errors] == ["first", "pattern", "second"]
-    assert all("occurrence cap" in msg for _, msg in errors)
+    assert succ == [("pattern", big)]
+    assert [name for name, _ in errors] == ["first", "second"]
+    assert all("needs a catalog" in msg for _, msg in errors)
 
 
-def test_occurrence_cap_reaches_recognizers(monkeypatch):
+def test_recognizer_error_reaches_solve():
     three = structure({"a": "T", "b": "T", "c": "T"},
                       [("a", "b", "L"), ("b", "c", "L")])
     pair = structure({"u": "T", "v": "T"}, [("u", "v", "L")])
@@ -194,9 +200,19 @@ def test_occurrence_cap_reaches_recognizers(monkeypatch):
                        (Production("noop", ms("linked"), SetEffect()),),
                        recognizers=(StructRecognizer("linked", pair),))
     assert solve(spec, 10).status == "solved"
-    monkeypatch.setattr(STRUCTURE_MODULE, "_PART_CAP", 2)
-    with pytest.raises(StructureError, match="cap of 2 parts"):
-        solve(spec, 10)
+    masked = dataclasses.replace(spec, recognizers=(
+        StructRecognizer("linked", pair, NEEDS_CATALOG),))
+    with pytest.raises(StructureError, match="needs a catalog"):
+        solve(masked, 10)
+
+
+def test_a_state_over_64_parts_solves():
+    # one recognizer of one part fires on a 70-part path at the start
+    spec = ProblemSpec(long_path(70), ms("hasT"),
+                       (Production("noop", ms("hasT"), SetEffect()),),
+                       recognizers=(StructRecognizer(
+                           "hasT", structure({"a": "T"})),))
+    assert solve(spec, 10) == SearchResult((), 0, 0, "solved")
 
 
 def test_canonical_budget_reaches_state_keys(monkeypatch):
@@ -220,7 +236,7 @@ def test_embedding_budget_in_a_guard_is_not_a_broken_production(monkeypatch):
     spec = ProblemSpec(state, ms("done"),
                        (Production("grow", pattern, SetEffect()),))
     cache = SolutionCache()
-    cache.store(spec, ("grow",))
+    cache.entries[cache.key_for(spec)] = CacheEntry(("grow",))
     monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 2)
     with pytest.raises(EmbeddingBudgetError, match="node cap of 2"):
         solve(spec, 10)
@@ -722,12 +738,17 @@ def test_cache_miss_falls_back_to_search():
     assert via_cache == direct
 
 
-def test_cache_replay_cap_error_counts_miss_and_searches_afresh(monkeypatch):
+def test_cache_replay_structure_error_counts_miss_and_searches_afresh(
+        monkeypatch):
     spec = block_spec({"A": "B", "B": "T", "C": "T"}, [("A", "C")])
     cache = SolutionCache()
     assert solve_with_cache(spec, cache).status == "solved"
     entry = cache.entries[cache.key_for(spec)]
-    monkeypatch.setattr(STRUCTURE_MODULE, "_PART_CAP", 2)
+
+    def failing(*args):
+        raise StructureError("recognition failed")
+
+    monkeypatch.setattr(SOLVER_MODULE, "_search", failing)
     with pytest.raises(StructureError) as alone:
         solve(spec)
     with pytest.raises(StructureError) as via_cache:

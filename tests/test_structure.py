@@ -786,12 +786,44 @@ def test_equinumerous_nonisomorphic_equal_number():
     assert morphism_number(a) == morphism_number(b)
 
 
-# --- occurrences cap ---------------------------------------------------------
+def test_convolution_bounds_its_output_not_its_operands():
+    assert convolution(path(100), path(2)).n == 200
+    assert convolution(path(64), path(64)).n == 4096
+    with pytest.raises(StructureError, match="convolution"):
+        convolution(path(65), path(64))
 
-def test_occurrence_cap_enforced():
-    big = path(70)
-    with pytest.raises(StructureError):
-        occurrences(big, path(2))
+
+# --- large hosts: the step cap is the matcher's one bound --------------------
+
+def grid(width, height):
+    parts = {f"g{x}_{y}": "T" for x in range(width) for y in range(height)}
+    rels = [(f"g{x}_{y}", f"g{x + 1}_{y}", "L")
+            for x in range(width - 1) for y in range(height)]
+    rels += [(f"g{x}_{y}", f"g{x}_{y + 1}", "L")
+             for x in range(width) for y in range(height - 1)]
+    return structure(parts, rels)
+
+
+def test_occurrences_on_hosts_over_64_parts_match_oracle():
+    rng = random.Random(6512)
+    for k in range(20):
+        oriented = k % 2 == 1
+        host = random_structure(rng, max_n=120, oriented=oriented)
+        while host.n < 65:
+            host = random_structure(rng, max_n=120, oriented=oriented)
+        for _ in range(4):
+            assert_matches_oracle(host, random_structure(
+                rng, max_n=4, oriented=oriented))
+
+
+def test_embeds_a_path_in_a_large_grid():
+    assert embeds(grid(100, 100), path(7))
+    assert embeds(grid(9, 9), path(3))
+
+
+def test_listing_every_path_in_a_large_grid_hits_the_step_cap():
+    with pytest.raises(EmbeddingBudgetError, match="node cap"):
+        occurrences(grid(40, 40), path(7))
 
 
 # --- induced embeddings -----------------------------------------------------
