@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -745,27 +745,23 @@ def induced(s: Structure, members: Iterable[str]) -> Structure:
     return Structure(parts, tuple(s.types[p] for p in parts), rels, s.oriented)
 
 
-# recursion steps each embedding search may take, the matcher's one bound:
-# no operand size is checked, since a search's cost is its steps.  The
-# largest search seen on the tests, the demo and the benchmark workloads
-# takes 1,537 (2K2 in a 4x4 grid; the benchmark's largest, one recognition
-# pass of 16 recognizers over a 5-part state, takes 9); listing every P7 in
-# an 8x8 grid takes 19,793 (0.04 s).  On a 100x100 grid (10,000 parts)
-# `embeds` finds a P7 in 8 steps and 0.06 s, nearly all of it indexing the
-# host, while listing every P7 in a 40x40 grid stops at this cap in 0.4 s
-# (Python 3.11, 2-vCPU host)
+# steps each embedding search may take, its one bound (a step is a trie
+# node visited or a candidate turned away); the largest search seen on the
+# tests, the demo and the benchmark takes 2,161 (2K2 in a 4x4 grid; the
+# benchmark's largest 12), and `embeds` finds P7 in a 100x100 grid in 13
 _EMBED_NODE_CAP = 100_000
 
 
 def _pattern_plan(b: Structure,
                   catalog: Optional[TypeCatalog]) -> tuple[tuple, ...]:
     """b's match plan: per pattern part, in match order, the wanted
-    `(key, self pair, pairs towards earlier positions, anchor)`.
+    `(key, self pair, towards, anchor)`.
 
     Parts go in breadth-first order over b's relations, restarting at each
     component.  A part's anchor is the position of the neighbour it was
-    reached from, or -1 for a component's first part; its pairs are its
-    `Structure.pairs` entries, `()` where no relation runs.  The plan
+    reached from, or -1 for a component's first part; its self pair and
+    `towards`, the `(position, pair)` of each earlier part it is related
+    to, come from `Structure.pairs`, so a plan is linear in b.  The plan
     depends only on b and its type keys; `_plan_trie` merges plans.
     """
     pairs = b.pairs
@@ -789,7 +785,8 @@ def _pattern_plan(b: Structure,
     key_of = _key_map(b, catalog)
     return tuple(
         (key_of[p], pairs[p].get(p, ()),
-         tuple(pairs[p].get(q, ()) for q in order[:i]), anchor[i])
+         tuple(sorted([(pos[q], ends) for q, ends in pairs[p].items()
+                       if pos[q] < i])), anchor[i])
         for i, p in enumerate(order))
 
 
@@ -799,8 +796,8 @@ class _TrieNode:
 
     An anchored group (anchor >= 0, key None) holds every next step with
     that anchor, an anchorless one (anchor -1) every anchorless next step
-    with that key.  `table` maps a step's `(key, self pair, pairs towards
-    earlier positions)` to its child node.
+    with that key.  `table` maps a step's `(key, self pair, towards)`
+    (`_pattern_plan`) to its child node.
     """
     __slots__ = ("index", "ends", "groups")
 
@@ -877,18 +874,17 @@ def _search(a: Structure, trie: tuple, catalog: Optional[TypeCatalog],
     candidates from its anchor's image's relations, an anchorless one from
     the parts of a with its key (`_host_index`, cached on a with
     `_cached`).  A candidate is looked up in the group's table by its key
-    and its (dir, label, attrs) multisets towards itself and towards every
-    part mapped so far, relations absent included, so it must match a
-    step exactly.  Each complete map of pattern j goes to `found(j,
+    and its pairs towards itself and the parts mapped so far, so it must
+    match a step exactly.  Each complete map of pattern j goes to `found(j,
     images)`, the images in j's plan order; j is done at the first map for
     which `found` returns a true value, and the search leaves a subtree
     once every pattern below it is done.
-    Raises EmbeddingBudgetError past `_EMBED_NODE_CAP` recursion steps,
-    its one bound, whatever the sizes of a and the patterns.  A step is one
-    node visit, so a one-pattern trie takes the steps of a search for that
-    pattern alone, and a trie at most the sum of its patterns' steps.  The
-    trie is only read: the counts go to `left`, a copy of `under`, so one
-    trie serves any number of searches and specs.
+    Raises EmbeddingBudgetError past `_EMBED_NODE_CAP` steps, its one
+    bound: the root and each candidate examined are a step, and a
+    candidate costs time linear in the fewer of its relations and the parts
+    mapped.  A trie takes at most the sum of its patterns' steps.  The walk
+    keeps its own stack, so patterns of any depth fit.  The trie is only
+    read: the counts go to `left`, a copy of `under`.
     """
     root, under, paths, shapes = trie
     oriented, size = a.oriented, a.n
@@ -904,42 +900,55 @@ def _search(a: Structure, trie: tuple, catalog: Optional[TypeCatalog],
     keys_a, by_key = _cached(a, catalog, _host_index)
     pairs_a = a.pairs
     images: list[str] = []
-    nodes = 0
+    at: dict[str, int] = {}
+    steps = 1  # the root's visit
     cap = _EMBED_NODE_CAP
 
-    def rec(node: _TrieNode) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise EmbeddingBudgetError(
-                f"embedding search exceeds node cap of {cap}")
-        if node.ends:
-            for j in node.ends:
-                if pending[j] and found(j, images):
-                    pending[j] = False
-                    done[j] = True
-                    for i in paths[j]:
-                        left[i] -= 1
-            if not left[node.index]:
-                return
+    def visit(node: _TrieNode) -> Iterator[Iterator]:
+        # yields each child's walk with its image pushed; pops it on resume
+        nonlocal steps
+        for j in node.ends:
+            if pending[j] and found(j, images):
+                pending[j] = False
+                done[j] = True
+                for i in paths[j]:
+                    left[i] -= 1
+        if not left[node.index]:
+            return
         for (anchor, key), table in node.groups.items():
             pool = pairs_a[images[anchor]] if anchor >= 0 else \
                 by_key.get(key, ())
             for c in pool:
-                if c in images:
+                steps += 1
+                if steps > cap:
+                    raise EmbeddingBudgetError(
+                        f"embedding search exceeds node cap of {cap}")
+                if c in at:
                     continue
                 around = pairs_a[c]
-                child = table.get((keys_a[c], around.get(c, ()),
-                                   tuple([around.get(x, ()) for x in images])))
+                if len(around) < len(images):
+                    towards = tuple(sorted([(at[x], ends) for x, ends
+                                            in around.items() if x in at]))
+                else:
+                    towards = tuple([(i, around[x]) for i, x
+                                     in enumerate(images) if x in around])
+                child = table.get((keys_a[c], around.get(c, ()), towards))
                 if child is None or not left[child.index]:
                     continue
+                at[c] = len(images)
                 images.append(c)
-                rec(child)
-                images.pop()
+                yield visit(child)
+                del at[images.pop()]
                 if not left[node.index]:
                     return
 
-    rec(root)
+    stack = [visit(root)]
+    while stack:
+        walk = next(stack[-1], None)
+        if walk is None:
+            stack.pop()
+        else:
+            stack.append(walk)
     return done
 
 
@@ -1000,8 +1009,7 @@ def convolution(a: Structure, b: Structure) -> Structure:
 
     Each relation of b is replicated across the corresponding parts of the
     two copies (k-th part with k-th part), so the result inherits one glue
-    relation per relation of b per part of a.  Part count multiplies, and
-    a result over `_CONVOLUTION_CAP` parts is refused.
+    relation per relation of b per part of a.  Part count multiplies.
     """
     if a.n * b.n > _CONVOLUTION_CAP:
         raise StructureError(

@@ -826,6 +826,40 @@ def test_listing_every_path_in_a_large_grid_hits_the_step_cap():
         occurrences(grid(40, 40), path(7))
 
 
+def test_candidates_turned_away_count_as_steps(monkeypatch):
+    # b needs a self-loop, so every part examined for it is turned away:
+    # the first choice of a takes 1 + 1 visits and 5 candidates
+    lone = structure({"a": "T", "b": "T"}, [("b", "b", "L")])
+    monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 6)
+    with pytest.raises(EmbeddingBudgetError, match="node cap of 6"):
+        embeds(path(5), lone)
+    monkeypatch.setattr(STRUCTURE_MODULE, "_EMBED_NODE_CAP", 31)
+    assert not embeds(path(5), lone)
+
+
+def test_a_pattern_part_no_host_part_takes_hits_the_step_cap():
+    # each choice of a scans all 10,000 parts for b, so the cap, not the
+    # quadratic scan, ends the search
+    lone = structure({"a": "T", "b": "T"}, [("b", "b", "L")])
+    with pytest.raises(EmbeddingBudgetError, match="node cap"):
+        embeds(grid(100, 100), lone)
+    with pytest.raises(EmbeddingBudgetError, match="node cap"):
+        occurrences(grid(100, 100), lone)
+
+
+def test_patterns_over_64_parts_are_matched():
+    # a plan lists only the relations between a part and earlier ones,
+    # and the walk keeps its own stack, so neither grows past the pattern
+    big = path(2000)
+    plan = STRUCTURE_MODULE._pattern_plan(big, None)
+    assert sum(len(towards) for _, _, towards, _ in plan) == 1999
+    assert embeds(path(2100), big)
+    windows = [frozenset(f"p{i}" for i in range(lo, lo + 70))
+               for lo in range(31)]
+    found = occurrences(path(100), path(70))
+    assert len(found) == 31 and set(found) == set(windows)
+
+
 # --- induced embeddings -----------------------------------------------------
 
 def assert_matches_oracle(a, b, catalog=None):
