@@ -59,7 +59,6 @@ class StructRecognizer:
     """Subject fires (score 1) when the pattern occurs inside the state."""
     subject: str
     pattern: Structure
-    mask: Optional[MorphismMask] = None
 
 
 @dataclass(frozen=True)
@@ -102,18 +101,16 @@ class SearchResult:
 # state inspection
 # ---------------------------------------------------------------------------
 
-# recognizer plan tries kept for the whole process (`_recognizer_tries`);
+# recognizer plan tries kept for the whole process (`_recognizer_trie`);
 # past this many entries the oldest is evicted
 _TRIE_CACHE_CAP = 128
 _TRIE_CACHE: dict[tuple, tuple] = {}
 
 
-def _recognizer_tries(spec: ProblemSpec, catalog: Optional[TypeCatalog]
-                      ) -> list[tuple]:
-    """Per distinct mask (None for none), in order of first use: the mask,
-    the plan trie of its recognizers' patterns and their positions among
-    the recognizers.  `state_recognitions` caches it on the spec with
-    `_cached`.
+def _recognizer_trie(spec: ProblemSpec, catalog: Optional[TypeCatalog]
+                     ) -> tuple:
+    """The plan trie of all recognizer patterns, in recognizer order.
+    `state_recognitions` caches it on the spec with `_cached`.
 
     Behind that, one process-wide cache (`_TRIE_CACHE`, at most
     `_TRIE_CACHE_CAP` tries, the oldest evicted first) serves every spec
@@ -126,48 +123,27 @@ def _recognizer_tries(spec: ProblemSpec, catalog: Optional[TypeCatalog]
     """
     type_key = catalog.type_key if catalog is not None else \
         (lambda t: ("o", t))
-    members: dict = {}
-    for i, rec in enumerate(spec.recognizers):
-        members.setdefault(rec.mask, []).append(i)
-    tries = []
-    for mask, idx in members.items():
-        patterns = [spec.recognizers[i].pattern for i in idx]
-        key = tuple((b.parts, tuple(map(type_key, b.part_types)),
-                     b.relations, b.oriented) for b in patterns)
-        trie = _TRIE_CACHE.get(key)
-        if trie is None:
-            trie = _plan_trie(patterns, catalog)
-            if len(_TRIE_CACHE) >= _TRIE_CACHE_CAP:
-                del _TRIE_CACHE[next(iter(_TRIE_CACHE))]
-            _TRIE_CACHE[key] = trie
-        tries.append((mask, trie, idx))
-    return tries
+    patterns = [rec.pattern for rec in spec.recognizers]
+    key = tuple((b.parts, tuple(map(type_key, b.part_types)),
+                 b.relations, b.oriented) for b in patterns)
+    trie = _TRIE_CACHE.get(key)
+    if trie is None:
+        trie = _plan_trie(patterns, catalog)
+        if len(_TRIE_CACHE) >= _TRIE_CACHE_CAP:
+            del _TRIE_CACHE[next(iter(_TRIE_CACHE))]
+        _TRIE_CACHE[key] = trie
+    return trie
 
 
 def state_recognitions(state: State, spec: ProblemSpec) -> list[Recognition]:
-    """The recognizers that fire on the state, in recognizer order.
-
-    A masked recognizer tests its pattern on the state under its mask.
-    Each distinct mask is applied once, in order of first use; then one
-    search (`_search`) per distinct mask runs all of its recognizers.  A
-    mask binds only types of fresh keys (`intern_attr`, `intern_struct`),
-    which match no other type, so a recognizer fires as it would if tested
-    before the masks after it had run.
-    """
+    """The recognizers that fire on the state, in recognizer order, found
+    by one search (`_search`) over all their patterns."""
     if isinstance(state, RecognitionState):
         return [Recognition(s, v, 0) for s, v in state.recognitions]
-    catalog = spec.catalog
-    targets: dict = {None: state}
-    for rec in spec.recognizers:
-        if rec.mask not in targets:
-            targets[rec.mask] = apply_morphism(state, rec.mask, catalog)
-    fired = [False] * len(spec.recognizers)
-    for mask, trie, idx in _cached(spec, catalog, _recognizer_tries):
-        hits = _search(targets[mask], trie, catalog, lambda j, images: True)
-        for i, hit in zip(idx, hits):
-            fired[i] = hit
+    trie = _cached(spec, spec.catalog, _recognizer_trie)
+    hits = _search(state, trie, spec.catalog, lambda j, images: True)
     return [Recognition(rec.subject, 1.0, 0)
-            for rec, hit in zip(spec.recognizers, fired) if hit]
+            for rec, hit in zip(spec.recognizers, hits) if hit]
 
 
 def _fires(ms, recs: list[Recognition], cfg: Config) -> bool:

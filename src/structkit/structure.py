@@ -74,8 +74,13 @@ class Structure:
     def __post_init__(self):
         if len(self.parts) != len(self.part_types):
             raise StructureError("parts and part_types must align")
-        if len(set(self.parts)) != len(self.parts):
+        known = set(self.parts)
+        if len(known) != len(self.parts):
             raise StructureError("duplicate part id")
+        for r in self.relations:
+            if r.a not in known or r.b not in known:
+                raise StructureError(
+                    f"relation ({r.a},{r.b}) references unknown part")
 
     @property
     def n(self) -> int:
@@ -279,7 +284,7 @@ def _cached(s, catalog: Optional[TypeCatalog],
     never changes, so the value holds while the catalog is the same and
     its `bound_count()` has not grown.  Only the last value built is kept.
     It is the fast path: the solver's recognizer tries have a process-wide
-    cache behind it (`solver._recognizer_tries`), keyed by content.
+    cache behind it (`solver._recognizer_trie`), keyed by content.
     """
     count = catalog.bound_count() if catalog is not None else 0
     cached = s.__dict__.get(build.__name__)
@@ -299,13 +304,9 @@ def validate(s: Structure) -> list[str]:
     problems = []
     if s.n == 0:
         problems.append("empty structure (no parts)")
-    known = set(s.parts)
     seen_keys = set()
     related = set()
     for r in s.relations:
-        if r.a not in known or r.b not in known:
-            problems.append(f"relation ({r.a},{r.b}) references unknown part")
-            continue
         if r.a == r.b:
             problems.append(f"self-loop on part {r.a}")
             continue
@@ -633,11 +634,7 @@ def internal_classes(s: Structure,
     structure's type count and never exceeds the part count.
     """
     require_valid(s)
-    keys = _key_map(s, catalog)
-    groups: dict[tuple, list[str]] = {}
-    for p in s.parts:
-        groups.setdefault(keys[p], []).append(p)
-    return [tuple(groups[k]) for k in sorted(groups)]
+    return [tuple(c) for c in _key_cells(s, _key_map(s, catalog)).values()]
 
 
 def morphism_number(s: Structure) -> int:
@@ -697,15 +694,8 @@ def compose(a: Structure, b: Structure,
     glue = [g if isinstance(g, Relation) else Relation(*g) for g in gluing]
     if not glue:
         raise StructureError("gluing must connect the operands")
-    known = set(parts)
-    crossing = False
-    for r in glue:
-        if r.a not in known or r.b not in known:
-            raise StructureError(f"gluing references unknown part ({r.a},{r.b})")
-        sides = {r.a.split(".", 1)[0], r.b.split(".", 1)[0]}
-        if sides == {"a", "b"}:
-            crossing = True
-    if not crossing:
+    if not any({r.a.split(".", 1)[0], r.b.split(".", 1)[0]} == {"a", "b"}
+               for r in glue):
         raise StructureError("gluing must connect a part of a with a part of b")
     c = Structure(parts, tuple(types[p] for p in parts), tuple(rels + glue),
                   oriented)
@@ -817,7 +807,7 @@ def _plan_trie(patterns: Sequence[Structure],
     the root to the node its plan ends at, and its `(oriented, n)`.
     The trie depends only on each pattern's parts, the type key of each
     part, its relations and its orientation, so patterns equal in those
-    give equal tries in any catalog; `solver._recognizer_tries` shares one
+    give equal tries in any catalog; `solver._recognizer_trie` shares one
     trie across specs by that content.
     """
     root = _TrieNode(0)

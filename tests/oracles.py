@@ -5,7 +5,8 @@ exhaustive subset scans.  None of it shares code with the library paths it
 verifies, except `canonical_order_oracle`, which reuses the library's
 encoding (its refinement is `refine_oracle`, full rounds over a plain
 relation scan), and `occurrences_oracle`, which compares canonical forms
-to check the embedding matcher.  `extract_strokes_oracle` is the stroke
+to check the embedding matcher; it grows its connected subsets itself,
+over `neighbors`.  `extract_strokes_oracle` is the stroke
 tracer the library used before it moved to integer pixel ids.
 """
 
@@ -21,7 +22,6 @@ from structkit.structure import (
     Relation,
     Structure,
     TypeCatalog,
-    _connected_subsets,
     _encode,
     _key_map,
     canonical_form,
@@ -154,7 +154,9 @@ def occurrences_oracle(a: Structure, b: Structure,
     """Part subsets of a whose induced structure has b's canonical form.
 
     Scans every connected subset of b's size when b is connected, else every
-    subset of that size; sorted as `occurrences` sorts.
+    subset of that size; sorted as `occurrences` sorts.  Connected subsets
+    grow level by level: each of size k+1 is one of size k plus a
+    neighbour, repeats dropped by the set.
     """
     if b.n == 0 or b.n > a.n:
         return []
@@ -166,8 +168,14 @@ def occurrences_oracle(a: Structure, b: Structure,
             if q not in seen:
                 seen.add(q)
                 stack.append(q)
-    subsets = _connected_subsets(a, b.n) if len(seen) == b.n else \
-        map(frozenset, itertools.combinations(a.parts, b.n))
+    if len(seen) == b.n:
+        adj = {p: neighbors(a, p) for p in a.parts}
+        subsets = {frozenset([p]) for p in a.parts}
+        for _ in range(b.n - 1):
+            subsets = {m | {q} for m in subsets for p in m for q in adj[p]
+                       if q not in m}
+    else:
+        subsets = map(frozenset, itertools.combinations(a.parts, b.n))
     found = [m for m in subsets
              if canonical_form(induced(a, m), catalog) == target]
     found.sort(key=lambda m: tuple(sorted(m)))

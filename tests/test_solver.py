@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 from collections import deque
@@ -159,10 +158,6 @@ def long_path(n):
                      [(f"p{i}", f"p{i+1}", "L") for i in range(n - 1)])
 
 
-# a mask that drops part attributes needs a catalog to re-intern them
-NEEDS_CATALOG = MorphismMask.make(drop_part_attrs={"size"})
-
-
 def test_guard_failure_poisons_only_its_production():
     # a guard of no supported kind fails; that production drops out, the
     # others still fire
@@ -176,34 +171,48 @@ def test_guard_failure_poisons_only_its_production():
 
 
 def test_guard_failures_under_shared_recognitions_poison_each_production():
-    # the recognitions shared by the micro-situation guards fail on their
-    # masked recognizer, and each of those productions reports its own
-    # error; the pattern guard embeds in the 70-part state and fires
+    # the micro-situation guards share one recognition pass; each guard of
+    # no supported kind reports its own error, and the pattern guard embeds
+    # in the 70-part state and fires
     big = long_path(70)
     pattern = structure({"a": "T"})
-    prods = (Production("first", ms("hasT"), SetEffect()),
+    prods = (Production("first", "no guard", SetEffect()),
+             Production("hasT", ms("hasT"), lambda state: state),
              Production("pattern", pattern, lambda state: state),
-             Production("second", ms("!hasT"), SetEffect()))
+             Production("second", "no guard", SetEffect()),
+             Production("noT", ms("!hasT"), lambda state: state))
     spec = ProblemSpec(big, ms("done"), prods, recognizers=(
-        StructRecognizer("hasT", pattern, NEEDS_CATALOG),))
+        StructRecognizer("hasT", pattern),))
     succ, errors = expand(big, spec)
-    assert succ == [("pattern", big)]
-    assert [name for name, _ in errors] == ["first", "second"]
-    assert all("needs a catalog" in msg for _, msg in errors)
+    assert succ == [("hasT", big), ("pattern", big)]
+    assert errors == [("first", "unsupported guard on production first"),
+                      ("second", "unsupported guard on production second")]
 
 
-def test_recognizer_error_reaches_solve():
-    three = structure({"a": "T", "b": "T", "c": "T"},
-                      [("a", "b", "L"), ("b", "c", "L")])
-    pair = structure({"u": "T", "v": "T"}, [("u", "v", "L")])
-    spec = ProblemSpec(three, ms("linked"),
-                       (Production("noop", ms("linked"), SetEffect()),),
-                       recognizers=(StructRecognizer("linked", pair),))
-    assert solve(spec, 10).status == "solved"
-    masked = dataclasses.replace(spec, recognizers=(
-        StructRecognizer("linked", pair, NEEDS_CATALOG),))
-    with pytest.raises(StructureError, match="needs a catalog"):
-        solve(masked, 10)
+def test_one_recognition_pass_per_expand(monkeypatch):
+    # three micro-situation guards and a pattern guard: the guards share
+    # the one pass `expand` makes for the first of them
+    calls = []
+    real = SOLVER_MODULE.state_recognitions
+
+    def counting(state, spec):
+        calls.append(state)
+        return real(state, spec)
+
+    monkeypatch.setattr(SOLVER_MODULE, "state_recognitions", counting)
+    state = long_path(3)
+    pattern = structure({"a": "T", "b": "T"}, [("a", "b", "L")])
+    prods = (Production("linked", ms("linked"), lambda s: s),
+             Production("pattern", pattern, lambda s: s),
+             Production("lone", ms("lone"), lambda s: s),
+             Production("unlinked", ms("!linked"), lambda s: s))
+    spec = ProblemSpec(state, ms("done"), prods, recognizers=(
+        StructRecognizer("linked", pattern),
+        StructRecognizer("lone", structure({"a": "T"}))))
+    succ, errors = expand(state, spec)
+    assert [name for name, _ in succ] == ["linked", "pattern", "lone"]
+    assert errors == []
+    assert len(calls) == 1 and calls[0] is state
 
 
 def test_a_state_over_64_parts_solves():
@@ -500,113 +509,12 @@ def test_n_block_relocation_optimal(n_blocks, seed):
 # --- recognition -------------------------------------------------------------------
 
 def recognitions_by_loop(state, spec):
-    """`state_recognitions` as one mask and one `embeds` per recognizer."""
+    """`state_recognitions` as one `embeds` per recognizer."""
     recs = []
     for rec in spec.recognizers:
-        target = state if rec.mask is None else \
-            apply_morphism(state, rec.mask, spec.catalog)
-        if embeds(target, rec.pattern, spec.catalog):
+        if embeds(state, rec.pattern, spec.catalog):
             recs.append(Recognition(rec.subject, 1.0, 0))
     return recs
-
-
-def masked_block_spec(start_supports, goal_on):
-    """block_spec over sized blocks whose on() subjects see through sizes.
-
-    Each on() recognizer names the unsized block types behind a shared
-    drop-size mask; a "sized:" twin of it, unmasked, follows it.
-    """
-    catalog = TypeCatalog()
-    sizes = {b: i + 1 for i, b in enumerate(sorted(start_supports))}
-    spec = block_spec(start_supports, goal_on, catalog, sizes)
-    mask = MorphismMask.make(drop_part_attrs={"size"})
-    unsized = {t: t if t == "TBL" else
-               catalog.intern_attr(catalog.resolve(t).label)
-               for t in spec.start.part_types}
-    recs = []
-    for rec in spec.recognizers:
-        pattern = rec.pattern.with_types(
-            {p: unsized[t] for p, t in rec.pattern.types.items()})
-        recs.append(StructRecognizer(rec.subject, pattern, mask))
-        recs.append(StructRecognizer("sized:" + rec.subject, rec.pattern))
-    return dataclasses.replace(spec, recognizers=tuple(recs))
-
-
-def test_masked_recognizers_match_the_loop():
-    catalog = TypeCatalog()
-    small = catalog.intern_attr("blk", {"size": 1})
-    state = structure({"a": small, "b": small, "t": "TBL"},
-                      [("a", "b", "on"), ("b", "t", "on")], oriented=True)
-    stacked = structure({"u": "blk", "v": "blk"}, [("u", "v", "on")],
-                        oriented=True)
-    grounded = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
-                         oriented=True)
-    mask = MorphismMask.make(drop_part_attrs={"size"})
-    spec = ProblemSpec(state, ms("stacked"),
-                       (Production("noop", ms("stacked"), SetEffect()),),
-                       recognizers=(StructRecognizer("stacked", stacked, mask),
-                                    StructRecognizer("sized", stacked),
-                                    StructRecognizer("grounded", grounded,
-                                                     mask)),
-                       catalog=catalog)
-    recs = state_recognitions(state, spec)
-    assert [r.subject for r in recs] == ["stacked", "grounded"]
-    assert recs == recognitions_by_loop(state, spec)
-
-
-def test_recognizers_sharing_a_mask_share_its_morphism(monkeypatch):
-    # two recognizers behind one mask: the state is coarsened once
-    calls = []
-
-    def counting(state, mask, catalog):
-        calls.append(mask)
-        return apply_morphism(state, mask, catalog)
-
-    monkeypatch.setattr(sys.modules["structkit.solver"], "apply_morphism",
-                        counting)
-    catalog = TypeCatalog()
-    small = catalog.intern_attr("blk", {"size": 1})
-    state = structure({"a": small, "b": small, "t": "TBL"},
-                      [("a", "b", "on"), ("b", "t", "on")], oriented=True)
-    stacked = structure({"u": "blk", "v": "blk"}, [("u", "v", "on")],
-                        oriented=True)
-    grounded = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
-                         oriented=True)
-    mask = MorphismMask.make(drop_part_attrs={"size"})
-    spec = ProblemSpec(state, ms("stacked"),
-                       (Production("noop", ms("stacked"), SetEffect()),),
-                       recognizers=(StructRecognizer("stacked", stacked, mask),
-                                    StructRecognizer("grounded", grounded,
-                                                     mask)),
-                       catalog=catalog)
-    assert [r.subject for r in state_recognitions(state, spec)] == \
-        ["stacked", "grounded"]
-    assert calls == [mask]
-
-
-def test_recognition_follows_a_binding_made_by_a_mask():
-    # "blk" is unbound until the mask coarsens blk[size=2] to it, and the
-    # recognizers after the mask must see the bound key, as `embeds` does
-    def spec_and_state():
-        catalog = TypeCatalog()
-        big = catalog.intern_attr("blk", {"size": 2})
-        state = structure({"a": big, "b": "blk", "t": "TBL"},
-                          [("a", "t", "on"), ("b", "t", "on")], oriented=True)
-        pattern = structure({"u": "blk", "v": "TBL"}, [("u", "v", "on")],
-                            oriented=True)
-        mask = MorphismMask.make(drop_part_attrs={"size"})
-        recognizers = (StructRecognizer("before", pattern),
-                       StructRecognizer("masked", pattern, mask),
-                       StructRecognizer("after", pattern))
-        return ProblemSpec(state, ms("before"),
-                           (Production("noop", ms("before"), SetEffect()),),
-                           recognizers=recognizers, catalog=catalog), state
-
-    spec, state = spec_and_state()
-    recs = state_recognitions(state, spec)
-    assert [r.subject for r in recs] == ["before", "masked", "after"]
-    fresh_spec, fresh_state = spec_and_state()
-    assert recs == recognitions_by_loop(fresh_state, fresh_spec)
 
 
 def test_one_host_index_per_state(monkeypatch):
@@ -668,11 +576,6 @@ _PINNED_SEARCHES = [
      (("move-A-to-T", "move-D-to-T", "move-C-to-T", "move-B-to-D"), 115, 4)),
     ("sized", {"A": "B", "B": "T", "C": "T"}, [("A", "C")],
      (("move-A-to-C",), 1, 1)),
-    ("masked", {"A": "B", "B": "T", "C": "T"}, [("A", "C"), ("C", "B")],
-     (("move-A-to-T", "move-C-to-B", "move-A-to-C"), 12, 3)),
-    ("masked", {"A": "T", "B": "A", "C": "B", "D": "T"},
-     [("D", "C"), ("A", "B")],
-     (("move-C-to-T", "move-B-to-T", "move-A-to-B", "move-D-to-C"), 49, 4)),
 ]
 
 
@@ -683,9 +586,7 @@ def test_search_and_recognitions_unchanged(kind, start, goal, pinned):
         rng = random.Random(seed)
         start = random_blocks(rng, "ABCDE"[:n_blocks])
         goal = sorted(random_blocks(rng, "ABCDE"[:n_blocks]).items())
-    if kind == "masked":
-        spec = masked_block_spec(start, goal)
-    elif kind == "sized":
+    if kind == "sized":
         spec = block_spec(start, goal, TypeCatalog(), {b: 2 for b in start})
     else:
         spec = block_spec(start, goal)
@@ -804,9 +705,7 @@ def same_trie(trie, fresh):
 
 
 def only_trie(spec):
-    [(mask, trie, _)] = SOLVER_MODULE._recognizer_tries(spec, spec.catalog)
-    assert mask is None
-    return trie
+    return SOLVER_MODULE._recognizer_trie(spec, spec.catalog)
 
 
 def test_equal_recognizers_in_two_catalogs_share_one_trie():

@@ -87,6 +87,15 @@ def test_validate_duplicate_relation():
     assert any("duplicate" in p for p in validate(s))
 
 
+def test_a_relation_to_an_unknown_part_fails_at_construction():
+    # the matcher and the canonical search look up every relation end
+    with pytest.raises(StructureError,
+                       match=r"relation \(a,z\) references unknown part"):
+        Structure(("a", "b"), ("A", "A"), (Relation("a", "z", "e"),))
+    with pytest.raises(StructureError, match="unknown part"):
+        structure({"a": "T"}, [("z", "a", "L")], oriented=True)
+
+
 def test_structure_builds_relation_tuples_like_relation():
     s = structure({"a": "T", "b": "T"}, [("a", "b", "L", {"w": 2, "h": 1})])
     assert s.relations == (Relation("a", "b", "L", {"w": 2, "h": 1}),)
@@ -673,7 +682,7 @@ def test_compose_two_gluings_nonisomorphic_equal_n():
 
 
 def test_compose_unknown_part_errors():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"\(a.p9,b.p0\) references unknown"):
         compose(path(2), path(2), [("a.p9", "b.p0", "glue")])
 
 
