@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
@@ -49,7 +50,13 @@ class RasterStructure:
     ink: int                              # intensity treated as stroke
 
     def is_binary(self) -> bool:
-        return len(set().union(*self.values)) <= 2
+        return len(self._levels) <= 2
+
+    @cached_property
+    def _levels(self) -> frozenset[int]:
+        """The distinct pixel values; `load_raster` sets them from its own
+        pass over the pixels, so a loaded raster is not read again."""
+        return frozenset().union(*self.values)
 
     def to_structure(self) -> Structure:
         parts = []
@@ -103,6 +110,7 @@ def load_raster(data: bytes | str) -> RasterStructure:
         flat = digits.encode("ascii", "replace").translate(_P1_VALUES)
         if 2 in flat:
             raise RasterError("P1 pixels must be 0 or 1")
+        levels = frozenset(v for v in (0, 1) if v in flat)
         ink = 1
     else:
         if not tokens:
@@ -119,11 +127,14 @@ def load_raster(data: bytes | str) -> RasterStructure:
             flat = [int(t) for t in tokens[:width * height]]
         except ValueError:
             raise RasterError("P2 pixels must be integers")
-        if any(v < 0 or v > maxval for v in flat):
+        levels = frozenset(flat)
+        if min(levels) < 0 or max(levels) > maxval:
             raise RasterError("pixel out of range")
-        ink = min(flat)   # darkest value is the stroke
+        ink = min(levels)   # darkest value is the stroke
     rows = tuple(tuple(flat[y * width:(y + 1) * width]) for y in range(height))
-    return RasterStructure(width, height, rows, ink)
+    r = RasterStructure(width, height, rows, ink)
+    object.__setattr__(r, "_levels", levels)
+    return r
 
 
 def serialize_raster(r: RasterStructure) -> str:

@@ -324,9 +324,17 @@ def validate(s: Structure) -> list[str]:
 
 
 def require_valid(s: Structure):
+    """Raise StructureError naming every problem `validate` finds.
+
+    A structure never changes, so one that passes is marked, like `types`
+    is cached, and not validated again.
+    """
+    if "_valid" in s.__dict__:
+        return
     problems = validate(s)
     if problems:
         raise StructureError("invalid structure: " + "; ".join(problems))
+    object.__setattr__(s, "_valid", True)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +376,7 @@ def _key_cells(s: Structure, keys: dict[str, tuple]) -> dict[int, list[str]]:
 
 
 def _refine(ends: dict[str, list[tuple[int, str]]], colors: dict[str, int],
-            cells: dict[int, list[str]], todo: set[int]) -> None:
+            cells: dict[int, list[str]], touched: set[str]) -> None:
     """Split cells by (colour, incident ends) signatures, in place, until
     stable.
 
@@ -376,37 +384,64 @@ def _refine(ends: dict[str, list[tuple[int, str]]], colors: dict[str, int],
     by their sorted `(end, neighbour colour)` signatures, laid out from the
     cell's own offset, so the first piece keeps the cell's colour and no
     other cell's colour changes.  Each round computes every split from the
-    colours at its start and re-signs only the cells in `todo`; the next
-    round's are the cells next to a part whose colour changed, as no other
-    part's signature did.  `todo` must hold every cell whose parts may
-    differ in signature.  The result is the ordered partition that
-    re-signing every part in every round, until the class count stops
-    growing, gives (`tests/oracles.py::refine_oracle`).
+    colours at its start and re-signs only the `touched` parts.  The parts
+    of a cell that are not touched must share one signature, so it is
+    computed once, from one of them, and sorted beside the touched parts'.
+    The next round's touched parts are the neighbours of each new piece but
+    the largest of its split (the first largest, in piece order): a part
+    with no such neighbour has, in every split cell, only neighbours in the
+    largest piece, so the cell's untouched parts, alike before the round,
+    are alike after it.  On the first call `touched` must hold every part
+    of a cell whose parts may differ in signature.  The result is the
+    ordered partition that re-signing every part in every round, until the
+    class count stops growing, gives (`tests/oracles.py::refine_oracle`).
     """
-    while todo:
+    while touched:
+        by_cell: dict[int, list[str]] = {}
+        for p in touched:
+            c = colors[p]
+            if len(cells[c]) > 1:
+                by_cell.setdefault(c, []).append(p)
         splits = []
-        for c in todo:
+        for c, signed in by_cell.items():
             cell = cells[c]
-            if len(cell) == 1:
-                continue
+            others = len(signed) < len(cell)
+            if others:
+                for other in cell:
+                    if other not in touched:
+                        break
+                signed.append(other)
             pieces: dict[tuple, list[str]] = {}
-            for p in cell:
-                sig = tuple(sorted([e + colors[q] for e, q in ends[p]]))
-                pieces.setdefault(sig, []).append(p)
+            for p in signed:
+                # a loop, not a comprehension, which costs a function call
+                # per part before Python 3.12
+                sig = []
+                for e, q in ends[p]:
+                    sig.append(e + colors[q])
+                sig.sort()
+                piece = pieces.setdefault(tuple(sig), [])
+                piece.append(p)
             if len(pieces) == 1:
                 continue
+            if others:
+                # the last part signed stands for every untouched part
+                piece.pop()
+                piece += [q for q in cell if q not in touched]
+            splits.append((c, [pieces[sig] for sig in sorted(pieces)]))
+        touched = set()
+        for c, pieces in splits:
+            largest = max(pieces, key=len)
             start = c
-            for sig in sorted(pieces):
-                splits.append((start, pieces[sig]))
-                start += len(pieces[sig])
-        moved = []
-        for c, piece in splits:
-            cells[c] = piece
-            if colors[piece[0]] != c:
-                for p in piece:
-                    colors[p] = c
-                moved.extend(piece)
-        todo = {colors[q] for p in moved for _, q in ends[p]}
+            for piece in pieces:
+                cells[start] = piece
+                if start != c:
+                    for p in piece:
+                        colors[p] = start
+                if piece is not largest:
+                    for p in piece:
+                        for _, q in ends[p]:
+                            touched.add(q)
+                start += len(piece)
 
 
 def _individualise(ends: dict[str, list[tuple[int, str]]],
@@ -414,15 +449,15 @@ def _individualise(ends: dict[str, list[tuple[int, str]]],
                    p: str, fresh: int) -> tuple[dict, dict]:
     """Refined copies of `colors` and `cells` with `p` alone in cell `fresh`.
 
-    p's cell must hold other parts too.  They keep its colour, so only the
-    cells of p's neighbours need re-signing.
+    p's cell must hold other parts too.  They keep its colour, and the
+    colouring was stable, so only p's neighbours need re-signing.
     """
     colors, cells = dict(colors), dict(cells)
     c = colors[p]
     cells[c] = [q for q in cells[c] if q != p]
     colors[p] = fresh
     cells[fresh] = [p]
-    _refine(ends, colors, cells, {colors[q] for _, q in ends[p]})
+    _refine(ends, colors, cells, {q for _, q in ends[p]})
     return colors, cells
 
 
@@ -467,7 +502,8 @@ def canonical_form(s: Structure, catalog: Optional[TypeCatalog] = None) -> tuple
     return _canonical(s, _key_map(s, catalog))[1]
 
 
-def _canonical(s: Structure, keys: dict[str, tuple]) -> tuple[list[str], tuple]:
+def _canonical(s: Structure, keys: dict[str, tuple],
+               target: Optional[tuple] = None) -> tuple[list[str], tuple]:
     """The canonical order of s and its encoding.
 
     Individualisation-refinement: each search node branches on the parts of
@@ -487,6 +523,11 @@ def _canonical(s: Structure, keys: dict[str, tuple]) -> tuple[list[str], tuple]:
     is that of the unpruned search (`tests/oracles.py`).  When the type
     keys alone give every part its own cell, refinement could split
     nothing, so it is skipped and the key order is the leaf.
+    `target`, when given, must be the canonical form of some structure t,
+    and the search stops at the first leaf that encodes equal to it.  Such
+    a leaf maps s onto t, so t's canonical form is s's least encoding too,
+    and the first leaf to reach it is the one the full search picks: the
+    result is the same.  When no leaf does, the search runs in full.
     Raises CanonicalBudgetError past `_CANON_NODE_CAP` search nodes.
     """
     cells = _key_cells(s, keys)
@@ -494,7 +535,7 @@ def _canonical(s: Structure, keys: dict[str, tuple]) -> tuple[list[str], tuple]:
         # the keys leave some cell with two parts or more: refine by relations
         ends = _ends(s)
         colors = {p: c for c, cell in cells.items() for p in cell}
-        _refine(ends, colors, cells, set(cells))
+        _refine(ends, colors, cells, set(s.parts))
     if len(cells) == s.n:
         # keys or refinement individualise every part: the root is the leaf
         order = [cells[c][0] for c in sorted(cells)]
@@ -520,7 +561,8 @@ def _canonical(s: Structure, keys: dict[str, tuple]) -> tuple[list[str], tuple]:
             enc = _encode(s, order, keys)
             if best_enc is None or enc < best_enc:
                 best_enc, best_order, best_fixed = enc, order, fixed
-                return None
+                # -1 is above every node's depth: the whole search unwinds
+                return -1 if enc == target else None
             if not more or enc != best_enc:
                 # an automorphism helps only a node with children to try
                 return None
@@ -611,12 +653,16 @@ def _witness(a: Structure, b: Structure, keys_a: dict[str, tuple],
              keys_b: dict[str, tuple]) -> Optional[dict[str, str]]:
     """Verified part bijection a -> b preserving keys and relations, or None.
 
-    No validity check: schema bodies may carry self-loops.
+    The canonical orders of a and b, zipped.  b's search stops at the first
+    leaf that encodes like a's canonical leaf: any such leaf is b's
+    canonical leaf, so the witness is the one the two full searches give.
+    When a and b are not isomorphic no leaf of b does, and b's search runs
+    in full.  No validity check: schema bodies may carry self-loops.
     """
     if a.n != b.n or a.oriented != b.oriented:
         return None
     order_a, enc_a = _canonical(a, keys_a)
-    order_b, enc_b = _canonical(b, keys_b)
+    order_b, enc_b = _canonical(b, keys_b, enc_a)
     if enc_a != enc_b:
         return None
     mapping = dict(zip(order_a, order_b))

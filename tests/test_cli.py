@@ -148,7 +148,7 @@ def k30_pair():
 
 @pytest.mark.parametrize("pair", [c20_pair, k30_pair], ids=["C20", "K30"])
 def test_iso_report_independent_of_hash_seed(tmp_path, pair):
-    # refinement walks sets of cells and type keys hash their strings, so
+    # refinement walks sets of parts and type keys hash their strings, so
     # two interpreters with different string hashing must still pick the
     # same canonical orders and witness
     a, b = pair()
@@ -176,6 +176,25 @@ def test_derive_quotient_and_mask(tmp_path):
     assert out_struct.read_text() == payload["derived"]
     derived_lines = payload["derived"].splitlines()
     assert sum(1 for ln in derived_lines if ln.startswith("part ")) == 2
+
+
+def test_derive_validates_each_structure_once(tmp_path, monkeypatch):
+    # `partition` and `quotient` both need the input valid, and
+    # `apply_morphism` needs the quotient valid
+    calls = []
+    check = STRUCTURE_MODULE.validate
+
+    def counting(s):
+        calls.append(s)
+        return check(s)
+    monkeypatch.setattr(STRUCTURE_MODULE, "validate", counting)
+    s = structure({"p0": "A", "p1": "A", "p2": "B", "p3": "B"},
+                  [("p0", "p1", "L"), ("p1", "p2", "L"), ("p2", "p3", "L")])
+    sidecar = tmp_path / "ops.txt"
+    sidecar.write_text("block p0 p1\nblock p2 p3\nmask drop-rel-attr count\n")
+    assert main(["derive", write_struct(tmp_path, "s.struct", s),
+                 str(sidecar), "--out", str(tmp_path / "derive.json")]) == 0
+    assert [x.n for x in calls] == [4, 2]
 
 
 def test_derive_types_blocks_holding_separators_apart(tmp_path):

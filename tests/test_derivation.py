@@ -1,10 +1,13 @@
 import random
+import sys
 
 import pytest
 
 from structkit.derivation import (
     DerivationStore,
     MorphismMask,
+    Partition,
+    _cut,
     apply_morphism,
     canonical_partitions,
     partition,
@@ -25,6 +28,9 @@ from structkit.structure import (
 )
 
 from oracles import random_structure, relabeled_copy
+
+# the package re-exports the function `structure` under the module's name
+STRUCTURE_MODULE = sys.modules["structkit.structure"]
 
 
 def path(n, types=None, label="L"):
@@ -150,6 +156,34 @@ def test_quotient_blocks_types_by_isomorphism():
     k2 = partition(s2, [["p0", "p1"], ["p2", "p3"]])
     q2 = quotient(s2, k2, cat)
     assert len(internal_classes(q2, cat)) == 1
+
+
+def test_quotient_alone_refuses_an_invalid_structure():
+    # a Partition built by hand skips `partition`'s validation
+    s = structure({"a": "T", "b": "T"})
+    k = Partition(s, tuple(_cut(s, [["a"], ["b"]])))
+    with pytest.raises(StructureError, match="^invalid structure: "):
+        quotient(s, k)
+
+
+def test_a_valid_structure_is_validated_once(monkeypatch):
+    calls = []
+    check = validate
+
+    def counting(s):
+        calls.append(s)
+        return check(s)
+    monkeypatch.setattr(STRUCTURE_MODULE, "validate", counting)
+    s = path(4)
+    quotient(s, partition(s, [["p0", "p1"], ["p2", "p3"]]))
+    require_valid(s)
+    assert calls == [s]
+    # a refusal leaves nothing behind: the next call refuses again
+    bad = structure({"a": "T", "b": "T"})
+    for _ in range(2):
+        with pytest.raises(StructureError, match="^invalid structure: "):
+            require_valid(bad)
+    assert calls == [s, bad, bad]
 
 
 def test_quotient_rejects_another_structures_partition():

@@ -308,6 +308,27 @@ def test_strokes_need_binary():
         extract_strokes(r)
 
 
+@pytest.mark.parametrize("text, binary", [
+    ("P1\n3 2\n010\n111\n", True),
+    ("P1\n2 1\n00\n", True),
+    ("P2\n3 2\n9\n0 9 9\n9 0 9\n", True),
+    ("P2\n3 2\n9\n0 9 9\n9 4 9\n", False),
+])
+def test_loaded_rasters_know_their_levels(text, binary):
+    # load_raster records the levels it checked; a raster built by hand
+    # finds them from its pixels, with the same answer
+    r = load_raster(text)
+    built = RasterStructure(r.width, r.height, r.values, r.ink)
+    assert "_levels" in r.__dict__ and "_levels" not in built.__dict__
+    assert r._levels == built._levels
+    assert r.is_binary() == built.is_binary() == binary
+    if binary:
+        assert extract_strokes(r) == extract_strokes(built)
+    else:
+        with pytest.raises(RasterError, match="requires a binary raster"):
+            extract_strokes(r)
+
+
 def outline_ink(vertices):
     return set().union(*(line_ink(a, b)
                          for a, b in zip(vertices, vertices[1:] + vertices)))

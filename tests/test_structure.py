@@ -369,7 +369,7 @@ def assert_refine_matches_oracle(s):
     ends = _ends(s)
     cells = _key_cells(s, keys)
     colors = {p: c for c, cell in cells.items() for p in cell}
-    _refine(ends, colors, cells, set(cells))
+    _refine(ends, colors, cells, set(s.parts))
     rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
     old = refine_oracle(s, {p: rank[keys[p]] for p in s.parts})
     assert ordered_partition(colors) == ordered_partition(old)
@@ -425,6 +425,64 @@ def test_refine_keeps_full_round_partition_on_variants():
         for oriented in (False, True):
             assert_refine_matches_oracle(
                 Structure(s.parts, types, rels, oriented))
+
+
+@pytest.mark.parametrize("s", [
+    *[pytest.param(cycle(n), id=f"C{n}") for n in (20, 25, 40)],
+    *[pytest.param(convolution(path(w), path(w)), id=f"grid{w}x{w}")
+      for w in (5, 6)],
+    pytest.param(convolution(cycle(4), cycle(4)), id="C4*C4"),
+    # a path's cells split from the ends inwards, so the largest piece of
+    # a split is often not its first
+    *[pytest.param(path(n), id=f"P{n}") for n in (2, 3, 8, 15, 24)],
+])
+def test_refine_keeps_full_round_partition_on_benchmark_sizes(s):
+    assert_refine_matches_oracle(s)
+    assert_refine_matches_oracle(relabeled_copy(random.Random(s.n), s))
+
+
+@pytest.mark.parametrize("a, b, iso", _symmetric_pairs())
+def test_witness_zips_the_canonical_orders_on_symmetric_families(a, b, iso):
+    # b's search stops at the first leaf that encodes like a's canonical
+    # leaf; the witness is still the one the two full searches give
+    w = isomorphic(a, b)
+    assert w == (dict(zip(canonical_order(a), canonical_order(b)))
+                 if iso else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.booleans())
+def test_witness_zips_the_canonical_orders(seed, n_types, n_labels, oriented):
+    rng = random.Random(seed)
+    a = random_structure(rng, max_n=12, n_types=n_types, n_labels=n_labels,
+                         oriented=oriented)
+    b = relabeled_copy(rng, a)
+    assert isomorphic(a, b) == dict(zip(canonical_order(a),
+                                        canonical_order(b)))
+
+
+def test_witness_search_stops_at_the_first_leaf_like_a(monkeypatch):
+    encoded = []
+    encode = STRUCTURE_MODULE._encode
+    monkeypatch.setattr(STRUCTURE_MODULE, "_encode",
+                        lambda s, order, keys: encoded.append(s)
+                        or encode(s, order, keys))
+
+    def leaves(s):
+        return sum(x is s for x in encoded)
+
+    rng = random.Random(20)
+    a, b = relabeled_copy(rng, cycle(20)), relabeled_copy(rng, cycle(20))
+    assert isomorphic(a, b) is not None
+    assert leaves(b) < leaves(a)
+    # with no leaf like a's, b's search runs in full
+    a, b = cycle(20), disjoint_cycles(10, 10)
+    assert isomorphic(a, b) is None
+    searched = leaves(b)
+    encoded.clear()
+    canonical_order(b)
+    assert leaves(b) == searched
 
 
 def test_canonical_node_cap(monkeypatch):
